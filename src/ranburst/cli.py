@@ -75,15 +75,16 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
 
 
 def _rate(value, where: str) -> float:
-    """Rates may be numbers or fraction strings like '1/20'."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"{where}: cannot parse rate {value!r}") from exc
-    raise ScenarioError(f"{where}: cannot parse rate {value!r}")
+    """Rates may be numbers or fraction strings like '1/20'; they must be finite."""
+    if not isinstance(value, (int, float, str)):
+        raise ScenarioError(f"{where}: cannot parse rate {value!r}")
+    try:
+        rate = float(Fraction(value)) if isinstance(value, str) else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ScenarioError(f"{where}: cannot parse rate {value!r}") from exc
+    if not math.isfinite(rate):
+        raise ScenarioError(f"{where}: rate {value!r} is not finite")
+    return rate
 
 
 def _require(mapping: dict, key: str, where: str):

@@ -1,10 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from ranburst import (
+    NumericalError,
     StateSpaceLimitError,
     TrafficClass,
     build_dimensions,
@@ -14,8 +17,11 @@ from ranburst import (
     reachable_states,
     steady_state,
     transient,
+    transitions,
 )
-from ranburst.analytic import mean_counts, occupancy_marginal
+from ranburst.analytic import blocking_from_generator, mean_counts, occupancy_marginal
+from ranburst.cli import load_bundled_scenario
+from ranburst.traffic import ARRIVAL_REJECTED
 
 from conftest import table2_classes
 
@@ -178,7 +184,8 @@ def test_steady_state_birth_death_erlang():
         assert pi[space.index[state]] == pytest.approx(value, abs=1e-12)
 
 
-def test_nc3_steady_state_solves_on_three_dimensional_space():
+def nc3_chain():
+    """A 30-block NC3 pool under heavy priority load (three dimensions)."""
     classes = [
         TrafficClass(1, 1.0, 1 / 60, 1, 30, "high"),
         TrafficClass(2, 1 / 20, 1 / 600, 2, 15, "low", adaptive=True,
@@ -186,6 +193,31 @@ def test_nc3_steady_state_solves_on_three_dimensional_space():
     ]
     dims = build_dimensions("NC3", classes, 30)
     space, q = build_generator("NC3", dims, 30)
+    return space, q
+
+
+def table2_nc3_burst_chain():
+    """The burst-reachable chain of ``table2_nc3_lam20``.
+
+    The priority class gets the rate at which the burst offers sessions (it
+    has no arrival stream of its own), and rates are scaled by
+    ``time_scale`` as the analytic report scales them.
+    """
+    scenario = load_bundled_scenario("table2_nc3_lam20")
+    classes = list(scenario.classes)
+    classes[0] = replace(classes[0], arrival_rate=scenario.injection.poisson_rate)
+    capacity = scenario.radio.capacity_blocks
+    k = scenario.time_scale
+    dims = [
+        replace(d, arrival_rate=d.arrival_rate * k, service_rate=d.service_rate * k)
+        for d in build_dimensions(scenario.policy, classes, capacity)
+    ]
+    space = reachable_states(scenario.policy, dims, capacity)
+    return build_generator(scenario.policy, dims, capacity, space=space)
+
+
+def test_nc3_steady_state_solves_on_three_dimensional_space():
+    space, q = nc3_chain()
     assert len(space) > 2000
     pi = steady_state(q)
     assert pi.min() >= 0
@@ -209,12 +241,50 @@ def test_nc1_steady_state_aggregates_to_kaufman_roberts():
     assert np.abs(marginal - dist.q).max() < 1e-8
 
 
+def test_light_load_steady_state_matches_kaufman_roberts():
+    # The fullest state has a true mass near 1e-775, far below the smallest
+    # double; the solve must still recover the distribution.
+    classes = [TrafficClass(1, 0.01, 1.0, 1, 200)]
+    dims = build_dimensions("NC1", classes, 200)
+    space, q = build_generator("NC1", dims, 200)
+    pi = steady_state(q)
+    marginal = occupancy_marginal(space, pi)
+    assert np.abs(marginal - kaufman_roberts(classes, 200).q).max() <= 1e-12
+
+
+def test_steady_state_on_table2_nc3_burst_chain():
+    space, q = table2_nc3_burst_chain()
+    assert len(space) == 22_352
+    pi = steady_state(q)
+    assert np.abs(pi @ q).max() <= 1e-10
+    assert pi.min() >= 0
+    assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_steady_state_residual_guard():
     q = sp.csr_matrix(np.zeros((2, 2)))
     # An all-zero generator has no unique stationary vector; the solver must
     # refuse rather than return garbage.
-    with pytest.raises(Exception):
+    with pytest.raises(NumericalError):
         steady_state(q)
+
+
+def test_blocking_from_generator_matches_per_dimension_walk():
+    space, q = nc3_chain()
+    pi = steady_state(q)
+    dims = list(space.dims)
+    expected = {}
+    for d in dims:
+        if d.arrival_rate <= 0:
+            continue
+        mass = 0.0
+        for state, p_state in zip(space.states, pi):
+            for tr in transitions("NC3", state, dims, space.capacity):
+                if tr.kind == ARRIVAL_REJECTED and tr.dim == d.index:
+                    mass += p_state
+                    break
+        expected[d.index] = float(mass)
+    assert blocking_from_generator("NC3", space, pi) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +335,15 @@ def test_transient_converges_to_steady_state():
     t = 50.0 / 0.5  # fifty times the slowest rate
     pt = transient(q, pi0, t)
     assert np.abs(pt - pi).max() < 1e-6
+
+
+@pytest.mark.parametrize("t", [5.0, 60.0])
+def test_transient_matches_matrix_exponential_on_nc3(t):
+    space, q = nc3_chain()
+    pi0 = np.zeros(len(space))
+    pi0[space.index[(0, 0, 0)]] = 1.0
+    expected = expm_multiply(q.T.tocsr() * t, pi0)
+    assert np.abs(transient(q, pi0, t) - expected).sum() <= 1e-8
 
 
 def test_transient_is_probability_vector():

@@ -226,6 +226,20 @@ def test_main_validation_failure(tmp_path, capsys):
     assert "downgraded demand" in err["message"]
 
 
+@pytest.mark.parametrize("literal", [".nan", ".inf", "1.0e+400", "'1e400'"])
+def test_non_finite_rates_are_validation_errors(tmp_path, capsys, literal):
+    raw = demo_dict()
+    raw["classes"][1]["arrival_rate"] = "RATE"
+    text = yaml.safe_dump(raw).replace("RATE", literal)
+    with pytest.raises(ScenarioError, match="rate"):
+        scenario_from_dict(yaml.safe_load(text))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    code = main(["--scenario", str(bad), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
 def test_main_missing_file(tmp_path, capsys):
     code = main(["--scenario", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
     assert code == EXIT_VALIDATION
