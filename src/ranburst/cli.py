@@ -37,7 +37,7 @@ from .metrics import (
     aggregate,
     empirical_blocking,
     summarize,
-    time_average_counts,
+    time_average_counts,  # noqa: F401  (kept importable from ranburst.cli)
 )
 from .numerology import lookup_numerology, usable_capacity
 from .simulator import (
@@ -87,6 +87,25 @@ def _rate(value, where: str) -> float:
     return rate
 
 
+def _int(value, where: str) -> int:
+    """Integers: an int, an integral float such as 3.0, or an integer string."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+
+
+def _bool(value, where: str) -> bool:
+    """Flags must be YAML booleans; strings such as 'false' are not read as True."""
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ScenarioError(f"missing key {key!r} in {where}")
@@ -108,19 +127,18 @@ def scenario_from_dict(raw: dict, label_default: str = "") -> Scenario:
     demands_khz = []
     for i, cls in enumerate(classes_raw):
         _reject_unknown(cls, _CLASS_KEYS, f"classes[{i}]")
-        demands_khz.append(int(_require(cls, "demand_khz", f"classes[{i}]")))
-        if cls.get("adaptive", False):
+        where = f"classes[{i}]"
+        demands_khz.append(_int(_require(cls, "demand_khz", where), where))
+        if _bool(cls.get("adaptive", False), where):
             down = cls.get("downgraded_demand_khz")
             if down is None:
-                raise ScenarioError(
-                    f"classes[{i}]: adaptive class needs downgraded_demand_khz"
-                )
-            demands_khz.append(int(down))
+                raise ScenarioError(f"{where}: adaptive class needs downgraded_demand_khz")
+            demands_khz.append(_int(down, where))
 
     block = radio_raw.get("block_khz")
     if block is None:
         block = math.gcd(*demands_khz) if len(demands_khz) > 1 else demands_khz[0]
-    block = int(block)
+    block = _int(block, "radio")
     for d in demands_khz:
         if d % block != 0:
             raise ScenarioError(
@@ -128,13 +146,13 @@ def scenario_from_dict(raw: dict, label_default: str = "") -> Scenario:
             )
 
     try:
-        numerology = lookup_numerology(int(_require(radio_raw, "beta", "radio")))
+        numerology = lookup_numerology(_int(_require(radio_raw, "beta", "radio"), "radio"))
         radio = usable_capacity(
             float(_require(radio_raw, "channel_bandwidth_khz", "radio")),
             numerology,
-            int(_require(radio_raw, "num_prbs", "radio")),
+            _int(_require(radio_raw, "num_prbs", "radio"), "radio"),
             block,
-            guard_overhead_khz=int(radio_raw.get("guard_overhead_khz", 0)),
+            guard_overhead_khz=_int(radio_raw.get("guard_overhead_khz", 0), "radio"),
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
@@ -142,19 +160,21 @@ def scenario_from_dict(raw: dict, label_default: str = "") -> Scenario:
     classes = []
     for i, cls in enumerate(classes_raw):
         where = f"classes[{i}]"
-        adaptive = bool(cls.get("adaptive", False))
+        adaptive = _bool(cls.get("adaptive", False), where)
         down_khz = cls.get("downgraded_demand_khz")
         down_rate = cls.get("downgraded_service_rate")
         classes.append(
             TrafficClass(
-                id=int(_require(cls, "id", where)),
+                id=_int(_require(cls, "id", where), where),
                 arrival_rate=_rate(_require(cls, "arrival_rate", where), where),
                 service_rate=_rate(_require(cls, "service_rate", where), where),
-                demand_blocks=int(_require(cls, "demand_khz", where)) // block,
-                max_sessions=int(_require(cls, "max_sessions", where)),
+                demand_blocks=_int(_require(cls, "demand_khz", where), where) // block,
+                max_sessions=_int(_require(cls, "max_sessions", where), where),
                 priority=str(cls.get("priority", "none")),
                 adaptive=adaptive,
-                downgraded_demand_blocks=(int(down_khz) // block) if down_khz is not None else None,
+                downgraded_demand_blocks=(
+                    _int(down_khz, where) // block if down_khz is not None else None
+                ),
                 downgraded_service_rate=_rate(down_rate, where) if down_rate is not None else None,
             )
         )
@@ -166,11 +186,15 @@ def scenario_from_dict(raw: dict, label_default: str = "") -> Scenario:
         injection = InjectionSchedule(
             mode=str(_require(inj_raw, "mode", "injection")),
             t_inject_ms=float(_require(inj_raw, "t_inject_ms", "injection")),
-            batch_size=int(inj_raw.get("batch_size", 0)),
+            batch_size=_int(inj_raw.get("batch_size", 0), "injection"),
             poisson_rate=_rate(inj_raw.get("poisson_rate", 0.0), "injection"),
         )
 
     initial = raw.get("initial_counts")
+    if initial is not None:
+        if not isinstance(initial, list):
+            raise ScenarioError("initial_counts must be a list")
+        initial = tuple(_int(c, "initial_counts") for c in initial)
     scenario = Scenario(
         policy=str(_require(raw, "policy", "scenario")),
         radio=radio,
@@ -178,12 +202,14 @@ def scenario_from_dict(raw: dict, label_default: str = "") -> Scenario:
         injection=injection,
         horizon_ms=float(_require(raw, "horizon_ms", "scenario")),
         warmup=str(raw.get("warmup", "empty_start")),
-        replications=int(raw.get("replications", 1)),
-        base_seed=int(raw.get("base_seed", 0)),
+        replications=_int(raw.get("replications", 1), "replications"),
+        base_seed=_int(raw.get("base_seed", 0), "base_seed"),
         time_scale=float(raw.get("time_scale", 1.0)),
-        early_stop_at_goose_cap=bool(raw.get("early_stop_at_goose_cap", False)),
+        early_stop_at_goose_cap=_bool(
+            raw.get("early_stop_at_goose_cap", False), "early_stop_at_goose_cap"
+        ),
         grid_ms=float(raw.get("grid_ms", 10.0)),
-        initial_counts=tuple(initial) if initial is not None else None,
+        initial_counts=initial,
         label=str(raw.get("label", label_default)),
         description=str(raw.get("description", "")),
         figure=str(raw.get("figure", "")),
@@ -435,12 +461,13 @@ def run(
                 write_trajectory_csv(p, r, shash)
                 bundle.trajectory_paths.append(p)
 
-        for r in records:
-            for dim, (arr, rej) in empirical_blocking(r).items():
-                a0, r0 = sim_blocking.get(dim, (0, 0))
-                sim_blocking[dim] = (a0 + arr, r0 + rej)
-        stack = [time_average_counts(r) for r in records]
-        sim_means = [float(sum(col) / len(col)) for col in zip(*stack)]
+        if mode == "both":
+            for r in records:
+                for dim, (arr, rej) in empirical_blocking(r).items():
+                    a0, r0 = sim_blocking.get(dim, (0, 0))
+                    sim_blocking[dim] = (a0 + arr, r0 + rej)
+            stack = [s.mean_counts for s in summaries]
+            sim_means = [float(sum(col) / len(col)) for col in zip(*stack)]
 
     if mode in ("analytic", "both"):
         rows = _analytic_report(scenario)

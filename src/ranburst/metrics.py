@@ -36,37 +36,58 @@ def make_grid(horizon_ms: float, grid_ms: float) -> np.ndarray:
     return np.arange(n + 1) * grid_ms
 
 
+def _path(traj: TrajectoryRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Event times and the ``(n+1) x n_dims`` counts after each of them; row 0
+    holds the initial counts."""
+    events = traj.events
+    states = np.empty((len(events) + 1, traj.n_dims), dtype=float)
+    states[0] = traj.initial_counts
+    if not events:
+        return np.empty(0), states
+    times, _, _, _, _, counts = zip(*events)
+    states[1:] = counts
+    return np.array(times, dtype=float), states
+
+
+def _curves(times: np.ndarray, states: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Right-continuous counts on ``grid``: the state after the last event at
+    or before each grid point."""
+    return states[np.searchsorted(times, grid, side="right")].T
+
+
+def _time_average(times: np.ndarray, states: np.ndarray, end: float) -> np.ndarray:
+    """Exact time average of the path over [0, end].
+
+    Events from the first one at or after ``end`` onward do not count. The
+    ``counts * dt`` terms of the positive-length segments are added in path
+    order, one after another, so the result does not depend on how numpy
+    would pair them up.
+    """
+    m = int(np.searchsorted(times, end, side="left"))
+    if m < len(times):
+        m += 1  # the event at or after ``end`` closes the last segment
+    dt = np.diff(np.concatenate(([0.0], np.minimum(times[:m], end), [end])))
+    keep = dt > 0.0
+    terms = states[:m + 1][keep] * dt[keep][:, None]
+    acc = np.cumsum(terms, axis=0)[-1] if len(terms) else np.zeros(states.shape[1])
+    return acc / end if end > 0 else acc
+
+
 def session_curves(traj: TrajectoryRecord, grid: np.ndarray) -> np.ndarray:
     """Per-dimension session counts sampled on a time grid (right-continuous)."""
-    out = np.empty((traj.n_dims, len(grid)), dtype=float)
-    counts = traj.initial_counts
-    ev = 0
-    events = traj.events
-    for g, t in enumerate(grid):
-        while ev < len(events) and events[ev].t_ms <= t:
-            counts = events[ev].counts
-            ev += 1
-        out[:, g] = counts
-    return out
+    return _curves(*_path(traj), grid)
 
 
 def time_average_counts(traj: TrajectoryRecord) -> np.ndarray:
     """Exact time average of each dimension's count over the observed window."""
-    end = traj.end_ms
-    acc = np.zeros(traj.n_dims)
-    counts = np.asarray(traj.initial_counts, dtype=float)
-    t_prev = 0.0
-    for e in traj.events:
-        t = min(e.t_ms, end)
-        if t > t_prev:
-            acc += counts * (t - t_prev)
-            t_prev = t
-        counts = np.asarray(e.counts, dtype=float)
-        if e.t_ms >= end:
-            break
-    if end > t_prev:
-        acc += counts * (end - t_prev)
-    return acc / end if end > 0 else acc
+    return _time_average(*_path(traj), traj.end_ms)
+
+
+def _rho(traj: TrajectoryRecord, mean_counts: np.ndarray, curves: np.ndarray):
+    demands = np.asarray(traj.demands, dtype=float)
+    rho_avg = float(mean_counts @ demands) / traj.capacity
+    rho_t = (demands @ curves) / traj.capacity
+    return rho_t, rho_avg
 
 
 def utilization(
@@ -77,14 +98,11 @@ def utilization(
     Utilization is occupied blocks over capacity; the average integrates the
     piecewise-constant path over the observed window.
     """
-    demands = np.asarray(traj.demands, dtype=float)
-    mean_counts = time_average_counts(traj)
-    rho_avg = float(mean_counts @ demands) / traj.capacity
     if grid is None:
         grid = make_grid(traj.horizon_ms, 10.0)
-    curves = session_curves(traj, grid)
-    rho_t = (demands @ curves) / traj.capacity
-    return rho_t, rho_avg
+    times, states = _path(traj)
+    return _rho(traj, _time_average(times, states, traj.end_ms),
+                _curves(times, states, grid))
 
 
 def goose_presence_window(traj: TrajectoryRecord) -> tuple[float, float] | None:
@@ -150,6 +168,7 @@ class ReplicationSummary:
     grid: np.ndarray
     rho_t: np.ndarray
     m_t: np.ndarray  # n_dims x len(grid)
+    mean_counts: np.ndarray  # exact time average of each dimension's count
 
 
 def ratios(traj: TrajectoryRecord, whole_window_r_v: bool = False) -> dict:
@@ -244,7 +263,10 @@ def summarize(
     whole_window_r_v: bool = False,
 ) -> ReplicationSummary:
     grid = make_grid(traj.horizon_ms, grid_ms)
-    rho_t, rho_avg = utilization(traj, grid)
+    times, states = _path(traj)
+    mean_counts = _time_average(times, states, traj.end_ms)
+    m_t = _curves(times, states, grid)
+    rho_t, rho_avg = _rho(traj, mean_counts, m_t)
     period, duration = burst_period(traj)
     r = ratios(traj, whole_window_r_v=whole_window_r_v)
     return ReplicationSummary(
@@ -261,7 +283,8 @@ def summarize(
         counts=r["counts"],
         grid=grid,
         rho_t=rho_t,
-        m_t=session_curves(traj, grid),
+        m_t=m_t,
+        mean_counts=mean_counts,
     )
 
 

@@ -4,7 +4,10 @@
 exponential holding time at the total outgoing rate, pick an arc
 proportionally to its rate), with a burst-injection schedule layered on top
 and deterministic per-replication seeding. Identical (scenario, seed) pairs
-reproduce trajectories bit for bit.
+reproduce trajectories bit for bit. The first time a state is visited it is
+proved feasible and its arcs are resolved through the policy; afterwards
+they are looked up in a table that lives for one ``run_experiment`` or
+``run_replication`` call.
 
 A second engine (``crn=True``) pre-draws the arrival processes and
 per-arrival service marks from seed streams that do not depend on the
@@ -15,6 +18,8 @@ samples the same process law and exists for variance-reduced comparisons.
 from __future__ import annotations
 
 import heapq
+import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,6 +47,11 @@ BATCH = "batch"
 POISSON = "poisson"
 BATCH_PLUS_POISSON = "batch_plus_poisson"
 INJECTION_MODES = (BATCH, POISSON, BATCH_PLUS_POISSON)
+
+# Most points a reporting grid (``horizon_ms / grid_ms + 1``) may have: 80 MB
+# per gridded curve. The bundled scenarios use 601; the long-run checks of the
+# simulator use up to 2.7M at the default 10 ms step.
+MAX_GRID_POINTS = 10_000_000
 
 EMPTY_START = "empty_start"
 STATIONARY_VIDEO_START = "stationary_video_start"
@@ -72,8 +82,8 @@ class InjectionSchedule:
     def validate(self) -> None:
         if self.mode not in INJECTION_MODES:
             raise ScenarioError(f"unknown injection mode {self.mode!r}")
-        if self.t_inject_ms < 0:
-            raise ScenarioError("injection time must be >= 0")
+        if not (math.isfinite(self.t_inject_ms) and self.t_inject_ms >= 0):
+            raise ScenarioError("injection time must be finite and >= 0")
         if self.batch_size < 0 or self.poisson_rate < 0:
             raise ScenarioError("injection batch size and rate must be >= 0")
         if self.batch_size == 0 and self.poisson_rate == 0:
@@ -127,8 +137,8 @@ class Scenario:
             dims = self.dimensions()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        if self.horizon_ms <= 0:
-            raise ScenarioError("horizon must be positive")
+        if not (math.isfinite(self.horizon_ms) and self.horizon_ms > 0):
+            raise ScenarioError("horizon must be positive and finite")
         if self.injection is not None:
             self.injection.validate()
             if self.injection.t_inject_ms >= self.horizon_ms:
@@ -139,10 +149,15 @@ class Scenario:
             raise ScenarioError(f"unknown warmup {self.warmup!r}")
         if self.warmup == STATIONARY_VIDEO_START and len(self.classes) < 2:
             raise ScenarioError("stationary_video_start needs a second (video) class")
-        if self.time_scale <= 0:
-            raise ScenarioError("time_scale must be positive")
-        if self.grid_ms <= 0:
-            raise ScenarioError("grid_ms must be positive")
+        if not (math.isfinite(self.time_scale) and self.time_scale > 0):
+            raise ScenarioError("time_scale must be positive and finite")
+        if not (math.isfinite(self.grid_ms) and self.grid_ms > 0):
+            raise ScenarioError("grid_ms must be positive and finite")
+        steps = self.horizon_ms / self.grid_ms
+        if not math.isfinite(steps) or round(steps) + 1 > MAX_GRID_POINTS:
+            raise ScenarioError(
+                f"horizon_ms / grid_ms gives more than {MAX_GRID_POINTS} grid points"
+            )
         if self.initial_counts is not None:
             if len(self.initial_counts) != len(dims):
                 raise ScenarioError(
@@ -218,7 +233,42 @@ def run_replication(scenario: Scenario, seed: int, crn: bool = False) -> Traject
     scenario.validate()
     if crn:
         return _run_replication_crn(scenario, seed)
+    return _run_direct(scenario, seed, {})
 
+
+# An arc as recorded: the fields of ``Event`` after its time, in that order.
+Arc = tuple[str, int, int, int, tuple[int, ...]]
+
+
+class _StateArcs:
+    """Resolved outgoing arcs of one visited state.
+
+    ``arrivals`` pairs each positive class arrival rate with its arc, in
+    dimension order; ``departures`` pairs each positive departure rate with
+    its arc; ``departure_total`` is the sum of those rates. ``offer``, the
+    arc of an injected priority offer, is resolved on first use: most
+    states are never visited while the burst is being offered.
+    """
+
+    __slots__ = ("arrivals", "departures", "departure_total", "offer")
+
+    def __init__(self, arrivals, departures, departure_total):
+        self.arrivals: list[tuple[float, Arc]] = arrivals
+        self.departures: list[tuple[float, Arc]] = departures
+        self.departure_total: float = departure_total
+        self.offer: Arc | None = None
+
+
+def _arc(tr: Transition) -> Arc:
+    return (tr.kind, tr.dim, tr.downgraded, tr.discarded, tr.target)
+
+
+def _run_direct(
+    scenario: Scenario, seed: int, table: dict[tuple[int, ...], _StateArcs]
+) -> TrajectoryRecord:
+    """The direct engine. ``table`` maps each state visited so far to its
+    resolved arcs; it is filled lazily and may be shared by replications of
+    the same scenario."""
     dims = scenario.dimensions()
     capacity = scenario.radio.capacity_blocks
     policy = scenario.policy
@@ -229,21 +279,43 @@ def run_replication(scenario: Scenario, seed: int, crn: bool = False) -> Traject
     scale = scenario.time_scale / 1000.0  # configured per-second rates -> per ms
     arr_rates = [d.arrival_rate * scale for d in dims]
     dep_rates = [d.service_rate * scale for d in dims]
+    arr_total = sum(arr_rates)
     inj = scenario.injection
-    inj_rate = inj.poisson_rate * scale if inj is not None and inj.has_stream else 0.0
+    has_stream = inj is not None and inj.has_stream
+    inj_rate = inj.poisson_rate * scale if has_stream else 0.0
     inj_cap = inj.batch_size if inj is not None and inj.mode == POISSON else 0
+    early_stop = scenario.early_stop_at_goose_cap
     goose_cap = dims[0].max_sessions
     horizon = scenario.horizon_ms
 
+    def resolve(state: tuple[int, ...], t: float) -> _StateArcs:
+        """Prove ``state`` feasible, reached at ``t``, and resolve its arcs."""
+        if not feasible(state, dims, capacity):
+            raise RuntimeError(f"simulation produced infeasible state {state} at t={t:.3f} ms")
+
+        arrivals = [
+            (rate, _arc(arrival_outcome(policy, state, i, dims, capacity, rate)))
+            for i, rate in enumerate(arr_rates)
+            if rate > 0.0
+        ]
+        departures = []
+        for i, rate in enumerate(dep_rates):
+            out = state[i] * rate
+            if out > 0.0:
+                target = list(state)
+                target[i] -= 1
+                departures.append((out, (DEPARTURE, i, 0, 0, tuple(target))))
+        departure_total = sum(c * r for c, r in zip(state, dep_rates))
+        arcs = _StateArcs(arrivals, departures, departure_total)
+        table[state] = arcs
+        return arcs
+
+    def offer(state: tuple[int, ...], arcs: _StateArcs) -> Arc:
+        arcs.offer = _arc(arrival_outcome(policy, state, 0, dims, capacity, 0.0))
+        return arcs.offer
+
+    arcs = table.get(counts) or resolve(counts, 0.0)
     events: list[Event] = []
-
-    def record(t: float, tr: Transition) -> None:
-        if not feasible(tr.target, dims, capacity):
-            raise RuntimeError(
-                f"simulation produced infeasible state {tr.target} at t={t:.3f} ms"
-            )
-        events.append(Event(t, tr.kind, tr.dim, tr.downgraded, tr.discarded, tr.target))
-
     t = 0.0
     delivered = 0
     injected = inj is None
@@ -256,23 +328,19 @@ def run_replication(scenario: Scenario, seed: int, crn: bool = False) -> Traject
             t_break = horizon
             if inj.has_batch:
                 for _ in range(inj.batch_size):
-                    tr = arrival_outcome(policy, counts, 0, dims, capacity, 0.0)
-                    counts = tr.target
-                    record(t, tr)
-                    if scenario.early_stop_at_goose_cap and counts[0] >= goose_cap:
+                    a = arcs.offer or offer(counts, arcs)
+                    events.append(Event(t, *a))
+                    counts = a[-1]
+                    arcs = table.get(counts) or resolve(counts, t)
+                    if early_stop and counts[0] >= goose_cap:
                         stopped = True
                         break
                 if stopped:
                     break
 
-        stream_on = (
-            inj is not None
-            and inj.has_stream
-            and injected
-            and (inj_cap == 0 or delivered < inj_cap)
-        )
-        total = sum(arr_rates) + (inj_rate if stream_on else 0.0)
-        total += sum(c * r for c, r in zip(counts, dep_rates))
+        stream_on = has_stream and injected and (inj_cap == 0 or delivered < inj_cap)
+        total = arr_total + (inj_rate if stream_on else 0.0)
+        total += arcs.departure_total
 
         if total == 0.0:
             if t_break >= horizon:
@@ -289,38 +357,32 @@ def run_replication(scenario: Scenario, seed: int, crn: bool = False) -> Traject
         t += dt
 
         u = rng.random() * total
-        tr: Transition | None = None
-        for i, rate in enumerate(arr_rates):
-            if rate <= 0.0:
-                continue
+        a: Arc | None = None
+        for rate, arrival in arcs.arrivals:
             if u < rate:
-                tr = arrival_outcome(policy, counts, i, dims, capacity, rate)
+                a = arrival
                 break
             u -= rate
-        if tr is None and stream_on:
+        if a is None and stream_on:
             if u < inj_rate:
-                tr = arrival_outcome(policy, counts, 0, dims, capacity, inj_rate)
-                if tr.kind != ARRIVAL_REJECTED:
+                a = arcs.offer or offer(counts, arcs)
+                if a[0] != ARRIVAL_REJECTED:
                     delivered += 1
             else:
                 u -= inj_rate
-        if tr is None:
-            for i, rate in enumerate(dep_rates):
-                out = counts[i] * rate
-                if out <= 0.0:
-                    continue
+        if a is None:
+            for out, departure in arcs.departures:
                 if u < out:
-                    target = list(counts)
-                    target[i] -= 1
-                    tr = Transition(tuple(target), out, DEPARTURE, i)
+                    a = departure
                     break
                 u -= out
-        if tr is None:
+        if a is None:
             continue  # floating-point edge at the top of the rate sum
 
-        counts = tr.target
-        record(t, tr)
-        if scenario.early_stop_at_goose_cap and counts[0] >= goose_cap:
+        events.append(Event(t, *a))
+        counts = a[-1]
+        arcs = table.get(counts) or resolve(counts, t)
+        if early_stop and counts[0] >= goose_cap:
             stopped = True
             break
 
@@ -340,34 +402,49 @@ def run_replication(scenario: Scenario, seed: int, crn: bool = False) -> Traject
     )
 
 
+def pool_size(workers: int | None, replications: int) -> int:
+    """Worker processes worth starting: at most one per replication and one
+    per CPU; 1 means run serially."""
+    return max(1, min(workers or 1, replications, os.cpu_count() or 1))
+
+
 def run_experiment(
     scenario: Scenario, workers: int | None = None, crn: bool = False
 ) -> list[TrajectoryRecord]:
     """All replications, seeded ``mix_seed(base_seed, r)``.
 
     Replications are independent; with ``workers`` they run in a process
-    pool, and results are identical to a serial run because every
-    replication owns a deterministic seed stream.
+    pool (clamped by :func:`pool_size`), and results are identical to a
+    serial run because every replication owns a deterministic seed stream.
+    The direct engine's arc table lives for this call only; each pool worker
+    builds its own.
     """
     scenario.validate()
     seeds = [mix_seed(scenario.base_seed, r) for r in range(scenario.replications)]
-    if workers is None or workers <= 1 or scenario.replications == 1:
-        records = [run_replication(scenario, s, crn=crn) for s in seeds]
+    n_workers = pool_size(workers, scenario.replications)
+    if n_workers == 1:
+        records = _replicate((scenario, seeds, crn))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(_replicate, [(scenario, s, crn) for s in seeds], chunksize=1)
-            )
+        # One contiguous chunk of seeds per worker, so that each worker fills
+        # one arc table and sends its records back in one message.
+        bounds = [len(seeds) * k // n_workers for k in range(n_workers + 1)]
+        chunks = [(scenario, seeds[a:b], crn) for a, b in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            records = [rec for part in pool.map(_replicate, chunks) for rec in part]
     for r, record in enumerate(records):
         record.replication = r
     return records
 
 
-def _replicate(args) -> TrajectoryRecord:
-    scenario, seed, crn = args
-    return run_replication(scenario, seed, crn=crn)
+def _replicate(args) -> list[TrajectoryRecord]:
+    """Replications of one scenario for a list of seeds, sharing one arc table."""
+    scenario, seeds, crn = args
+    if crn:
+        return [_run_replication_crn(scenario, s) for s in seeds]
+    table: dict[tuple[int, ...], _StateArcs] = {}
+    return [_run_direct(scenario, s, table) for s in seeds]
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,31 @@ def test_all_bundled_scenarios_load(name):
     assert sc.label == name
 
 
+# Hashes of the bundled scenarios as the loader has always read them; a
+# parser change that reads any field differently moves one of them.
+BUNDLED_HASHES = {
+    "demo_nc3_small": "2f65d08ba972",
+    "oracle_nc1_small": "0ed63f41cc6b",
+    "oracle_transient_c4": "c2ff1bf9a723",
+    "table2_nc1_lam10": "e7bc1c1483be",
+    "table2_nc1_lam20": "8a8ff603ab8f",
+    "table2_nc1_lam40": "699e2a9b032f",
+    "table2_nc2_lam10": "ff6889289e4a",
+    "table2_nc2_lam20": "21ec6e5d74de",
+    "table2_nc2_lam40": "0dc1852aa65e",
+    "table2_nc3_lam10": "ba5042413490",
+    "table2_nc3_lam20": "ec5118708130",
+    "table2_nc3_lam20_literal": "ba43a4d8280e",
+    "table2_nc3_lam40": "c4741ad75e3d",
+}
+
+
+def test_bundled_scenarios_load_unchanged():
+    names = sorted(p.stem for p in bundled_scenario_path("demo_nc3_small").parent.glob("*.yaml"))
+    assert names == sorted(BUNDLED_HASHES)
+    assert {n: scenario_hash(load_bundled_scenario(n)) for n in names} == BUNDLED_HASHES
+
+
 def test_downgraded_demand_must_be_smaller():
     raw = demo_dict()
     raw["classes"][1]["downgraded_demand_khz"] = 720
@@ -238,6 +263,61 @@ def test_non_finite_rates_are_validation_errors(tmp_path, capsys, literal):
     code = main(["--scenario", str(bad), "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+def _set(raw, path, value):
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("path, value", [
+    (("classes", 1, "adaptive"), "false"),
+    (("classes", 1, "adaptive"), 1),
+    (("early_stop_at_goose_cap",), "no"),
+    (("early_stop_at_goose_cap",), None),
+    (("replications",), 2.7),
+    (("replications",), True),
+    (("replications",), "2.7"),
+    (("base_seed",), [1]),
+    (("classes", 0, "demand_khz"), 360.9),
+    (("classes", 0, "demand_khz"), "abc"),
+    (("classes", 0, "max_sessions"), float("inf")),
+    (("classes", 1, "downgraded_demand_khz"), 360.5),
+    (("radio", "num_prbs"), "five"),
+    (("radio", "beta"), 2.5),
+    (("injection", "batch_size"), float("nan")),
+    (("initial_counts",), 3),
+    (("initial_counts",), [0, 1.5, 0]),
+])
+def test_malformed_ints_and_bools_are_validation_errors(tmp_path, capsys, path, value):
+    raw = _set(demo_dict(), path, value)
+    with pytest.raises(ScenarioError, match="expected|must be a list"):
+        scenario_from_dict(raw)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(raw))
+    assert main(["--scenario", str(bad), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+def test_integral_numbers_still_parse_as_ints():
+    raw = demo_dict(replications=3.0, base_seed="17")
+    raw["classes"][0]["demand_khz"] = 360.0
+    sc = scenario_from_dict(raw)
+    assert sc.replications == 3 and isinstance(sc.replications, int)
+    assert sc.base_seed == 17
+    assert scenario_hash(sc) == scenario_hash(
+        scenario_from_dict(demo_dict(replications=3, base_seed=17))
+    )
+
+
+def test_tiny_grid_step_is_a_validation_error(tmp_path, capsys):
+    path = bundled_scenario_path("demo_nc3_small")
+    code = main(["--scenario", str(path), "--out", str(tmp_path), "--grid-ms", "1e-9"])
+    assert code == EXIT_VALIDATION
+    assert "grid points" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_main_missing_file(tmp_path, capsys):

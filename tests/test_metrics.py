@@ -15,6 +15,7 @@ from ranburst.metrics import (
     burst_period,
     make_grid,
     session_curves,
+    time_average_counts,
 )
 from ranburst.simulator import Event, TrajectoryRecord
 from ranburst.traffic import (
@@ -272,3 +273,123 @@ def test_summary_ratio_times_nga_recovers_counts():
         assert s.r_rj * s.n_ga == pytest.approx(s.counts["video_rejected"])
         assert s.r_dc * s.n_ga == pytest.approx(s.counts["video_discarded"])
         assert s.r_dw * s.n_ga == pytest.approx(s.counts["video_downgraded"])
+
+
+# ---------------------------------------------------------------------------
+# The array forms of the path metrics against the event loops they replace
+# ---------------------------------------------------------------------------
+
+
+def loop_session_curves(traj, grid):
+    out = np.empty((traj.n_dims, len(grid)), dtype=float)
+    counts = traj.initial_counts
+    ev = 0
+    events = traj.events
+    for g, t in enumerate(grid):
+        while ev < len(events) and events[ev].t_ms <= t:
+            counts = events[ev].counts
+            ev += 1
+        out[:, g] = counts
+    return out
+
+
+def loop_time_average_counts(traj):
+    end = traj.end_ms
+    acc = np.zeros(traj.n_dims)
+    counts = np.asarray(traj.initial_counts, dtype=float)
+    t_prev = 0.0
+    for e in traj.events:
+        t = min(e.t_ms, end)
+        if t > t_prev:
+            acc += counts * (t - t_prev)
+            t_prev = t
+        counts = np.asarray(e.counts, dtype=float)
+        if e.t_ms >= end:
+            break
+    if end > t_prev:
+        acc += counts * (end - t_prev)
+    return acc / end if end > 0 else acc
+
+
+def random_path(rng, n, end=1000.0, horizon=1000.0, ties=0.0):
+    times = np.sort(rng.uniform(0.0, horizon * 1.2, n))
+    if ties:  # snap a share of the times onto a few instants
+        snap = rng.random(n) < ties
+        times[snap] = np.round(times[snap] / 250.0) * 250.0
+        times.sort()
+    events = [
+        Event(float(t), ARRIVAL_ACCEPTED, 0, 0, 0, tuple(int(c) for c in rng.integers(0, 40, 3)))
+        for t in times
+    ]
+    return synthetic(events, initial=tuple(int(c) for c in rng.integers(0, 40, 3)),
+                     end=end, horizon=horizon)
+
+
+def batch_path(t_inject=2000.0, n=30):
+    events = [Event(500.0, ARRIVAL_ACCEPTED, 1, 0, 0, (0, 1, 0))]
+    events += [Event(t_inject, ARRIVAL_ACCEPTED, 0, 0, 0, (k + 1, 1, 0)) for k in range(n)]
+    events += [Event(t_inject + 7.5, DEPARTURE, 0, 0, 0, (n - 1, 1, 0))]
+    return synthetic(events, end=6000.0, horizon=6000.0, t_inject=t_inject)
+
+
+def stopped_path():
+    # stopped early at 2000 ms; the events after it lie past the window
+    events = [
+        Event(100.0, ARRIVAL_ACCEPTED, 0, 0, 0, (1, 0, 0)),
+        Event(2000.0, ARRIVAL_ACCEPTED, 0, 0, 0, (2, 0, 0)),
+        Event(2000.0, ARRIVAL_ACCEPTED, 0, 0, 0, (3, 0, 0)),
+        Event(2500.0, ARRIVAL_ACCEPTED, 0, 0, 0, (4, 0, 0)),
+    ]
+    return synthetic(events, end=2000.0, horizon=6000.0)
+
+
+PATHS = {
+    "empty": lambda: synthetic([], initial=(3, 1, 4)),
+    "empty_zero_window": lambda: synthetic([], initial=(3, 1, 4), end=0.0),
+    "first_event_late": lambda: synthetic(
+        [Event(950.0, ARRIVAL_ACCEPTED, 0, 0, 0, (1, 0, 0))]),
+    "event_at_zero": lambda: synthetic(
+        [Event(0.0, ARRIVAL_ACCEPTED, 0, 0, 0, (1, 0, 0)),
+         Event(0.0, ARRIVAL_ACCEPTED, 0, 0, 0, (2, 0, 0))]),
+    "batch_at_t_inject": batch_path,
+    "stopped_early": stopped_path,
+    "event_at_end": lambda: synthetic(
+        [Event(1000.0, ARRIVAL_ACCEPTED, 0, 0, 0, (1, 0, 0))]),
+    **{
+        f"random_{seed}": (lambda seed=seed: random_path(
+            np.random.default_rng(seed), n=[1, 7, 300, 2000][seed % 4],
+            end=[1000.0, 1000.0, 613.25, 1200.0][seed % 4], ties=0.3 * (seed % 2)))
+        for seed in range(12)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+def test_path_metrics_equal_the_event_loops_exactly(name):
+    traj = PATHS[name]()
+    grids = [
+        make_grid(traj.horizon_ms, 10.0),
+        make_grid(traj.horizon_ms, 7.0),
+        np.array([-5.0, 0.0, 1e-9, 99.99, 2000.0, 2e9]),
+    ]
+    for grid in grids:
+        assert np.array_equal(session_curves(traj, grid), loop_session_curves(traj, grid))
+    expected = loop_time_average_counts(traj)
+    assert np.array_equal(time_average_counts(traj), expected)
+
+    s = summarize(traj, grid_ms=10.0)
+    assert np.array_equal(s.mean_counts, expected)
+    assert np.array_equal(s.m_t, loop_session_curves(traj, s.grid))
+    demands = np.asarray(traj.demands, dtype=float)
+    assert s.rho_avg == float(expected @ demands) / traj.capacity
+    rho_t, rho_avg = utilization(traj, s.grid)
+    assert rho_avg == s.rho_avg
+    assert np.array_equal(rho_t, s.rho_t)
+
+
+@pytest.mark.parametrize("policy", ["NC1", "NC2", "NC3"])
+def test_path_metrics_equal_the_event_loops_on_simulated_runs(policy):
+    for rec in run_experiment(burst_scenario(policy, reps=3)):
+        grid = make_grid(rec.horizon_ms, 10.0)
+        assert np.array_equal(session_curves(rec, grid), loop_session_curves(rec, grid))
+        assert np.array_equal(time_average_counts(rec), loop_time_average_counts(rec))

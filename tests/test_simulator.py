@@ -12,8 +12,19 @@ from ranburst import (
     run_experiment,
     run_replication,
 )
+from ranburst import simulator
 from ranburst.metrics import empirical_blocking
-from ranburst.traffic import ARRIVAL_REJECTED, DEPARTURE, occupied
+from ranburst.simulator import MAX_GRID_POINTS, pool_size
+from ranburst.traffic import (
+    ARRIVAL_DOWNGRADED,
+    ARRIVAL_REJECTED,
+    DEPARTURE,
+    DOWNGRADE_CASCADE,
+    PREEMPT_DISCARD,
+    arrival_outcome,
+    feasible,
+    occupied,
+)
 
 from conftest import RADIO10, RADIO62, table2_classes
 
@@ -88,6 +99,105 @@ def test_parallel_schedule_matches_serial():
     for x, y in zip(serial, parallel):
         assert x.events == y.events
         assert x.replication == y.replication
+
+
+def test_shared_arc_table_matches_fresh_tables():
+    sc = burst_scenario(replications=6)
+    shared = run_experiment(sc)
+    for r, rec in enumerate(shared):
+        fresh = run_replication(sc, mix_seed(sc.base_seed, r))
+        assert rec.events == fresh.events
+        assert rec.end_ms == fresh.end_ms
+
+
+@pytest.mark.parametrize("workers, replications, cpus, expected", [
+    (None, 10, 4, 1),
+    (0, 10, 4, 1),
+    (-3, 10, 4, 1),
+    (1, 10, 4, 1),
+    (2, 10, 4, 2),
+    (8, 3, 4, 3),
+    (8, 100, 4, 4),
+    (10_000, 100_000, 2, 2),
+    (3, 10, None, 1),
+])
+def test_pool_size_is_clamped(monkeypatch, workers, replications, cpus, expected):
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
+    assert pool_size(workers, replications) == expected
+
+
+# ---------------------------------------------------------------------------
+# Engine replay: every recorded event is an arc of the chain
+# ---------------------------------------------------------------------------
+
+
+def replay_problems(sc, rec):
+    """Events that are not the policy's arc out of the previous state."""
+    dims = sc.dimensions()
+    capacity = sc.radio.capacity_blocks
+    problems = []
+    state = rec.initial_counts
+    for k, e in enumerate(rec.events):
+        if e.kind == DEPARTURE:
+            target = list(state)
+            target[e.dim] -= 1
+            expected = (DEPARTURE, e.dim, 0, 0, tuple(target))
+            ok = state[e.dim] > 0
+        else:
+            tr = arrival_outcome(sc.policy, state, e.dim, dims, capacity, 0.0)
+            expected = (tr.kind, tr.dim, tr.downgraded, tr.discarded, tr.target)
+            ok = True
+        if not ok or tuple(e[1:]) != expected or not feasible(e.counts, dims, capacity):
+            problems.append((k, state, e))
+        state = e.counts
+    return problems
+
+
+REPLAY_CASES = [
+    ("NC1", "batch", 52, 4.0, False),
+    ("NC1", "poisson", 52, 4.0, False),
+    ("NC2", "batch", 52, 4.0, False),
+    ("NC2", "poisson", 52, 4.0, False),
+    ("NC2", "batch_plus_poisson", 30, 4.0, False),
+    ("NC3", "batch", 52, 4.0, False),
+    ("NC3", "poisson", 52, 4.0, False),
+    ("NC3", "batch_plus_poisson", 30, 4.0, False),
+    ("NC3", "batch_plus_poisson", 50, 20.0, True),
+    ("NC2", "batch", 70, 0.0, True),
+]
+
+
+@pytest.mark.parametrize("policy, mode, batch, rate, early_stop", REPLAY_CASES)
+def test_recorded_events_replay_as_chain_arcs(policy, mode, batch, rate, early_stop):
+    sc = burst_scenario(policy, mode, batch=batch, rate=rate, replications=4,
+                        early_stop_at_goose_cap=early_stop)
+    kinds = set()
+    for rec in run_experiment(sc):
+        assert replay_problems(sc, rec) == []
+        kinds.update(e.kind for e in rec.events)
+        if early_stop:
+            assert rec.stopped_early
+            assert rec.events[-1].counts[0] == sc.dimensions()[0].max_sessions
+            assert rec.end_ms == rec.events[-1].t_ms
+    assert DEPARTURE in kinds
+    if policy == "NC2":
+        assert PREEMPT_DISCARD in kinds
+    if policy == "NC3":
+        assert DOWNGRADE_CASCADE in kinds
+    if policy == "NC3" and mode == "batch":
+        assert ARRIVAL_DOWNGRADED in kinds
+
+
+def test_infeasible_state_raises_when_first_visited(monkeypatch):
+    sc = burst_scenario("NC3", "batch", batch=20)
+    real = simulator.feasible
+
+    def no_full_priority(counts, dims, capacity):
+        return counts[0] < 20 and real(counts, dims, capacity)
+
+    monkeypatch.setattr(simulator, "feasible", no_full_priority)
+    with pytest.raises(RuntimeError, match=r"infeasible state \(20, "):
+        run_replication(sc, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +407,30 @@ def test_scenario_validation_errors():
         burst_scenario(time_scale=0.0).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("horizon_ms", float("inf")),
+    ("horizon_ms", float("nan")),
+    ("grid_ms", float("inf")),
+    ("grid_ms", float("nan")),
+    ("time_scale", float("inf")),
+    ("time_scale", float("nan")),
+])
+def test_non_finite_times_are_rejected(field, value):
+    with pytest.raises(ScenarioError, match=field.split("_ms")[0]):
+        burst_scenario(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("grid_ms", [6000.0 / MAX_GRID_POINTS, 1e-6, 1e-310])
+def test_reporting_grid_is_bounded(grid_ms):
+    # validate() rejects the grid before anything allocates it
+    with pytest.raises(ScenarioError, match="grid points"):
+        burst_scenario(grid_ms=grid_ms).validate()
+
+
+def test_largest_reporting_grid_is_accepted():
+    burst_scenario(grid_ms=6000.0 / (MAX_GRID_POINTS - 1)).validate()
+
+
 def test_injection_validation_errors():
     with pytest.raises(ScenarioError, match="mode"):
         InjectionSchedule("burst", 0.0, 1, 0.0).validate()
@@ -304,3 +438,6 @@ def test_injection_validation_errors():
         InjectionSchedule("batch", 0.0, 0, 0.0).validate()
     with pytest.raises(ScenarioError, match="poisson_rate"):
         InjectionSchedule("batch_plus_poisson", 0.0, 5, 0.0).validate()
+    for t in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ScenarioError, match="injection time"):
+            InjectionSchedule("batch", t, 5, 0.0).validate()
