@@ -7,12 +7,13 @@ steady-state solve, and transient probabilities by uniformization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .errors import NumericalError, StateSpaceLimitError
 from .traffic import (
@@ -239,6 +240,31 @@ def steady_state(q: sp.spmatrix, tol: float = 1e-10) -> np.ndarray:
     return pi / pi.sum()
 
 
+# The Poisson weights of uniformization, computed as ``scipy.stats.poisson``
+# computes them (bit for bit) from ``scipy.special`` alone: importing
+# ``scipy.stats`` takes about a second, several times the rest of ranburst.
+
+
+def poisson_isf(eps: float, mean: float) -> int:
+    """``poisson.isf(eps, mean)``, about the least ``k`` with ``P(N > k) <= eps``.
+
+    Inverts the cdf at ``1 - eps`` and steps back one count when the cdf
+    there already reaches it, as scipy does. A search on the tail
+    ``pdtrc(k, mean) <= eps`` would differ on some inputs: there ``1 - eps``
+    rounds, and scipy's answer has a tail a little above ``eps``.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    q = 1.0 - eps
+    k = math.ceil(pdtrik(q, mean))
+    return k - 1 if k > 0 and pdtr(k - 1, mean) >= q else k
+
+
+def poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
+    """``poisson.pmf(k, mean)`` for integer ``k >= 0``."""
+    return np.clip(np.exp(xlogy(k, mean) - gammaln(k + 1) - mean), 0.0, 1.0)
+
+
 def transient(
     q: sp.spmatrix,
     pi0: np.ndarray,
@@ -261,9 +287,9 @@ def transient(
     # Row vector times P is P^T times a column vector: one CSR mat-vec a step.
     pt = (sp.eye(q.shape[0], format="csr") + q.tocsr() / lam).T.tocsr()
     mean = lam * t
-    k_max = int(poisson.isf(eps, mean)) + 1
+    k_max = poisson_isf(eps, mean) + 1
 
-    weights = poisson.pmf(np.arange(k_max + 1), mean)
+    weights = poisson_pmf(np.arange(k_max + 1), mean)
     out = weights[0] * pi0
     v = pi0
     for k in range(1, k_max + 1):

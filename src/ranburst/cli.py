@@ -19,6 +19,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -46,7 +47,7 @@ from .simulator import (
     TrajectoryRecord,
     run_experiment,
 )
-from .traffic import TrafficClass
+from .traffic import EVENT_KINDS, TrafficClass
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -69,7 +70,9 @@ _INJECTION_KEYS = {"mode", "t_inject_ms", "batch_size", "poisson_rate"}
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {mapping!r}")
+    unknown = set(map(str, mapping)) - allowed
     if unknown:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
@@ -85,6 +88,17 @@ def _rate(value, where: str) -> float:
     if not math.isfinite(rate):
         raise ScenarioError(f"{where}: rate {value!r} is not finite")
     return rate
+
+
+def _float(value, where: str) -> float:
+    """Times and scales: a number or a numeric string; finiteness is checked
+    by ``Scenario.validate``."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ScenarioError(f"{where}: expected a number, got {value!r}")
 
 
 def _int(value, where: str) -> int:
@@ -148,7 +162,7 @@ def scenario_from_dict(raw: dict, label_default: str = "") -> Scenario:
     try:
         numerology = lookup_numerology(_int(_require(radio_raw, "beta", "radio"), "radio"))
         radio = usable_capacity(
-            float(_require(radio_raw, "channel_bandwidth_khz", "radio")),
+            _float(_require(radio_raw, "channel_bandwidth_khz", "radio"), "radio"),
             numerology,
             _int(_require(radio_raw, "num_prbs", "radio"), "radio"),
             block,
@@ -185,7 +199,7 @@ def scenario_from_dict(raw: dict, label_default: str = "") -> Scenario:
         _reject_unknown(inj_raw, _INJECTION_KEYS, "injection")
         injection = InjectionSchedule(
             mode=str(_require(inj_raw, "mode", "injection")),
-            t_inject_ms=float(_require(inj_raw, "t_inject_ms", "injection")),
+            t_inject_ms=_float(_require(inj_raw, "t_inject_ms", "injection"), "injection"),
             batch_size=_int(inj_raw.get("batch_size", 0), "injection"),
             poisson_rate=_rate(inj_raw.get("poisson_rate", 0.0), "injection"),
         )
@@ -200,15 +214,15 @@ def scenario_from_dict(raw: dict, label_default: str = "") -> Scenario:
         radio=radio,
         classes=tuple(classes),
         injection=injection,
-        horizon_ms=float(_require(raw, "horizon_ms", "scenario")),
+        horizon_ms=_float(_require(raw, "horizon_ms", "scenario"), "horizon_ms"),
         warmup=str(raw.get("warmup", "empty_start")),
         replications=_int(raw.get("replications", 1), "replications"),
         base_seed=_int(raw.get("base_seed", 0), "base_seed"),
-        time_scale=float(raw.get("time_scale", 1.0)),
+        time_scale=_float(raw.get("time_scale", 1.0), "time_scale"),
         early_stop_at_goose_cap=_bool(
             raw.get("early_stop_at_goose_cap", False), "early_stop_at_goose_cap"
         ),
-        grid_ms=float(raw.get("grid_ms", 10.0)),
+        grid_ms=_float(raw.get("grid_ms", 10.0), "grid_ms"),
         initial_counts=initial,
         label=str(raw.get("label", label_default)),
         description=str(raw.get("description", "")),
@@ -364,6 +378,10 @@ def write_curves_csv(path: Path, experiment: ExperimentSummary, labels, shash: s
 
 
 def write_trajectory_csv(path: Path, traj: TrajectoryRecord, shash: str) -> None:
+    """One row for the initial state, then one per event. The
+    ``m_i,occupied_blocks,rho`` cells of each distinct state are formatted
+    once and shared by every row that enters it; the ``occupied_blocks,rho``
+    pair once per occupancy."""
     n = traj.n_dims
     header = (
         ["t_ms"]
@@ -371,17 +389,29 @@ def write_trajectory_csv(path: Path, traj: TrajectoryRecord, shash: str) -> None
         + ["occupied_blocks", "rho", "event_kind", "n_downgraded", "n_discarded",
            "scenario_hash"]
     )
-    demands = traj.demands
+    occupancy: dict[int, str] = {}
 
-    def row(t, counts, kind, dw, dc):
-        occ = sum(c * d for c, d in zip(counts, demands))
-        return [t, *counts, occ, occ / traj.capacity, kind, dw, dc, shash]
+    def cells(counts, occ: int) -> str:
+        tail = occupancy.get(occ)
+        if tail is None:
+            tail = occupancy[occ] = f"{occ},{_fmt(occ / traj.capacity)}"
+        return ",".join(map(str, counts)) + "," + tail
 
-    rows = [row(0.0, traj.initial_counts, "initial", 0, 0)]
-    rows.extend(
-        row(e.t_ms, e.counts, e.kind, e.downgraded, e.discarded) for e in traj.events
+    demands = np.asarray(traj.demands)
+    initial = cells(traj.initial_counts, int(demands @ traj.initial_counts))
+    state_cells = [
+        cells(row, occ)
+        for row, occ in zip(traj.states.tolist(), (traj.states @ demands).tolist())
+    ]
+    lines = [",".join(header), f"{_fmt(0.0)},{initial},initial,0,0,{shash}"]
+    lines.extend(
+        f"{_fmt(t)},{state_cells[s]},{EVENT_KINDS[k]},{dw},{dc},{shash}"
+        for t, s, k, dw, dc in zip(
+            traj.t_ms.tolist(), traj.state.tolist(), traj.kind.tolist(),
+            traj.downgraded.tolist(), traj.discarded.tolist(),
+        )
     )
-    _write_csv(path, header, rows)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _analytic_report(scenario: Scenario) -> list[list]:

@@ -16,6 +16,7 @@ from .traffic import (
     ARRIVAL_DOWNGRADED,
     ARRIVAL_REJECTED,
     DOWNGRADE_CASCADE,
+    EVENT_KINDS,
     PREEMPT_DISCARD,
 )
 
@@ -26,6 +27,9 @@ _ARRIVAL_KINDS = (
     PREEMPT_DISCARD,
     DOWNGRADE_CASCADE,
 )
+# Indexed by a record's kind code: whether the event is an arrival.
+_IS_ARRIVAL = np.array([kind in _ARRIVAL_KINDS for kind in EVENT_KINDS])
+_REJECTED = EVENT_KINDS.index(ARRIVAL_REJECTED)
 
 GOOSE_DIM = 0
 VIDEO_DIM = 1
@@ -39,14 +43,16 @@ def make_grid(horizon_ms: float, grid_ms: float) -> np.ndarray:
 def _path(traj: TrajectoryRecord) -> tuple[np.ndarray, np.ndarray]:
     """Event times and the ``(n+1) x n_dims`` counts after each of them; row 0
     holds the initial counts."""
-    events = traj.events
-    states = np.empty((len(events) + 1, traj.n_dims), dtype=float)
+    states = np.empty((traj.n_events + 1, traj.n_dims), dtype=float)
     states[0] = traj.initial_counts
-    if not events:
-        return np.empty(0), states
-    times, _, _, _, _, counts = zip(*events)
-    states[1:] = counts
-    return np.array(times, dtype=float), states
+    states[1:] = traj.states[traj.state]
+    return traj.t_ms, states
+
+
+def _window(traj: TrajectoryRecord) -> int:
+    """Number of events before the first one past the observation end."""
+    late = np.flatnonzero(traj.t_ms > traj.end_ms)
+    return int(late[0]) if len(late) else traj.n_events
 
 
 def _curves(times: np.ndarray, states: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -111,26 +117,18 @@ def goose_presence_window(traj: TrajectoryRecord) -> tuple[float, float] | None:
     Returns None when no priority session was ever present. The upper end is
     the observation end when sessions are still present there.
     """
-    first = None
-    last = None
-    count = traj.initial_counts[GOOSE_DIM]
-    if count > 0:
-        first = 0.0
-    positive = count > 0
-    for e in traj.events:
-        if e.t_ms > traj.end_ms:
-            break
-        now = e.counts[GOOSE_DIM]
-        if now > 0 and not positive and first is None:
-            first = e.t_ms
-        if positive and now == 0:
-            last = e.t_ms
-        positive = now > 0
-    if first is None:
+    m = _window(traj)
+    # present[i]: a priority session is present after the first i events
+    present = np.concatenate((
+        [traj.initial_counts[GOOSE_DIM] > 0], traj.states[traj.state[:m], GOOSE_DIM] > 0,
+    ))
+    if not present.any():
         return None
-    if positive:
-        last = traj.end_ms
-    return first, last if last is not None else traj.end_ms
+    first = float(np.concatenate(([0.0], traj.t_ms[:m]))[np.argmax(present)])
+    if present[-1]:
+        return first, traj.end_ms
+    left = np.flatnonzero(present[:-1] & ~present[1:])  # events after which none is
+    return first, float(traj.t_ms[left[-1]])
 
 
 def burst_period(traj: TrajectoryRecord) -> tuple[float | None, float | None]:
@@ -182,37 +180,25 @@ def ratios(traj: TrajectoryRecord, whole_window_r_v: bool = False) -> dict:
     (set ``whole_window_r_v`` to divide whole-window rejections by all
     arrivals instead).
     """
-    video_arrivals = 0
-    video_rejected = 0
-    downgraded = 0
-    discarded = 0
-    gf_arrivals = 0
-    gf_rejected = 0
-    goose_arrivals = 0
-    goose_rejected = 0
+    m = _window(traj)
+    kind = traj.kind[:m]
+    arrival = _IS_ARRIVAL[kind]
+    rejected = kind == _REJECTED
+    video = arrival & (traj.dim[:m] == VIDEO_DIM)
+    goose = arrival & (traj.dim[:m] == GOOSE_DIM)
+    goose_after = traj.states[traj.state[:m], GOOSE_DIM]
+    goose_free = np.concatenate(([traj.initial_counts[GOOSE_DIM]], goose_after[:-1])) == 0
+    video_arrivals = int(np.count_nonzero(video))
+    video_rejected = int(np.count_nonzero(video & rejected))
     pre = 0
-    t_inject = traj.t_inject_ms
-
-    goose_before = traj.initial_counts[GOOSE_DIM]
-    for e in traj.events:
-        if e.t_ms > traj.end_ms:
-            break
-        if e.kind in _ARRIVAL_KINDS:
-            if e.dim == VIDEO_DIM:
-                video_arrivals += 1
-                if t_inject is not None and e.t_ms < t_inject:
-                    pre += 1
-                rejected = e.kind == ARRIVAL_REJECTED
-                video_rejected += rejected
-                if goose_before == 0:
-                    gf_arrivals += 1
-                    gf_rejected += rejected
-            elif e.dim == GOOSE_DIM:
-                goose_arrivals += 1
-                goose_rejected += e.kind == ARRIVAL_REJECTED
-        downgraded += e.downgraded
-        discarded += e.discarded
-        goose_before = e.counts[GOOSE_DIM]
+    if traj.t_inject_ms is not None:
+        pre = int(np.count_nonzero(video & (traj.t_ms[:m] < traj.t_inject_ms)))
+    gf_arrivals = int(np.count_nonzero(video & goose_free))
+    gf_rejected = int(np.count_nonzero(video & goose_free & rejected))
+    goose_arrivals = int(np.count_nonzero(goose))
+    goose_rejected = int(np.count_nonzero(goose & rejected))
+    downgraded = int(traj.downgraded[:m].sum())
+    discarded = int(traj.discarded[:m].sum())
 
     n_ga = video_arrivals
     counts = {
@@ -246,15 +232,15 @@ def ratios(traj: TrajectoryRecord, whole_window_r_v: bool = False) -> dict:
 
 def empirical_blocking(traj: TrajectoryRecord) -> dict[int, tuple[int, int]]:
     """Per-dimension (arrivals, outright rejections) over the window."""
-    out: dict[int, list[int]] = {}
-    for e in traj.events:
-        if e.t_ms > traj.end_ms:
-            break
-        if e.kind in _ARRIVAL_KINDS:
-            arr, rej = out.setdefault(e.dim, [0, 0])
-            out[e.dim][0] = arr + 1
-            out[e.dim][1] = rej + (e.kind == ARRIVAL_REJECTED)
-    return {dim: (a, r) for dim, (a, r) in out.items()}
+    m = _window(traj)
+    arrival = _IS_ARRIVAL[traj.kind[:m]]
+    dim = traj.dim[:m][arrival]
+    rejected = traj.kind[:m][arrival] == _REJECTED
+    dims, first = np.unique(dim, return_index=True)
+    return {
+        int(d): (int(np.count_nonzero(dim == d)), int(np.count_nonzero(rejected[dim == d])))
+        for d in dims[np.argsort(first)]
+    }
 
 
 def summarize(

@@ -34,10 +34,10 @@ from .traffic import (
     ARRIVAL_REJECTED,
     DEPARTURE,
     DOWNGRADE_CASCADE,
+    EVENT_KINDS,
     PREEMPT_DISCARD,
     Dimension,
     TrafficClass,
-    Transition,
     arrival_outcome,
     build_dimensions,
     feasible,
@@ -52,6 +52,12 @@ INJECTION_MODES = (BATCH, POISSON, BATCH_PLUS_POISSON)
 # per gridded curve. The bundled scenarios use 601; the long-run checks of the
 # simulator use up to 2.7M at the default 10 ms step.
 MAX_GRID_POINTS = 10_000_000
+
+# Largest injection ``batch_size``. A batch records one event per offer, even
+# once every offer is rejected: a replication with 1,000,000 offers holds
+# 17 MB of record columns and peaks near 170 MB while it runs. The bundled
+# scenarios use at most 52.
+MAX_BATCH_SIZE = 1_000_000
 
 EMPTY_START = "empty_start"
 STATIONARY_VIDEO_START = "stationary_video_start"
@@ -86,6 +92,8 @@ class InjectionSchedule:
             raise ScenarioError("injection time must be finite and >= 0")
         if self.batch_size < 0 or self.poisson_rate < 0:
             raise ScenarioError("injection batch size and rate must be >= 0")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ScenarioError(f"injection batch size must be at most {MAX_BATCH_SIZE}")
         if self.batch_size == 0 and self.poisson_rate == 0:
             raise ScenarioError("injection needs a batch size or a poisson rate")
         if self.mode in (BATCH, BATCH_PLUS_POISSON) and self.batch_size == 0:
@@ -167,6 +175,19 @@ class Scenario:
                 raise ScenarioError("initial_counts is not a feasible state")
 
 
+_KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+
+
+def _int_dtype(bound: int) -> type:
+    """int16 if it holds every integer from 0 to ``bound``, else int32.
+
+    A session holds at least one block, so session counts, downgrade and
+    discard counts are bounded by the capacity, dimension indices by the
+    number of dimensions, and state indices by the number of states.
+    """
+    return np.int16 if bound <= np.iinfo(np.int16).max else np.int32
+
+
 class Event(NamedTuple):
     """One recorded transition; ``counts`` is the state after it."""
 
@@ -178,16 +199,32 @@ class Event(NamedTuple):
     counts: tuple[int, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectoryRecord:
-    """Piecewise-constant sample path of one replication."""
+    """Piecewise-constant sample path of one replication, held as columns.
+
+    Event ``i`` happens at ``t_ms[i]``; ``kind[i]`` indexes
+    :data:`~ranburst.traffic.EVENT_KINDS`; ``dim``, ``downgraded`` and
+    ``discarded`` are the transition's bookkeeping; the state after it is
+    row ``state[i]`` of ``states``, a table of the distinct states the path
+    enters, in order of first entry. The integer columns other than
+    ``kind`` are int16 when their values allow (see :func:`_int_dtype`) and
+    int32 otherwise. ``events`` rebuilds the same path as a list of
+    :class:`Event` on every access.
+    """
 
     policy: str
     capacity: int
     dim_labels: tuple[str, ...]
     demands: tuple[int, ...]
     initial_counts: tuple[int, ...]
-    events: list[Event]
+    t_ms: np.ndarray  # float64, (n,)
+    kind: np.ndarray  # int8, (n,)
+    dim: np.ndarray  # (n,)
+    downgraded: np.ndarray  # (n,)
+    discarded: np.ndarray  # (n,)
+    state: np.ndarray  # (n,): row of ``states`` entered
+    states: np.ndarray  # (distinct states, n_dims)
     end_ms: float
     horizon_ms: float
     t_inject_ms: float | None
@@ -195,12 +232,48 @@ class TrajectoryRecord:
     replication: int = 0
     stopped_early: bool = False
 
+    @classmethod
+    def from_events(cls, events: list[Event], **fields) -> TrajectoryRecord:
+        """A record of ``events``; ``fields`` are the remaining attributes."""
+        n_dims = len(fields["initial_counts"])
+        small = _int_dtype(max(fields["capacity"], n_dims))
+        rows: dict[tuple[int, ...], int] = {}
+        state = [rows.setdefault(tuple(e.counts), len(rows)) for e in events]
+        return cls(
+            t_ms=np.array([e.t_ms for e in events], dtype=np.float64),
+            kind=np.array([_KIND_CODE[e.kind] for e in events], dtype=np.int8),
+            dim=np.array([e.dim for e in events], dtype=small),
+            downgraded=np.array([e.downgraded for e in events], dtype=small),
+            discarded=np.array([e.discarded for e in events], dtype=small),
+            state=np.array(state, dtype=_int_dtype(len(rows))),
+            states=np.array(list(rows), dtype=small).reshape(len(rows), n_dims),
+            **fields,
+        )
+
     @property
     def n_dims(self) -> int:
         return len(self.initial_counts)
 
+    @property
+    def n_events(self) -> int:
+        return len(self.t_ms)
+
+    @property
+    def events(self) -> list[Event]:
+        """The path as :class:`Event` tuples, built anew on each access."""
+        counts = [tuple(row) for row in self.states.tolist()]
+        return [
+            Event(t, EVENT_KINDS[k], d, dw, dc, counts[s])
+            for t, k, d, dw, dc, s in zip(
+                self.t_ms.tolist(), self.kind.tolist(), self.dim.tolist(),
+                self.downgraded.tolist(), self.discarded.tolist(), self.state.tolist(),
+            )
+        ]
+
     def final_counts(self) -> tuple[int, ...]:
-        return self.events[-1].counts if self.events else self.initial_counts
+        if not self.n_events:
+            return self.initial_counts
+        return tuple(self.states[self.state[-1]].tolist())
 
 
 def mix_seed(base_seed: int, replication: int) -> int:
@@ -233,11 +306,11 @@ def run_replication(scenario: Scenario, seed: int, crn: bool = False) -> Traject
     scenario.validate()
     if crn:
         return _run_replication_crn(scenario, seed)
-    return _run_direct(scenario, seed, {})
+    return _run_direct(scenario, seed, _ArcTable(len(scenario.dimensions())))
 
 
-# An arc as recorded: the fields of ``Event`` after its time, in that order.
-Arc = tuple[str, int, int, int, tuple[int, ...]]
+# An arc as the engine follows it: (arc id, kind, target state).
+Arc = tuple[int, str, tuple[int, ...]]
 
 
 class _StateArcs:
@@ -259,16 +332,55 @@ class _StateArcs:
         self.offer: Arc | None = None
 
 
-def _arc(tr: Transition) -> Arc:
-    return (tr.kind, tr.dim, tr.downgraded, tr.discarded, tr.target)
+class _ArcTable:
+    """The arcs resolved so far, shared by the replications of one scenario
+    in one process.
+
+    ``by_state`` maps each visited state to its :class:`_StateArcs`. Every
+    arc gets an integer id when it is resolved: row ``id`` of ``rows`` is
+    ``(kind code, dim, downgraded, discarded, target id, *target counts)``.
+    A path is kept as a list of arc ids and turned into record columns by
+    :meth:`columns`.
+    """
+
+    def __init__(self, n_dims: int):
+        self.by_state: dict[tuple[int, ...], _StateArcs] = {}
+        self.rows: list[tuple[int, ...]] = []
+        self.target_id: dict[tuple[int, ...], int] = {}
+        self._array = np.empty((0, 5 + n_dims), dtype=np.int64)  # ``rows`` so far
+
+    def arc(self, kind: str, dim: int, downgraded: int, discarded: int,
+            target: tuple[int, ...]) -> Arc:
+        tid = self.target_id.setdefault(target, len(self.target_id))
+        self.rows.append((_KIND_CODE[kind], dim, downgraded, discarded, tid, *target))
+        return (len(self.rows) - 1, kind, target)
+
+    def columns(self, path: list[int], capacity: int) -> dict[str, np.ndarray]:
+        """Event columns of a path of arc ids, gathered in one fancy-index;
+        its states are numbered in order of first entry."""
+        if len(self._array) < len(self.rows):
+            new = np.array(self.rows[len(self._array):], dtype=np.int64)
+            self._array = np.concatenate((self._array, new))
+        cols = self._array[np.array(path, dtype=np.intp)]
+        _, first, inverse = np.unique(cols[:, 4], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        small = _int_dtype(max(capacity, cols.shape[1] - 5))
+        return dict(
+            kind=cols[:, 0].astype(np.int8),
+            dim=cols[:, 1].astype(small),
+            downgraded=cols[:, 2].astype(small),
+            discarded=cols[:, 3].astype(small),
+            state=rank[inverse].astype(_int_dtype(len(order))),
+            states=cols[first[order], 5:].astype(small),
+        )
 
 
-def _run_direct(
-    scenario: Scenario, seed: int, table: dict[tuple[int, ...], _StateArcs]
-) -> TrajectoryRecord:
-    """The direct engine. ``table`` maps each state visited so far to its
-    resolved arcs; it is filled lazily and may be shared by replications of
-    the same scenario."""
+def _run_direct(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryRecord:
+    """The direct engine. ``table`` holds the arcs of each state visited so
+    far; it is filled lazily and may be shared by replications of the same
+    scenario."""
     dims = scenario.dimensions()
     capacity = scenario.radio.capacity_blocks
     policy = scenario.policy
@@ -287,6 +399,11 @@ def _run_direct(
     early_stop = scenario.early_stop_at_goose_cap
     goose_cap = dims[0].max_sessions
     horizon = scenario.horizon_ms
+    lookup = table.by_state.get
+
+    def outcome(state: tuple[int, ...], i: int, rate: float) -> Arc:
+        tr = arrival_outcome(policy, state, i, dims, capacity, rate)
+        return table.arc(tr.kind, tr.dim, tr.downgraded, tr.discarded, tr.target)
 
     def resolve(state: tuple[int, ...], t: float) -> _StateArcs:
         """Prove ``state`` feasible, reached at ``t``, and resolve its arcs."""
@@ -294,9 +411,7 @@ def _run_direct(
             raise RuntimeError(f"simulation produced infeasible state {state} at t={t:.3f} ms")
 
         arrivals = [
-            (rate, _arc(arrival_outcome(policy, state, i, dims, capacity, rate)))
-            for i, rate in enumerate(arr_rates)
-            if rate > 0.0
+            (rate, outcome(state, i, rate)) for i, rate in enumerate(arr_rates) if rate > 0.0
         ]
         departures = []
         for i, rate in enumerate(dep_rates):
@@ -304,18 +419,19 @@ def _run_direct(
             if out > 0.0:
                 target = list(state)
                 target[i] -= 1
-                departures.append((out, (DEPARTURE, i, 0, 0, tuple(target))))
+                departures.append((out, table.arc(DEPARTURE, i, 0, 0, tuple(target))))
         departure_total = sum(c * r for c, r in zip(state, dep_rates))
         arcs = _StateArcs(arrivals, departures, departure_total)
-        table[state] = arcs
+        table.by_state[state] = arcs
         return arcs
 
     def offer(state: tuple[int, ...], arcs: _StateArcs) -> Arc:
-        arcs.offer = _arc(arrival_outcome(policy, state, 0, dims, capacity, 0.0))
+        arcs.offer = outcome(state, 0, 0.0)
         return arcs.offer
 
-    arcs = table.get(counts) or resolve(counts, 0.0)
-    events: list[Event] = []
+    arcs = lookup(counts) or resolve(counts, 0.0)
+    times: list[float] = []
+    path: list[int] = []  # arc id of each event
     t = 0.0
     delivered = 0
     injected = inj is None
@@ -329,9 +445,10 @@ def _run_direct(
             if inj.has_batch:
                 for _ in range(inj.batch_size):
                     a = arcs.offer or offer(counts, arcs)
-                    events.append(Event(t, *a))
-                    counts = a[-1]
-                    arcs = table.get(counts) or resolve(counts, t)
+                    times.append(t)
+                    path.append(a[0])
+                    counts = a[2]
+                    arcs = lookup(counts) or resolve(counts, t)
                     if early_stop and counts[0] >= goose_cap:
                         stopped = True
                         break
@@ -366,7 +483,7 @@ def _run_direct(
         if a is None and stream_on:
             if u < inj_rate:
                 a = arcs.offer or offer(counts, arcs)
-                if a[0] != ARRIVAL_REJECTED:
+                if a[1] != ARRIVAL_REJECTED:
                     delivered += 1
             else:
                 u -= inj_rate
@@ -379,9 +496,10 @@ def _run_direct(
         if a is None:
             continue  # floating-point edge at the top of the rate sum
 
-        events.append(Event(t, *a))
-        counts = a[-1]
-        arcs = table.get(counts) or resolve(counts, t)
+        times.append(t)
+        path.append(a[0])
+        counts = a[2]
+        arcs = lookup(counts) or resolve(counts, t)
         if early_stop and counts[0] >= goose_cap:
             stopped = True
             break
@@ -393,7 +511,8 @@ def _run_direct(
         dim_labels=tuple(d.label for d in dims),
         demands=tuple(d.demand_blocks for d in dims),
         initial_counts=initial,
-        events=events,
+        t_ms=np.array(times, dtype=np.float64),
+        **table.columns(path, capacity),
         end_ms=end,
         horizon_ms=horizon,
         t_inject_ms=inj.t_inject_ms if inj is not None else None,
@@ -443,7 +562,7 @@ def _replicate(args) -> list[TrajectoryRecord]:
     scenario, seeds, crn = args
     if crn:
         return [_run_replication_crn(scenario, s) for s in seeds]
-    table: dict[tuple[int, ...], _StateArcs] = {}
+    table = _ArcTable(len(scenario.dimensions()))
     return [_run_direct(scenario, s, table) for s in seeds]
 
 
@@ -631,13 +750,13 @@ def _run_replication_crn(scenario: Scenario, seed: int) -> TrajectoryRecord:
             break
 
     end = t_now if stopped else horizon
-    return TrajectoryRecord(
+    return TrajectoryRecord.from_events(
+        events,
         policy=policy,
         capacity=capacity,
         dim_labels=tuple(d.label for d in dims),
         demands=tuple(d.demand_blocks for d in dims),
         initial_counts=initial,
-        events=events,
         end_ms=end,
         horizon_ms=horizon,
         t_inject_ms=inj.t_inject_ms if inj is not None else None,

@@ -19,7 +19,13 @@ from ranburst import (
     transient,
     transitions,
 )
-from ranburst.analytic import blocking_from_generator, mean_counts, occupancy_marginal
+from ranburst.analytic import (
+    blocking_from_generator,
+    mean_counts,
+    occupancy_marginal,
+    poisson_isf,
+    poisson_pmf,
+)
 from ranburst.cli import load_bundled_scenario
 from ranburst.traffic import ARRIVAL_REJECTED
 
@@ -365,3 +371,43 @@ def test_mean_counts_matches_occupancy():
     mean = mean_counts(space, pi)[0]
     expected = 2.0 * (1 - erlang_b_exact(4, 2))  # carried load
     assert mean == pytest.approx(expected, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Poisson weights of uniformization against scipy.stats
+# ---------------------------------------------------------------------------
+
+POISSON_MEANS = np.concatenate((
+    np.geomspace(0.1, 5000.0, 61),
+    np.random.default_rng(5).uniform(0.1, 5000.0, 40),
+    [1.0, 2.5, 10.0, 100.0, 1000.0, 4999.999],
+))
+POISSON_EPS = np.concatenate((10.0 ** -np.arange(6, 13), np.geomspace(1e-12, 1e-6, 9)))
+
+
+# Inputs where the inverted cdf lands one count high and the truncation
+# point steps back.
+POISSON_STEP_BACK = [
+    (4004.8492958261695, 2.261701682972786e-12),
+    (4406.999488677046, 2.9570673583478443e-12),
+    (1856.6164356873753, 3.5927995537612314e-12),
+    (332.5210634037652, 1.0450349300185113e-12),
+]
+
+
+def test_poisson_truncation_and_weights_equal_scipy_stats_exactly():
+    from scipy.stats import poisson
+
+    for mean, eps in POISSON_STEP_BACK:
+        assert poisson_isf(eps, mean) == poisson.isf(eps, mean), (mean, eps)
+    for mean in POISSON_MEANS:
+        for eps in POISSON_EPS:
+            assert poisson_isf(eps, mean) == poisson.isf(eps, mean), (mean, eps)
+        ks = np.arange(poisson_isf(1e-12, mean) + 2)  # the longest sum asked for
+        assert np.array_equal(poisson_pmf(ks, mean), poisson.pmf(ks, mean)), mean
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, -1e-9, float("nan")])
+def test_poisson_truncation_rejects_eps_outside_the_unit_interval(eps):
+    with pytest.raises(ValueError, match="eps"):
+        poisson_isf(eps, 3.0)

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 import yaml
 
-from ranburst import ScenarioError, kaufman_roberts
+from ranburst import ScenarioError, kaufman_roberts, run_experiment
 from ranburst.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
+    _write_csv,
     bundled_scenario_path,
     load_bundled_scenario,
     load_scenario,
@@ -14,6 +19,16 @@ from ranburst.cli import (
     run,
     scenario_hash,
     scenario_from_dict,
+    write_trajectory_csv,
+)
+from ranburst.simulator import Event, TrajectoryRecord
+from ranburst.traffic import (
+    ARRIVAL_ACCEPTED,
+    ARRIVAL_DOWNGRADED,
+    ARRIVAL_REJECTED,
+    DEPARTURE,
+    DOWNGRADE_CASCADE,
+    PREEMPT_DISCARD,
 )
 
 BUNDLED = [
@@ -348,3 +363,120 @@ def test_main_numerical_and_state_space_exit_codes(tmp_path, capsys, monkeypatch
                  "--out", str(tmp_path / "s")])
     assert code == 4
     assert json.loads(capsys.readouterr().err)["error"] == "state_space_cap"
+
+
+@pytest.mark.parametrize("path, value", [
+    (("horizon_ms",), "abc"),
+    (("grid_ms",), "abc"),
+    (("time_scale",), "abc"),
+    (("injection", "t_inject_ms"), "abc"),
+    (("horizon_ms",), [6000]),
+    (("radio", "channel_bandwidth_khz"), "wide"),
+    (("radio",), [1, 2]),
+    (("classes",), [5]),
+    (("injection",), ["batch"]),
+    (("radio", 7), 1),
+])
+def test_malformed_keys_and_containers_are_validation_errors(tmp_path, capsys, path, value):
+    raw = _set(demo_dict(), path, value)
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(raw)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(raw))
+    assert main(["--scenario", str(bad), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+def test_numeric_strings_still_parse_as_times():
+    raw = demo_dict(horizon_ms="6000", grid_ms="10.0")
+    assert scenario_hash(scenario_from_dict(raw)) == scenario_hash(
+        scenario_from_dict(demo_dict(horizon_ms=6000, grid_ms=10.0))
+    )
+
+
+def test_batch_size_above_the_bound_is_a_validation_error(tmp_path, capsys):
+    # validate() rejects it before anything runs
+    raw = demo_dict()
+    raw["injection"]["batch_size"] = 1_000_000_000_000
+    with pytest.raises(ScenarioError, match="batch size"):
+        scenario_from_dict(raw)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(raw))
+    assert main(["--scenario", str(bad), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    code = "import ranburst.cli, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# Trajectory CSV: the column writer against the event-by-event writer
+# ---------------------------------------------------------------------------
+
+
+def event_writer(path, traj, shash):
+    """The trajectory writer as it read each row from ``traj.events``."""
+    n = traj.n_dims
+    header = (
+        ["t_ms"]
+        + [f"m_{i + 1}" for i in range(n)]
+        + ["occupied_blocks", "rho", "event_kind", "n_downgraded", "n_discarded",
+           "scenario_hash"]
+    )
+    demands = traj.demands
+
+    def row(t, counts, kind, dw, dc):
+        occ = sum(c * d for c, d in zip(counts, demands))
+        return [t, *counts, occ, occ / traj.capacity, kind, dw, dc, shash]
+
+    rows = [row(0.0, traj.initial_counts, "initial", 0, 0)]
+    rows.extend(
+        row(e.t_ms, e.counts, e.kind, e.downgraded, e.discarded) for e in traj.events
+    )
+    _write_csv(path, header, rows)
+
+
+def hand_record(events, initial=(1, 2, 0), capacity=62, end=3e15):
+    return TrajectoryRecord.from_events(
+        events, policy="NC3", capacity=capacity, dim_labels=("a", "b", "c"),
+        demands=(1, 2, 1), initial_counts=initial, end_ms=end, horizon_ms=end,
+        t_inject_ms=None, seed=0,
+    )
+
+
+HAND_PATHS = {
+    "empty": lambda: hand_record([]),
+    "large_and_fractional_times": lambda: hand_record([
+        Event(0.5, ARRIVAL_ACCEPTED, 0, 0, 0, (2, 2, 0)),  # rho 6/62
+        Event(7.0, ARRIVAL_DOWNGRADED, 1, 1, 0, (2, 2, 1)),
+        Event(999999999999999.0, DOWNGRADE_CASCADE, 0, 1, 1, (3, 1, 1)),
+        Event(1e15, DEPARTURE, 2, 0, 0, (3, 1, 0)),
+        Event(1e15 + 2.0, ARRIVAL_REJECTED, 1, 0, 0, (3, 1, 0)),
+        Event(2.5e15, PREEMPT_DISCARD, 0, 0, 1, (4, 0, 0)),
+    ]),
+    "integral_rho": lambda: hand_record(
+        [Event(3.0, ARRIVAL_ACCEPTED, 1, 0, 0, (0, 2, 0))], initial=(0, 1, 0), capacity=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_PATHS))
+def test_trajectory_csv_equals_the_event_writer_on_hand_paths(tmp_path, name):
+    traj = HAND_PATHS[name]()
+    write_trajectory_csv(tmp_path / "cols.csv", traj, "abc123")
+    event_writer(tmp_path / "events.csv", traj, "abc123")
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "events.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["demo_nc3_small", "table2_nc2_lam40", "table2_nc3_lam20"])
+def test_trajectory_csv_equals_the_event_writer_on_simulated_runs(tmp_path, name):
+    sc = replace(load_bundled_scenario(name), replications=4)
+    for crn in (False, True):
+        for traj in run_experiment(sc, crn=crn):
+            write_trajectory_csv(tmp_path / "cols.csv", traj, "h")
+            event_writer(tmp_path / "events.csv", traj, "h")
+            assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "events.csv").read_bytes()

@@ -13,6 +13,8 @@ from ranburst import (
 )
 from ranburst.metrics import (
     burst_period,
+    empirical_blocking,
+    goose_presence_window,
     make_grid,
     session_curves,
     time_average_counts,
@@ -24,6 +26,7 @@ from ranburst.traffic import (
     ARRIVAL_REJECTED,
     DEPARTURE,
     DOWNGRADE_CASCADE,
+    PREEMPT_DISCARD,
 )
 
 from conftest import RADIO62, table2_classes
@@ -31,13 +34,13 @@ from conftest import RADIO62, table2_classes
 
 def synthetic(events, initial=(0, 0, 0), end=1000.0, horizon=1000.0,
               t_inject=None, demands=(1, 2, 1), capacity=62):
-    return TrajectoryRecord(
+    return TrajectoryRecord.from_events(
+        events,
         policy="NC3",
         capacity=capacity,
         dim_labels=tuple(f"d{i}" for i in range(len(initial))),
         demands=demands,
         initial_counts=initial,
-        events=events,
         end_ms=end,
         horizon_ms=horizon,
         t_inject_ms=t_inject,
@@ -393,3 +396,164 @@ def test_path_metrics_equal_the_event_loops_on_simulated_runs(policy):
         grid = make_grid(rec.horizon_ms, 10.0)
         assert np.array_equal(session_curves(rec, grid), loop_session_curves(rec, grid))
         assert np.array_equal(time_average_counts(rec), loop_time_average_counts(rec))
+
+
+# ---------------------------------------------------------------------------
+# The column readers against the event loops they replace
+# ---------------------------------------------------------------------------
+
+LOOP_ARRIVAL_KINDS = (
+    ARRIVAL_ACCEPTED, ARRIVAL_REJECTED, ARRIVAL_DOWNGRADED, PREEMPT_DISCARD, DOWNGRADE_CASCADE,
+)
+
+
+def loop_ratios(traj, whole_window_r_v=False):
+    video_arrivals = video_rejected = downgraded = discarded = 0
+    gf_arrivals = gf_rejected = goose_arrivals = goose_rejected = pre = 0
+    t_inject = traj.t_inject_ms
+    goose_before = traj.initial_counts[0]
+    for e in traj.events:
+        if e.t_ms > traj.end_ms:
+            break
+        if e.kind in LOOP_ARRIVAL_KINDS:
+            if e.dim == 1:
+                video_arrivals += 1
+                if t_inject is not None and e.t_ms < t_inject:
+                    pre += 1
+                rejected = e.kind == ARRIVAL_REJECTED
+                video_rejected += rejected
+                if goose_before == 0:
+                    gf_arrivals += 1
+                    gf_rejected += rejected
+            elif e.dim == 0:
+                goose_arrivals += 1
+                goose_rejected += e.kind == ARRIVAL_REJECTED
+        downgraded += e.downgraded
+        discarded += e.discarded
+        goose_before = e.counts[0]
+    n_ga = video_arrivals
+    counts = {
+        "video_arrivals": video_arrivals,
+        "video_rejected": video_rejected,
+        "video_downgraded": downgraded,
+        "video_discarded": discarded,
+        "goose_arrivals": goose_arrivals,
+        "goose_rejected": goose_rejected,
+        "n_ga_pre_inject": pre,
+        "n_ga_post_inject": video_arrivals - pre,
+        "goose_free_arrivals": gf_arrivals,
+        "goose_free_rejected": gf_rejected,
+    }
+    if n_ga == 0:
+        return {"n_ga": 0, "r_rj": None, "r_dw": None, "r_dc": None,
+                "r_v": None, "counts": counts}
+    if whole_window_r_v:
+        r_v = video_rejected / n_ga
+    else:
+        r_v = gf_rejected / gf_arrivals if gf_arrivals else None
+    return {"n_ga": n_ga, "r_rj": video_rejected / n_ga, "r_dw": downgraded / n_ga,
+            "r_dc": discarded / n_ga, "r_v": r_v, "counts": counts}
+
+
+def loop_goose_presence_window(traj):
+    first = last = None
+    count = traj.initial_counts[0]
+    if count > 0:
+        first = 0.0
+    positive = count > 0
+    for e in traj.events:
+        if e.t_ms > traj.end_ms:
+            break
+        now = e.counts[0]
+        if now > 0 and not positive and first is None:
+            first = e.t_ms
+        if positive and now == 0:
+            last = e.t_ms
+        positive = now > 0
+    if first is None:
+        return None
+    if positive:
+        last = traj.end_ms
+    return first, last if last is not None else traj.end_ms
+
+
+def loop_burst_period(traj):
+    window = loop_goose_presence_window(traj)
+    if window is None:
+        return None, None
+    first, last = window
+    if traj.t_inject_ms is None:
+        return None, last - first
+    return last - traj.t_inject_ms, last - first
+
+
+def loop_empirical_blocking(traj):
+    out = {}
+    for e in traj.events:
+        if e.t_ms > traj.end_ms:
+            break
+        if e.kind in LOOP_ARRIVAL_KINDS:
+            arr, rej = out.setdefault(e.dim, [0, 0])
+            out[e.dim][0] = arr + 1
+            out[e.dim][1] = rej + (e.kind == ARRIVAL_REJECTED)
+    return {dim: (a, r) for dim, (a, r) in out.items()}
+
+
+def random_event_path(seed):
+    """Any kind, dimension and bookkeeping; the priority count often 0; a
+    share of the events past the observation end."""
+    rng = np.random.default_rng(seed)
+    n = [0, 1, 5, 60, 400][seed % 5]
+    times = np.sort(rng.uniform(0.0, 1200.0, n))
+    times[rng.random(n) < 0.2] = 600.0  # ties, and events at t_inject
+    times.sort()
+    kinds = [ARRIVAL_ACCEPTED, ARRIVAL_REJECTED, ARRIVAL_DOWNGRADED, DEPARTURE,
+             PREEMPT_DISCARD, DOWNGRADE_CASCADE]
+    events = [
+        Event(float(t), kinds[rng.integers(6)], int(rng.integers(3)), int(rng.integers(3)),
+              int(rng.integers(3)),
+              (int(rng.integers(0, 3)) * int(rng.random() < 0.5),
+               int(rng.integers(0, 30)), int(rng.integers(0, 9))))
+        for t in times
+    ]
+    initial = (int(rng.integers(2)), 4, 1)
+    return synthetic(events, initial=initial, end=[1000.0, 1200.0, 600.0][seed % 3],
+                     horizon=1200.0, t_inject=600.0 if seed % 4 else None)
+
+
+def assert_readers_equal_the_loops(traj):
+    assert goose_presence_window(traj) == loop_goose_presence_window(traj)
+    assert burst_period(traj) == loop_burst_period(traj)
+    for whole in (False, True):
+        assert ratios(traj, whole_window_r_v=whole) == loop_ratios(traj, whole)
+    expected = loop_empirical_blocking(traj)
+    got = empirical_blocking(traj)
+    assert got == expected and list(got) == list(expected)
+    for value in (*got, *(x for pair in got.values() for x in pair)):
+        assert type(value) is int
+    s = summarize(traj)
+    r = loop_ratios(traj)
+    assert (s.burst_period_ms, s.burst_duration_ms) == loop_burst_period(traj)
+    assert (s.n_ga, s.r_rj, s.r_dw, s.r_dc, s.r_v, s.counts) == (
+        r["n_ga"], r["r_rj"], r["r_dw"], r["r_dc"], r["r_v"], r["counts"])
+
+
+@pytest.mark.parametrize("name", sorted(PATHS) + [f"events_{k}" for k in range(20)])
+def test_column_readers_equal_the_event_loops_exactly(name):
+    traj = PATHS[name]() if name in PATHS else random_event_path(int(name.split("_")[1]))
+    assert_readers_equal_the_loops(traj)
+
+
+@pytest.mark.parametrize("crn", [False, True])
+@pytest.mark.parametrize("policy", ["NC1", "NC2", "NC3"])
+def test_column_readers_equal_the_event_loops_on_simulated_runs(policy, crn):
+    for rec in run_experiment(burst_scenario(policy, reps=3), crn=crn):
+        assert_readers_equal_the_loops(rec)
+    batch = Scenario(
+        policy=policy, radio=RADIO62, classes=tuple(table2_classes(policy)),
+        injection=InjectionSchedule("batch", 2000.0, batch_size=70),
+        horizon_ms=6000.0, warmup="stationary_video_start", time_scale=200.0,
+        early_stop_at_goose_cap=policy == "NC2", replications=3,
+    )
+    for rec in run_experiment(batch, crn=crn):
+        assert_readers_equal_the_loops(rec)

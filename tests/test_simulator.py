@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from ranburst import (
 )
 from ranburst import simulator
 from ranburst.metrics import empirical_blocking
-from ranburst.simulator import MAX_GRID_POINTS, pool_size
+from ranburst.simulator import MAX_BATCH_SIZE, MAX_GRID_POINTS, pool_size
 from ranburst.traffic import (
     ARRIVAL_DOWNGRADED,
     ARRIVAL_REJECTED,
@@ -99,6 +101,43 @@ def test_parallel_schedule_matches_serial():
     for x, y in zip(serial, parallel):
         assert x.events == y.events
         assert x.replication == y.replication
+
+
+COLUMNS = ("t_ms", "kind", "dim", "downgraded", "discarded", "state", "states")
+
+
+def assert_same_columns(x, y):
+    for name in COLUMNS:
+        a, b = getattr(x, name), getattr(y, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert x.events == y.events
+    for name in ("initial_counts", "end_ms", "seed", "replication", "stopped_early"):
+        assert getattr(x, name) == getattr(y, name), name
+
+
+def test_pool_records_equal_serial_records_column_by_column():
+    sc = burst_scenario(replications=7)
+    serial = run_experiment(sc)
+    for x, y in zip(serial, run_experiment(sc, workers=2)):
+        assert_same_columns(x, y)
+    assert sum(r.n_events for r in serial) > 7 * 100
+
+
+@pytest.mark.parametrize("crn", [False, True])
+def test_record_survives_a_pickle_round_trip(crn):
+    rec = run_replication(burst_scenario(), 77, crn=crn)
+    assert_same_columns(rec, pickle.loads(pickle.dumps(rec)))
+
+
+def test_records_of_both_constructors_hold_the_same_columns():
+    sc = burst_scenario()
+    rec = run_replication(sc, 5)
+    fields = {k: getattr(rec, k) for k in (
+        "policy", "capacity", "dim_labels", "demands", "initial_counts", "end_ms",
+        "horizon_ms", "t_inject_ms", "seed", "stopped_early")}
+    assert_same_columns(rec, simulator.TrajectoryRecord.from_events(rec.events, **fields))
+    assert rec.final_counts() == rec.events[-1].counts
+    assert rec.events is not rec.events  # rebuilt on access, never cached
 
 
 def test_shared_arc_table_matches_fresh_tables():
@@ -429,6 +468,13 @@ def test_reporting_grid_is_bounded(grid_ms):
 
 def test_largest_reporting_grid_is_accepted():
     burst_scenario(grid_ms=6000.0 / (MAX_GRID_POINTS - 1)).validate()
+
+
+def test_batch_size_is_bounded():
+    InjectionSchedule("batch", 0.0, MAX_BATCH_SIZE, 0.0).validate()
+    for mode in ("batch", "poisson", "batch_plus_poisson"):
+        with pytest.raises(ScenarioError, match="batch size"):
+            InjectionSchedule(mode, 0.0, MAX_BATCH_SIZE + 1, 1.0).validate()
 
 
 def test_injection_validation_errors():
