@@ -46,9 +46,6 @@ from .traffic import (
     build_dimensions,
     occupied,
     transitions,
-    transitions_nc1,
-    transitions_nc2,
-    transitions_nc3,
 )
 
 __all__ = [
@@ -88,9 +85,6 @@ __all__ = [
     "summarize",
     "transient",
     "transitions",
-    "transitions_nc1",
-    "transitions_nc2",
-    "transitions_nc3",
     "usable_capacity",
     "utilization",
 ]

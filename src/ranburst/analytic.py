@@ -1,14 +1,15 @@
 """Exact and numerical solutions used as oracles and for steady-state reports.
 
 Contains the Kaufman-Roberts occupancy recursion (valid for the non-priority
-pool), generator-matrix assembly for all three policies, a direct sparse
-steady-state solve, and transient probabilities by uniformization.
+pool), generator-matrix assembly for all three policies from one compiled arc
+table, a preconditioned Krylov steady-state solve, and transient
+probabilities by uniformization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,11 +21,18 @@ from .traffic import (
     ARRIVAL_REJECTED,
     Dimension,
     TrafficClass,
-    occupied,
     transitions,
 )
 
 DEFAULT_STATE_LIMIT = 5_000_000
+
+# Steady state: incomplete LU (minimum-degree ordering of A^T + A) as the
+# preconditioner of restarted GMRES; the complete factor is the fallback.
+ILU_DROP_TOL = 1e-4
+ILU_FILL_FACTOR = 10
+GMRES_RESTART = 50
+GMRES_MAXITER = 20
+GMRES_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -76,16 +84,114 @@ def kaufman_roberts(classes: list[TrafficClass], capacity: int) -> OccupancyDist
 
 
 @dataclass(frozen=True)
+class ChainTable:
+    """Every arc of a policy's chain over a list of states, as arrays.
+
+    ``counts`` holds the states as rows. Arc ``a`` leaves state
+    ``source[a]`` for state ``target[a]`` at ``rate[a]``; ``rejected[a]`` is
+    the dimension whose arrival it rejects (a self-loop), or -1; ``slot[a]``
+    is its position in the state's :func:`~ranburst.traffic.transitions`
+    list. Arcs are ordered by source, then slot.
+    """
+
+    policy: str
+    dims: tuple[Dimension, ...]
+    capacity: int
+    counts: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    rate: np.ndarray
+    rejected: np.ndarray
+    slot: np.ndarray
+
+    def compiled_for(self, policy: str, dims, capacity: int) -> bool:
+        return (self.policy, self.dims, self.capacity) == (policy, tuple(dims), capacity)
+
+
+@dataclass(frozen=True)
 class StateSpace:
-    """Dense enumeration of feasible states with a state<->index bijection."""
+    """Dense enumeration of feasible states with a state<->index bijection.
+
+    ``table`` is the chain compiled while the space was walked
+    (:func:`reachable_states`, :func:`build_generator`), or None.
+    """
 
     states: list[tuple[int, ...]]
     index: dict[tuple[int, ...], int]
     dims: tuple[Dimension, ...]
     capacity: int
+    table: ChainTable | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
+
+
+def _state_rows(space: StateSpace) -> np.ndarray:
+    if space.table is not None:
+        return space.table.counts
+    return np.array(space.states, dtype=np.int64).reshape(len(space), len(space.dims))
+
+
+def _compile(
+    policy: str,
+    dims: list[Dimension],
+    capacity: int,
+    states: list[tuple[int, ...]],
+    index: dict[tuple[int, ...], int],
+    limit: int | None = None,
+) -> ChainTable:
+    """Walk ``states`` once, recording every arc in ``transitions`` order.
+
+    With ``limit=None`` the states are fixed and an arc into a state outside
+    ``index`` raises ``KeyError``. Otherwise each new target is appended to
+    ``states`` and ``index`` (and walked in turn) while at most ``limit``
+    states are known.
+    """
+    source: list[int] = []
+    target: list[int] = []
+    rate: list[float] = []
+    rejected: list[int] = []
+    slot: list[int] = []
+    i = 0
+    while i < len(states):
+        for k, tr in enumerate(transitions(policy, states[i], dims, capacity)):
+            if tr.kind == ARRIVAL_REJECTED:
+                j, code = i, tr.dim
+            else:
+                code = -1
+                j = index.get(tr.target)
+                if j is None:
+                    if limit is None:
+                        raise KeyError(tr.target)
+                    if len(states) >= limit:
+                        raise StateSpaceLimitError(len(states) + 1, limit)
+                    j = index[tr.target] = len(states)
+                    states.append(tr.target)
+            source.append(i)
+            target.append(j)
+            rate.append(tr.rate)
+            rejected.append(code)
+            slot.append(k)
+        i += 1
+    return ChainTable(
+        policy=policy,
+        dims=tuple(dims),
+        capacity=capacity,
+        counts=np.array(states, dtype=np.int64).reshape(len(states), len(dims)),
+        source=np.array(source, dtype=np.intp),
+        target=np.array(target, dtype=np.intp),
+        rate=np.array(rate, dtype=float),
+        rejected=np.array(rejected, dtype=np.intp),
+        slot=np.array(slot, dtype=np.intp),
+    )
+
+
+def _table_for(space: StateSpace, policy: str, dims, capacity: int) -> ChainTable:
+    """The space's own table when it was compiled for these arguments, else
+    a fresh compile over ``space.states``."""
+    if space.table is not None and space.table.compiled_for(policy, dims, capacity):
+        return space.table
+    return _compile(policy, list(dims), capacity, space.states, space.index)
 
 
 def _count_feasible(dims: list[Dimension], capacity: int) -> int:
@@ -137,25 +243,33 @@ def reachable_states(
     """States reachable from ``start`` (default: the empty system).
 
     Needed when some dimension has no arrival stream (its states would be
-    transient or unreachable and make the balance system singular).
+    transient or unreachable and make the balance system singular). The
+    search calls ``transitions`` once per state, and the arcs it sees become
+    the returned space's ``table``.
     """
     if start is None:
         start = tuple(0 for _ in dims)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        state = frontier.pop()
-        for tr in transitions(policy, state, dims, capacity):
-            if tr.kind == ARRIVAL_REJECTED:
-                continue
-            if tr.target not in seen:
-                if len(seen) >= limit:
-                    raise StateSpaceLimitError(len(seen) + 1, limit)
-                seen.add(tr.target)
-                frontier.append(tr.target)
-    states = sorted(seen)
+    found = [start]
+    table = _compile(policy, dims, capacity, found, {start: 0}, limit=limit)
+    # Number the states in sorted order and keep the arcs ordered by source.
+    order = np.lexsort(table.counts.T[::-1])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    source = rank[table.source]
+    arcs = np.argsort(source, kind="stable")
+    table = replace(
+        table,
+        counts=table.counts[order],
+        source=source[arcs],
+        target=rank[table.target][arcs],
+        rate=table.rate[arcs],
+        rejected=table.rejected[arcs],
+        slot=table.slot[arcs],
+    )
+    states = [found[i] for i in order.tolist()]
     index = {s: i for i, s in enumerate(states)}
-    return StateSpace(states=states, index=index, dims=tuple(dims), capacity=capacity)
+    return StateSpace(states=states, index=index, dims=tuple(dims), capacity=capacity,
+                      table=table)
 
 
 def build_generator(
@@ -169,28 +283,34 @@ def build_generator(
 
     Rows match :func:`ranburst.traffic.transitions` exactly, except that
     rejected-arrival self-loops are omitted (they cancel in a generator).
-    Row sums are zero by construction.
+    Row sums are zero by construction. The arcs come from ``space.table``
+    when it was compiled for these arguments, else from one walk over
+    ``space.states``; the returned space carries the table used.
     """
     if space is None:
         space = enumerate_states(dims, capacity, limit=limit)
+    table = _table_for(space, policy, dims, capacity)
+    if table is not space.table:
+        space = replace(space, table=table)
     n = len(space)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, state in enumerate(space.states):
-        out = 0.0
-        for tr in transitions(policy, state, dims, capacity):
-            if tr.kind == ARRIVAL_REJECTED:
-                continue
-            j = space.index[tr.target]
-            rows.append(i)
-            cols.append(j)
-            vals.append(tr.rate)
-            out += tr.rate
-        rows.append(i)
-        cols.append(i)
-        vals.append(-out)
-    q = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    keep = table.rejected < 0
+    source, target, rate = table.source[keep], table.target[keep], table.rate[keep]
+    slot = table.slot[keep]
+    # Each state's outflow, added in transitions order as a per-state loop
+    # would add it: a state has at most one arc in each slot.
+    out = np.zeros(n)
+    for k in range(int(slot.max(initial=-1)) + 1):
+        at = slot == k
+        out[source[at]] += rate[at]
+    diagonal = np.arange(n)
+    rows = np.concatenate((source, diagonal))
+    # Each row: its arcs in transitions order, then the diagonal.
+    entries = np.argsort(rows, kind="stable")
+    q = sp.csr_matrix(
+        (np.concatenate((rate, -out))[entries],
+         (rows[entries], np.concatenate((target, diagonal))[entries])),
+        shape=(n, n),
+    )
     return space, q
 
 
@@ -198,13 +318,14 @@ def steady_state(q: sp.spmatrix, tol: float = 1e-10) -> np.ndarray:
     """Stationary distribution: pi Q = 0, sum(pi) = 1, pi >= 0.
 
     Solves the transposed balance system with its last row replaced by the
-    normalization constraint, with iterative refinement until the residual
-    ``max |pi Q|`` is below ``tol``. The normalization row keeps every
-    unknown on the scale of a probability; pinning one state's mass to 1
-    instead would scale the others by its inverse, which leaves the range of
-    a double when that state's mass does. SuperLU factors the system
-    with the minimum-degree ordering of ``A^T + A``, which keeps the fill
-    about four times below that of its default column ordering.
+    normalization constraint. The normalization row keeps every unknown on
+    the scale of a probability; pinning one state's mass to 1 instead would
+    scale the others by its inverse, which leaves the range of a double when
+    that state's mass does. Restarted GMRES solves the system, preconditioned
+    by an incomplete LU factor (minimum-degree ordering of ``A^T + A``). A
+    solution is accepted when it is finite, its residual ``max |pi Q|`` is at
+    most ``tol`` and no state has mass below ``-tol``; if the incomplete
+    factor gives none, the solve is repeated once with the complete factor.
     """
     n = q.shape[0]
     if n == 1:
@@ -214,17 +335,28 @@ def steady_state(q: sp.spmatrix, tol: float = 1e-10) -> np.ndarray:
     b = np.zeros(n)
     b[n - 1] = 1.0
 
+    def solve(factor) -> tuple[np.ndarray, float]:
+        pre = spla.LinearOperator(a.shape, factor.solve)
+        pi, _ = spla.gmres(a, b, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
+                           maxiter=GMRES_MAXITER, M=pre)
+        return pi, float(np.abs(pi @ q).max())
+
+    def accepted(pi: np.ndarray, residual: float) -> bool:
+        return bool(np.isfinite(pi).all()) and residual <= tol and pi.min() >= -tol
+
     try:
-        lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # SuperLU reports a singular factor this way
-        raise NumericalError(f"steady-state factorization failed: {exc}") from exc
-    pi = lu.solve(b)
-    for _ in range(3):
-        residual = float(np.abs(pi @ q).max())
-        if residual <= tol:
-            break
-        pi += lu.solve(b - a @ pi)
-    residual = float(np.abs(pi @ q).max())
+        ilu = spla.spilu(a, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR,
+                         permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:  # a singular incomplete factor: try the complete one
+        pi = None
+    else:
+        pi, residual = solve(ilu)
+    if pi is None or not accepted(pi, residual):
+        try:
+            lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU reports a singular factor this way
+            raise NumericalError(f"steady-state factorization failed: {exc}") from exc
+        pi, residual = solve(lu)
     if not np.isfinite(pi).all() or residual > tol:
         raise NumericalError(
             f"steady-state solve did not reach tolerance {tol:g} "
@@ -300,16 +432,14 @@ def transient(
 
 def occupancy_marginal(space: StateSpace, pi: np.ndarray) -> np.ndarray:
     """Aggregate a state distribution by occupied blocks (0..C)."""
-    out = np.zeros(space.capacity + 1)
-    dims = list(space.dims)
-    for state, mass in zip(space.states, pi):
-        out[occupied(state, dims)] += mass
-    return out
+    demands = np.array([d.demand_blocks for d in space.dims], dtype=np.int64)
+    return np.bincount(_state_rows(space) @ demands, weights=pi,
+                       minlength=space.capacity + 1)
 
 
 def mean_counts(space: StateSpace, pi: np.ndarray) -> np.ndarray:
     """Expected sessions per dimension under a state distribution."""
-    states = np.asarray(space.states, dtype=float)
+    states = np.asarray(_state_rows(space), dtype=float)
     return states.T @ pi
 
 
@@ -320,18 +450,15 @@ def blocking_from_generator(
 
     Probability that an arrival of each dimension (with a positive arrival
     rate) finds the system in a state where the policy rejects it outright
-    (downgraded admissions are not rejections).
+    (downgraded admissions are not rejections). Each sum runs over the
+    rejecting states in index order (a sequential ``cumsum``, not a pairwise
+    ``sum``), as a per-state loop adds.
     """
-    dims = list(space.dims)
-    offered = [d.index for d in dims if d.arrival_rate > 0]
-    mass = dict.fromkeys(offered, 0.0)
-    for state, p_state in zip(space.states, pi):
-        rejected = {
-            tr.dim
-            for tr in transitions(policy, state, dims, space.capacity)
-            if tr.kind == ARRIVAL_REJECTED
-        }
-        for i in offered:
-            if i in rejected:
-                mass[i] += p_state
-    return {i: float(m) for i, m in mass.items()}
+    table = _table_for(space, policy, space.dims, space.capacity)
+    pi = np.asarray(pi, dtype=float)
+    blocking = {}
+    for d in space.dims:
+        if d.arrival_rate > 0:
+            mass = pi[table.source[table.rejected == d.index]]
+            blocking[d.index] = float(np.cumsum(mass)[-1]) if len(mass) else 0.0
+    return blocking

@@ -299,17 +299,3 @@ def transitions(
             )
     return arcs
 
-
-def transitions_nc1(counts, classes, capacity):
-    """NC1 arcs for plain (non-priority) classes; see :func:`transitions`."""
-    return transitions("NC1", counts, build_dimensions("NC1", classes, capacity), capacity)
-
-
-def transitions_nc2(counts, classes, capacity):
-    """NC2 arcs (priority with preemption); see :func:`transitions`."""
-    return transitions("NC2", counts, build_dimensions("NC2", classes, capacity), capacity)
-
-
-def transitions_nc3(counts, classes, capacity):
-    """NC3 arcs (priority with downgrade cascade); see :func:`transitions`."""
-    return transitions("NC3", counts, build_dimensions("NC3", classes, capacity), capacity)

@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import expm_multiply
 
+import ranburst.analytic as analytic
 from ranburst import (
     NumericalError,
     StateSpaceLimitError,
@@ -27,7 +29,7 @@ from ranburst.analytic import (
     poisson_pmf,
 )
 from ranburst.cli import load_bundled_scenario
-from ranburst.traffic import ARRIVAL_REJECTED
+from ranburst.traffic import ARRIVAL_REJECTED, occupied
 
 from conftest import table2_classes
 
@@ -190,26 +192,29 @@ def test_steady_state_birth_death_erlang():
         assert pi[space.index[state]] == pytest.approx(value, abs=1e-12)
 
 
-def nc3_chain():
+def small_nc3_dims():
     """A 30-block NC3 pool under heavy priority load (three dimensions)."""
     classes = [
         TrafficClass(1, 1.0, 1 / 60, 1, 30, "high"),
         TrafficClass(2, 1 / 20, 1 / 600, 2, 15, "low", adaptive=True,
                      downgraded_demand_blocks=1),
     ]
-    dims = build_dimensions("NC3", classes, 30)
-    space, q = build_generator("NC3", dims, 30)
-    return space, q
+    return "NC3", build_dimensions("NC3", classes, 30), 30
 
 
-def table2_nc3_burst_chain():
-    """The burst-reachable chain of ``table2_nc3_lam20``.
+def nc3_chain():
+    """The generator of :func:`small_nc3_dims` over every feasible state."""
+    return build_generator(*small_nc3_dims())
+
+
+def table2_burst_dims(name="table2_nc3_lam20"):
+    """Policy, dimensions and capacity of a bundled scenario's burst chain.
 
     The priority class gets the rate at which the burst offers sessions (it
     has no arrival stream of its own), and rates are scaled by
     ``time_scale`` as the analytic report scales them.
     """
-    scenario = load_bundled_scenario("table2_nc3_lam20")
+    scenario = load_bundled_scenario(name)
     classes = list(scenario.classes)
     classes[0] = replace(classes[0], arrival_rate=scenario.injection.poisson_rate)
     capacity = scenario.radio.capacity_blocks
@@ -218,8 +223,14 @@ def table2_nc3_burst_chain():
         replace(d, arrival_rate=d.arrival_rate * k, service_rate=d.service_rate * k)
         for d in build_dimensions(scenario.policy, classes, capacity)
     ]
-    space = reachable_states(scenario.policy, dims, capacity)
-    return build_generator(scenario.policy, dims, capacity, space=space)
+    return scenario.policy, dims, capacity
+
+
+def table2_nc3_burst_chain():
+    """The burst-reachable chain of ``table2_nc3_lam20``."""
+    policy, dims, capacity = table2_burst_dims()
+    space = reachable_states(policy, dims, capacity)
+    return build_generator(policy, dims, capacity, space=space)
 
 
 def test_nc3_steady_state_solves_on_three_dimensional_space():
@@ -267,6 +278,39 @@ def test_steady_state_on_table2_nc3_burst_chain():
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class _ConstantFactor:
+    """A preconditioner that maps every vector to the same one."""
+
+    def solve(self, x):
+        return np.ones_like(x)
+
+
+def _singular_ilu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize(
+    "ilu", [_singular_ilu, lambda *args, **kwargs: _ConstantFactor()],
+    ids=["singular", "useless"],
+)
+def test_steady_state_retries_with_the_complete_factor(monkeypatch, ilu):
+    space, q = table2_nc3_burst_chain()
+    expected = steady_state(q)
+    complete = []
+
+    def splu(*args, **kwargs):
+        complete.append(args)
+        return real_splu(*args, **kwargs)
+
+    real_splu = spla.splu
+    monkeypatch.setattr(spla, "spilu", ilu)
+    monkeypatch.setattr(spla, "splu", splu)
+    pi = steady_state(q)
+    assert len(complete) == 1
+    assert np.abs(pi - expected).max() <= 1e-12
+    assert np.abs(pi @ q).max() <= 1e-10
+
+
 def test_steady_state_residual_guard():
     q = sp.csr_matrix(np.zeros((2, 2)))
     # An all-zero generator has no unique stationary vector; the solver must
@@ -291,6 +335,158 @@ def test_blocking_from_generator_matches_per_dimension_walk():
                     break
         expected[d.index] = float(mass)
     assert blocking_from_generator("NC3", space, pi) == expected
+
+
+# ---------------------------------------------------------------------------
+# The compiled chain table
+# ---------------------------------------------------------------------------
+
+
+def per_state_reachable(policy, dims, capacity):
+    """The state search ``reachable_states`` ran before it compiled a table."""
+    start = tuple(0 for _ in dims)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        state = frontier.pop()
+        for tr in transitions(policy, state, dims, capacity):
+            if tr.kind != ARRIVAL_REJECTED and tr.target not in seen:
+                seen.add(tr.target)
+                frontier.append(tr.target)
+    return sorted(seen)
+
+
+def per_state_generator(policy, dims, capacity, space):
+    """The per-state assembly loop ``build_generator`` ran before it read a
+    compiled table."""
+    n = len(space)
+    rows, cols, vals = [], [], []
+    for i, state in enumerate(space.states):
+        out = 0.0
+        for tr in transitions(policy, state, dims, capacity):
+            if tr.kind == ARRIVAL_REJECTED:
+                continue
+            rows.append(i)
+            cols.append(space.index[tr.target])
+            vals.append(tr.rate)
+            out += tr.rate
+        rows.append(i)
+        cols.append(i)
+        vals.append(-out)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def per_state_marginal(space, pi):
+    """The per-state loop ``occupancy_marginal`` ran before it used bincount."""
+    out = np.zeros(space.capacity + 1)
+    dims = list(space.dims)
+    for state, mass in zip(space.states, pi):
+        out[occupied(state, dims)] += mass
+    return out
+
+
+def per_state_blocking(policy, space, pi):
+    """The per-state loop ``blocking_from_generator`` ran before it read a
+    compiled table."""
+    dims = list(space.dims)
+    offered = [d.index for d in dims if d.arrival_rate > 0]
+    mass = dict.fromkeys(offered, 0.0)
+    for state, p_state in zip(space.states, pi):
+        rejected = {
+            tr.dim
+            for tr in transitions(policy, state, dims, space.capacity)
+            if tr.kind == ARRIVAL_REJECTED
+        }
+        for i in offered:
+            if i in rejected:
+                mass[i] += p_state
+    return {i: float(m) for i, m in mass.items()}
+
+
+def assert_same_matrix(a, b):
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, part), getattr(b, part)), part
+
+
+CHAINS = {
+    "nc1_burst": lambda: table2_burst_dims("table2_nc1_lam20"),
+    "nc2_burst": lambda: table2_burst_dims("table2_nc2_lam40"),
+    "nc3_small": small_nc3_dims,
+    "nc3_plain": lambda: ("NC3", build_dimensions(
+        "NC3", table2_classes("NC3"), 62), 62),
+    "table2_nc3_lam20_burst": table2_burst_dims,
+}
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_compiled_chain_equals_the_per_state_loops(chain):
+    policy, dims, capacity = CHAINS[chain]()
+    space, q = build_generator(policy, dims, capacity,
+                               space=reachable_states(policy, dims, capacity))
+    assert space.states == per_state_reachable(policy, dims, capacity)
+    assert space.index == {s: i for i, s in enumerate(space.states)}
+    assert_same_matrix(q, per_state_generator(policy, dims, capacity, space))
+    assert q.dtype == np.float64
+    rng = np.random.default_rng(17)
+    for pi in (steady_state(q), rng.dirichlet(np.ones(len(space)))):
+        assert (blocking_from_generator(policy, space, pi)
+                == per_state_blocking(policy, space, pi))
+
+
+def test_compiled_generator_on_an_enumerated_space():
+    policy, dims, capacity = small_nc3_dims()
+    space = enumerate_states(dims, capacity)
+    assert space.table is None
+    compiled, q = build_generator(policy, dims, capacity, space=space)
+    assert compiled == space and compiled.table.compiled_for(policy, dims, capacity)
+    assert_same_matrix(q, per_state_generator(policy, dims, capacity, space))
+    _, q_default = build_generator(policy, dims, capacity)
+    assert_same_matrix(q_default, q)
+
+
+def test_space_compiled_for_other_arguments_is_compiled_afresh():
+    policy, dims, capacity = table2_burst_dims("table2_nc2_lam20")
+    doubled = [replace(d, arrival_rate=2 * d.arrival_rate) for d in dims]
+    fresh, q_fresh = build_generator(policy, dims, capacity,
+                                     space=reachable_states(policy, dims, capacity))
+    pi = np.random.default_rng(3).dirichlet(np.ones(len(fresh)))
+    for other_policy, other_dims in (("NC1", dims), (policy, doubled)):
+        other = reachable_states(other_policy, other_dims, capacity)
+        assert other.states == fresh.states
+        assert not other.table.compiled_for(policy, dims, capacity)
+        recompiled, q = build_generator(policy, dims, capacity, space=other)
+        assert recompiled.table.compiled_for(policy, dims, capacity)
+        assert_same_matrix(q, q_fresh)
+        assert (blocking_from_generator(policy, other, pi)
+                == blocking_from_generator(policy, fresh, pi))
+
+
+def test_burst_chain_walks_each_reachable_state_once(monkeypatch):
+    walked = []
+
+    def counted(policy, state, *args):
+        walked.append(state)
+        return transitions(policy, state, *args)
+
+    monkeypatch.setattr(analytic, "transitions", counted)
+    space, q = table2_nc3_burst_chain()
+    blocking_from_generator("NC3", space, np.full(len(space), 1 / len(space)))
+    assert len(walked) == len(space) == 22_352
+    assert set(walked) == set(space.states)
+
+
+def test_marginal_and_means_equal_the_per_state_loops():
+    space, q = table2_nc3_burst_chain()
+    enumerated = enumerate_states(*small_nc3_dims()[1:])
+    rng = np.random.default_rng(11)
+    for sp_, pi in (
+        (space, steady_state(q)),
+        (space, rng.dirichlet(np.ones(len(space)))),
+        (enumerated, rng.dirichlet(np.ones(len(enumerated)))),
+    ):
+        assert np.array_equal(occupancy_marginal(sp_, pi), per_state_marginal(sp_, pi))
+        states = np.asarray(sp_.states, dtype=float)
+        assert np.array_equal(mean_counts(sp_, pi), states.T @ pi)
 
 
 # ---------------------------------------------------------------------------

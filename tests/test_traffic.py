@@ -9,8 +9,6 @@ from ranburst import (
     build_dimensions,
     occupied,
     transitions,
-    transitions_nc1,
-    transitions_nc2,
 )
 from ranburst.traffic import (
     ARRIVAL_ACCEPTED,
@@ -103,39 +101,16 @@ def test_nc1_admission_boundaries():
         TrafficClass(1, 1.0, 1 / 60, 1, 62),
         TrafficClass(2, 1.0, 1 / 600, 2, 31),
     ]
-    arcs = transitions_nc1((61, 0), classes, 62)
+    dims = build_dimensions("NC1", classes, 62)
+    arcs = transitions("NC1", (61, 0), dims, 62)
     goose = next(t for t in arcs if t.kind != DEPARTURE and t.dim == 0)
     video = next(t for t in arcs if t.kind != DEPARTURE and t.dim == 1)
     assert goose.kind == ARRIVAL_ACCEPTED and goose.target == (62, 0)
     assert video.kind == ARRIVAL_REJECTED
 
-    arcs = transitions_nc1((0, 0), classes, 62)
+    arcs = transitions("NC1", (0, 0), dims, 62)
     assert len(arcs) == 2
     assert all(t.kind == ARRIVAL_ACCEPTED for t in arcs)
-
-
-def test_policy_wrappers_agree_with_generic_transitions():
-    classes = [
-        TrafficClass(1, 1.0, 2.0, 1, 8),
-        TrafficClass(2, 3.0, 1.0, 2, 4),
-    ]
-    nc2_classes = [
-        TrafficClass(1, 1.0, 2.0, 1, 8, "high"),
-        TrafficClass(2, 3.0, 1.0, 2, 4, "low"),
-    ]
-    nc3_classes = [
-        TrafficClass(1, 1.0, 2.0, 1, 8, "high"),
-        TrafficClass(2, 3.0, 1.0, 2, 4, "low", adaptive=True,
-                     downgraded_demand_blocks=1),
-    ]
-    from ranburst import transitions_nc3
-
-    assert transitions_nc1((2, 1), classes, 8) == transitions(
-        "NC1", (2, 1), build_dimensions("NC1", classes, 8), 8)
-    assert transitions_nc2((2, 3), nc2_classes, 8) == transitions(
-        "NC2", (2, 3), build_dimensions("NC2", nc2_classes, 8), 8)
-    assert transitions_nc3((1, 2, 3), nc3_classes, 8) == transitions(
-        "NC3", (1, 2, 3), build_dimensions("NC3", nc3_classes, 8), 8)
 
 
 def test_nc2_preemption_examples():
