@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .errors import NumericalError, StateSpaceLimitError
 from .traffic import (
@@ -23,6 +21,9 @@ from .traffic import (
     TrafficClass,
     transitions,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_STATE_LIMIT = 5_000_000
 
@@ -287,6 +288,8 @@ def build_generator(
     when it was compiled for these arguments, else from one walk over
     ``space.states``; the returned space carries the table used.
     """
+    import scipy.sparse as sp
+
     if space is None:
         space = enumerate_states(dims, capacity, limit=limit)
     table = _table_for(space, policy, dims, capacity)
@@ -327,6 +330,9 @@ def steady_state(q: sp.spmatrix, tol: float = 1e-10) -> np.ndarray:
     most ``tol`` and no state has mass below ``-tol``; if the incomplete
     factor gives none, the solve is repeated once with the complete factor.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = q.shape[0]
     if n == 1:
         return np.ones(1)
@@ -375,6 +381,8 @@ def steady_state(q: sp.spmatrix, tol: float = 1e-10) -> np.ndarray:
 # The Poisson weights of uniformization, computed as ``scipy.stats.poisson``
 # computes them (bit for bit) from ``scipy.special`` alone: importing
 # ``scipy.stats`` takes about a second, several times the rest of ranburst.
+# scipy is imported inside the functions that use it, so that a simulation
+# never loads it.
 
 
 def poisson_isf(eps: float, mean: float) -> int:
@@ -385,6 +393,8 @@ def poisson_isf(eps: float, mean: float) -> int:
     ``pdtrc(k, mean) <= eps`` would differ on some inputs: there ``1 - eps``
     rounds, and scipy's answer has a tail a little above ``eps``.
     """
+    from scipy.special import pdtr, pdtrik
+
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     q = 1.0 - eps
@@ -394,6 +404,8 @@ def poisson_isf(eps: float, mean: float) -> int:
 
 def poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
     """``poisson.pmf(k, mean)`` for integer ``k >= 0``."""
+    from scipy.special import gammaln, xlogy
+
     return np.clip(np.exp(xlogy(k, mean) - gammaln(k + 1) - mean), 0.0, 1.0)
 
 
@@ -405,28 +417,66 @@ def transient(
 ) -> np.ndarray:
     """State distribution at time ``t`` by uniformization.
 
-    Poisson-weighted sum of powers of the uniformized jump matrix, truncated
-    adaptively so the neglected probability mass is at most ``eps``.
+    Sums the Poisson-weighted powers ``v_k = pi0 P^k`` of the uniformized
+    jump matrix ``P = I + Q / lam``. The l1 error against ``pi0 exp(Q t)``
+    is at most ``eps * sum(pi0)`` (``pi0`` may be sub-stochastic), Poisson
+    tail plus cut:
+
+    * the Poisson tail beyond ``k_max = poisson_isf(eps, lam t) + 1`` is
+      dropped;
+    * the sum stops at the first step ``k`` whose iterates provably stop
+      moving. ``P`` is non-negative with rows summing to 1, so
+      ``d_k = |v_k - v_{k-1}|_1`` never grows and ``|v_{k+j} - v_k|_1 <=
+      j d_k``. Putting all the remaining Poisson mass on ``v_k`` therefore
+      moves the sum by at most ``d_k J_k``, where ``J_k`` is the remaining
+      mass times the expected number of remaining steps. The stop is taken
+      once ``d_k J_k`` fits in what the dropped tail leaves of ``eps``, or
+      once ``d_k`` is exactly 0: from there every later iterate is the same
+      array, so the stop changes only the order of the additions.
+
+    No stationary distribution is needed, and the cost follows the chain's
+    mixing time rather than ``lam t``.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    import scipy.sparse as sp
+
+    t = float(t)
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
+    n = q.shape[0]
     pi0 = np.asarray(pi0, dtype=float)
+    if pi0.shape != (n,):
+        raise ValueError(f"pi0 must have shape ({n},), got {pi0.shape}")
+    if not np.isfinite(pi0).all() or (pi0 < 0).any():
+        raise ValueError("pi0 must be finite and non-negative")
     rate = float(-q.diagonal().min())
     if t == 0 or rate == 0:
         return pi0.copy()
 
     lam = rate * 1.02  # small margin keeps the jump matrix strictly substochastic
     # Row vector times P is P^T times a column vector: one CSR mat-vec a step.
-    pt = (sp.eye(q.shape[0], format="csr") + q.tocsr() / lam).T.tocsr()
+    pt = (sp.eye(n, format="csr") + q.tocsr() / lam).T.tocsr()
     mean = lam * t
     k_max = poisson_isf(eps, mean) + 1
 
     weights = poisson_pmf(np.arange(k_max + 1), mean)
+    # tail[k]: Poisson mass from step k on; reach[k] = J_k = sum of tail[m]
+    # for m > k, both as sums of non-negative terms (no cancellation).
+    tail = np.cumsum(weights[::-1])[::-1]
+    reach = np.append(np.cumsum(tail[:0:-1])[::-1], 0.0)
+    neglected = max(0.0, 1.0 - float(weights.sum()))
+    budget = max(0.0, eps - neglected) * float(pi0.sum())
     out = weights[0] * pi0
+    scratch = np.empty_like(pi0)
     v = pi0
     for k in range(1, k_max + 1):
-        v = pt @ v
-        out += weights[k] * v
+        prev, v = v, pt @ v
+        np.subtract(v, prev, out=scratch)
+        if float(np.abs(scratch, out=scratch).sum()) * reach[k] <= budget:
+            np.multiply(v, tail[k], out=scratch)
+            out += scratch
+            return out
+        np.multiply(v, weights[k], out=scratch)
+        out += scratch
     return out
 
 

@@ -79,7 +79,7 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
 
 def _rate(value, where: str) -> float:
     """Rates may be numbers or fraction strings like '1/20'; they must be finite."""
-    if not isinstance(value, (int, float, str)):
+    if not isinstance(value, (int, float, str)) or isinstance(value, bool):
         raise ScenarioError(f"{where}: cannot parse rate {value!r}")
     try:
         rate = float(Fraction(value)) if isinstance(value, str) else float(value)
@@ -153,6 +153,8 @@ def scenario_from_dict(raw: dict, label_default: str = "") -> Scenario:
     if block is None:
         block = math.gcd(*demands_khz) if len(demands_khz) > 1 else demands_khz[0]
     block = _int(block, "radio")
+    if block <= 0:
+        raise ScenarioError(f"allocation block must be positive, got {block} kHz")
     for d in demands_khz:
         if d % block != 0:
             raise ScenarioError(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import ranburst.analytic as analytic
@@ -557,6 +558,146 @@ def test_transient_is_probability_vector():
         pt = transient(q, pi0, t, eps=1e-9)
         assert pt.min() > -1e-12
         assert pt.sum() == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("t", [float("inf"), float("nan"), -1.0])
+def test_transient_rejects_a_time_that_is_not_finite_and_non_negative(t):
+    _, q = pure_death_generator()
+    with pytest.raises(ValueError, match="time"):
+        transient(q, np.array([0.0, 1.0]), t)
+
+
+@pytest.mark.parametrize("pi0", [
+    [1.0], [0.0, 0.0, 1.0], [[0.0, 1.0]], [0.5, float("nan")], [0.5, float("inf")],
+    [1.5, -0.5],
+])
+def test_transient_rejects_a_malformed_initial_vector(pi0):
+    _, q = pure_death_generator()
+    with pytest.raises(ValueError, match="pi0"):
+        transient(q, np.array(pi0), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Stationarity cut of uniformization against the full Poisson sum
+# ---------------------------------------------------------------------------
+
+
+def full_poisson_sum(q, pi0, t, eps=1e-9):
+    """``transient`` as it was before the stationarity cut: every term of the
+    Poisson sum up to the truncation point."""
+    pi0 = np.asarray(pi0, dtype=float)
+    lam = float(-q.diagonal().min()) * 1.02
+    pt = (sp.eye(q.shape[0], format="csr") + q.tocsr() / lam).T.tocsr()
+    mean = lam * t
+    k_max = poisson_isf(eps, mean) + 1
+    weights = poisson_pmf(np.arange(k_max + 1), mean)
+    out = weights[0] * pi0
+    v = pi0
+    for k in range(1, k_max + 1):
+        v = pt @ v
+        out += weights[k] * v
+    return out
+
+
+@pytest.fixture(scope="module")
+def burst_chain():
+    """The burst chain of ``table2_nc3_lam20``, its steady state, and an
+    empty pool as the start."""
+    space, q = table2_nc3_burst_chain()
+    pi0 = np.zeros(len(space))
+    pi0[space.index[(0, 0, 0)]] = 1.0
+    return q, steady_state(q), pi0
+
+
+def count_matvecs(monkeypatch):
+    """Count the CSR matrix-vector products made from here on (through a
+    private scipy hook; a test that finds none fails rather than passes)."""
+    calls = []
+    real = sp.csr_matrix._matmul_vector
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(sp.csr_matrix, "_matmul_vector", counting)
+    return calls
+
+
+BENCHMARK_TIMES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+
+
+@pytest.mark.parametrize("t", BENCHMARK_TIMES)
+def test_cut_stays_within_eps_of_the_full_sum_on_the_burst_chain(burst_chain, t):
+    q, _, pi0 = burst_chain
+    eps = 1e-9
+    got = transient(q, pi0, t, eps=eps)
+    assert np.abs(got - full_poisson_sum(q, pi0, t, eps)).sum() <= eps
+    assert abs(got.sum() - 1.0) <= eps
+    assert got.min() >= 0.0
+
+
+def test_cut_follows_mixing_time_not_the_horizon(burst_chain, monkeypatch):
+    q, pi, pi0 = burst_chain
+    calls = count_matvecs(monkeypatch)
+    got = transient(q, pi0, 100.0)
+    # The full sum would take about 1.03e5 steps to reach t = 100 s.
+    assert 0 < len(calls) < 1000
+    assert np.abs(got - pi).sum() <= 2e-9
+
+
+def test_iterates_that_stop_moving_exactly_cut_without_a_budget(monkeypatch):
+    # On the NC2 burst chain at t = 100 s the computed Poisson weights sum to
+    # less than 1 - eps, so the dropped tail leaves no budget for the cut.
+    # The iterates still reach a fixed point of the floating-point mat-vec,
+    # after which every remaining term of the sum is the same array.
+    policy, dims, capacity = table2_burst_dims("table2_nc2_lam20")
+    space = reachable_states(policy, dims, capacity)
+    space, q = build_generator(policy, dims, capacity, space=space)
+    pi0 = np.zeros(len(space))
+    pi0[space.index[(0, 0)]] = 1.0
+    t, eps = 100.0, 1e-9
+    mean = float(-q.diagonal().min()) * 1.02 * t
+    weights = poisson_pmf(np.arange(poisson_isf(eps, mean) + 2), mean)
+    assert 1.0 - weights.sum() > eps
+    calls = count_matvecs(monkeypatch)
+    got = transient(q, pi0, t, eps=eps)
+    assert 0 < len(calls) < 1000  # the full sum takes about 1.05e5 steps
+    assert np.abs(got - full_poisson_sum(q, pi0, t, eps)).sum() <= 1e-12
+
+
+def nearly_decomposable_generator():
+    """Two blocks of two states: rate 100 inside a block, 1e-3 between."""
+    fast, slow = 100.0, 1e-3
+    rates = np.array([
+        [0.0, fast, slow, slow],
+        [fast, 0.0, slow, slow],
+        [slow, slow, 0.0, fast],
+        [slow, slow, fast, 0.0],
+    ])
+    return sp.csr_matrix(rates - np.diag(rates.sum(axis=1)))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-4])
+@pytest.mark.parametrize("t", [1.0, 100.0, 1000.0])
+def test_slow_drift_between_blocks_does_not_cut(t, eps):
+    # Each block mixes within a few steps; after that every step moves mass
+    # between the blocks by a little (d_k about 1e-5), but over many steps.
+    # The dense exponential of four states is the oracle: expm_multiply
+    # takes about 12 s at t = 1000 on this stiff chain.
+    q = nearly_decomposable_generator()
+    pi0 = np.array([1.0, 0.0, 0.0, 0.0])
+    got = transient(q, pi0, t, eps=eps)
+    assert np.abs(got - full_poisson_sum(q, pi0, t, eps)).sum() <= eps
+    assert np.abs(got - pi0 @ expm(q.toarray() * t)).sum() <= eps
+    assert abs(got.sum() - 1.0) <= eps
+
+
+def test_sub_stochastic_start_scales_the_result_and_the_budget(burst_chain):
+    q, _, pi0 = burst_chain
+    eps, mass = 1e-9, 0.25
+    got = transient(q, mass * pi0, 2.0, eps=eps)
+    assert np.abs(got - full_poisson_sum(q, mass * pi0, 2.0, eps)).sum() <= mass * eps
+    assert abs(got.sum() - mass) <= mass * eps
 
 
 def test_mean_counts_matches_occupancy():

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranburst import ScenarioError, kaufman_roberts, run_experiment
 from ranburst.cli import (
@@ -21,7 +26,7 @@ from ranburst.cli import (
     scenario_from_dict,
     write_trajectory_csv,
 )
-from ranburst.simulator import Event, TrajectoryRecord
+from ranburst.simulator import MAX_BATCH_SIZE, MAX_GRID_POINTS, Event, TrajectoryRecord
 from ranburst.traffic import (
     ARRIVAL_ACCEPTED,
     ARRIVAL_DOWNGRADED,
@@ -412,6 +417,201 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # Only the analytic solvers need scipy; they import it when called.
+    code = (
+        "import ranburst.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Scenario fuzz: a malformed mapping ends in ScenarioError and exit code 2
+# ---------------------------------------------------------------------------
+
+
+def full_dict():
+    """``demo_nc3_small`` with every optional key given a valid value."""
+    raw = demo_dict(time_scale=1.0, early_stop_at_goose_cap=False,
+                    initial_counts=[0, 0, 0], figure="f")
+    raw["radio"].update(block_khz=360, guard_overhead_khz=0)
+    raw["classes"][0]["adaptive"] = False
+    raw["classes"][1]["downgraded_service_rate"] = 0.5
+    raw["injection"]["poisson_rate"] = 0.0
+    return raw
+
+
+CLASS_NUMBERS = ("id", "arrival_rate", "service_rate", "demand_khz", "max_sessions")
+REQUIRED = [
+    ("policy",), ("radio",), ("classes",), ("horizon_ms",),
+    ("radio", "channel_bandwidth_khz"), ("radio", "beta"), ("radio", "num_prbs"),
+    *[("classes", i, key) for i in (0, 1) for key in CLASS_NUMBERS],
+    ("classes", 1, "downgraded_demand_khz"), ("injection", "mode"),
+    ("injection", "t_inject_ms"),
+]
+MAPPINGS = [(), ("radio",), ("classes", 0), ("classes", 1), ("injection",)]
+NUMBERS = [
+    ("horizon_ms",), ("grid_ms",), ("time_scale",), ("replications",), ("base_seed",),
+    ("radio", "channel_bandwidth_khz"), ("radio", "beta"), ("radio", "num_prbs"),
+    ("radio", "block_khz"), ("radio", "guard_overhead_khz"),
+    *[("classes", i, key) for i in (0, 1) for key in CLASS_NUMBERS],
+    ("classes", 1, "downgraded_demand_khz"), ("classes", 1, "downgraded_service_rate"),
+    ("injection", "t_inject_ms"), ("injection", "batch_size"),
+    ("injection", "poisson_rate"), ("initial_counts", 1),
+]
+FLAGS = [("early_stop_at_goose_cap",), ("classes", 0, "adaptive"), ("classes", 1, "adaptive")]
+NAMES = [("policy",), ("warmup",), ("classes", 0, "priority"), ("classes", 1, "priority"),
+         ("injection", "mode")]
+CONTAINERS = [("radio",), ("classes", 0), ("classes", 1), ("injection",)]
+
+
+def _parses_as_number(text: str) -> bool:
+    for parse in (float, Fraction):
+        try:
+            parse(text)
+            return True
+        except (ValueError, ZeroDivisionError):
+            pass
+    return False
+
+
+printable = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+numbers = st.one_of(st.integers(-10**6, 10**6), st.floats(allow_nan=False, width=32))
+containers = st.one_of(st.lists(numbers, max_size=2),
+                       st.dictionaries(printable, numbers, max_size=2))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+# Values of the right type that no valid scenario of this shape can hold
+# (horizon 3000 ms, injection at 1000 ms, 360 kHz blocks, three dimensions).
+OUT_OF_RANGE = {
+    ("horizon_ms",): st.one_of(non_finite, finite.filter(lambda x: x <= 1000)),
+    ("grid_ms",): st.one_of(non_finite, finite.filter(lambda x: x <= 3000 / MAX_GRID_POINTS)),
+    ("time_scale",): st.one_of(non_finite, finite.filter(lambda x: x <= 0)),
+    ("replications",): st.integers(max_value=0),
+    ("radio", "beta"): st.integers().filter(lambda b: not 0 <= b <= 4),
+    ("radio", "block_khz"): st.integers().filter(lambda b: b <= 0 or 360 % b),
+    ("classes", 0, "arrival_rate"): st.one_of(non_finite, finite.filter(lambda x: x < 0)),
+    ("classes", 1, "service_rate"): st.one_of(non_finite, finite.filter(lambda x: x <= 0)),
+    ("classes", 0, "demand_khz"): st.integers().filter(lambda d: d <= 0 or d % 360),
+    ("classes", 1, "max_sessions"): st.integers(max_value=0),
+    ("classes", 1, "priority"): printable.filter(lambda p: p not in ("high", "low", "none")),
+    ("injection", "t_inject_ms"): st.one_of(non_finite, finite.filter(lambda x: x < 0),
+                                            finite.filter(lambda x: x >= 3000)),
+    ("injection", "batch_size"): st.one_of(st.integers(max_value=-1),
+                                           st.integers(min_value=MAX_BATCH_SIZE + 1)),
+    ("initial_counts",): st.lists(st.integers(0, 3), max_size=5).filter(lambda c: len(c) != 3),
+}
+
+
+def _deleted(path):
+    def edit(raw):
+        for key in path[:-1]:
+            raw = raw[key]
+        del raw[path[-1]]
+    return edit
+
+
+def _added(path, key):
+    return lambda raw: _set(raw, (*path, key), 1)
+
+
+def _replaced(path, value):
+    return lambda raw: _set(raw, path, value)
+
+
+unknown_keys = st.one_of(printable.map(lambda s: "zz" + s), st.integers())
+MALFORMED_EDITS = {
+    "missing key": st.sampled_from(REQUIRED).map(_deleted),
+    "unknown key": st.builds(_added, st.sampled_from(MAPPINGS), unknown_keys),
+    "number as text or container": st.builds(
+        _replaced, st.sampled_from(NUMBERS),
+        st.one_of(containers, printable.filter(lambda s: not _parses_as_number(s)))),
+    "number as boolean": st.builds(_replaced, st.sampled_from(NUMBERS), st.booleans()),
+    "flag not a boolean": st.builds(_replaced, st.sampled_from(FLAGS),
+                                    st.one_of(numbers, printable, containers)),
+    "name not a string": st.builds(_replaced, st.sampled_from(NAMES),
+                                   st.one_of(numbers, containers)),
+    "mapping not a mapping": st.builds(_replaced, st.sampled_from(CONTAINERS),
+                                       st.one_of(numbers, printable, st.lists(numbers))),
+    "classes not a list": st.builds(_replaced, st.just(("classes",)),
+                                    st.one_of(numbers, printable, st.just([]))),
+    **{
+        f"{'.'.join(map(str, path))} out of range": values.map(
+            lambda value, path=path: _replaced(path, value))
+        for path, values in OUT_OF_RANGE.items()
+    },
+}
+FUZZ = settings(max_examples=30, derandomize=True, database=None, deadline=None)
+
+
+def _exit_code(raw, directory) -> tuple[int, str]:
+    path = directory / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--scenario", str(path), "--out", str(directory / "out")])
+    return code, err.getvalue()
+
+
+def test_full_fuzz_base_is_a_valid_scenario():
+    scenario_from_dict(full_dict())
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_EDITS))
+@FUZZ
+@given(data=st.data())
+def test_malformed_mapping_is_a_validation_error(tmp_path_factory, kind, data):
+    raw = full_dict()
+    data.draw(MALFORMED_EDITS[kind])(raw)
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(raw)
+    code, err = _exit_code(raw, tmp_path_factory.mktemp("fuzz"))
+    assert code == EXIT_VALIDATION
+    assert json.loads(err)["error"] == "validation"
+
+
+def _paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+ANY_PATH = list(_paths(full_dict()))
+anything = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), printable),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(printable, inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@settings(FUZZ, max_examples=200)
+@given(edits=st.lists(st.tuples(st.sampled_from(ANY_PATH), anything), min_size=1, max_size=3))
+def test_any_value_anywhere_loads_or_is_a_validation_error(tmp_path_factory, edits):
+    raw = full_dict()
+    for path, value in edits:
+        # An earlier edit may have replaced a container on this path.
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            _set(raw, path, value)
+    try:
+        scenario_from_dict(raw)
+    except ScenarioError:
+        code, err = _exit_code(raw, tmp_path_factory.mktemp("fuzz"))
+        assert code == EXIT_VALIDATION
+        assert json.loads(err)["error"] == "validation"
 
 
 # ---------------------------------------------------------------------------
