@@ -1,24 +1,33 @@
 """Exact and numerical solutions used as oracles and for steady-state reports.
 
 Contains the Kaufman-Roberts occupancy recursion (valid for the non-priority
-pool), generator-matrix assembly for all three policies from one compiled arc
-table, a preconditioned Krylov steady-state solve, and transient
-probabilities by uniformization.
+pool), the chain compiler, generator-matrix assembly for all three policies
+from one compiled arc table, a preconditioned Krylov steady-state solve, and
+transient probabilities by uniformization.
+
+The chain compiler resolves the arcs of a whole array of states at once, one
+slot of :func:`ranburst.traffic.transitions` at a time, with the array form
+of the admission rule (:func:`ranburst.traffic.arrival_outcomes`).
+``transitions`` stays the per-state specification and is not called here;
+it is still imported under its name, which the benchmark's tracer
+(``perfbench/tracer.py``) wraps to count per-state calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError, StateSpaceLimitError
-from .traffic import (
-    ARRIVAL_REJECTED,
+from .traffic import (  # noqa: F401  (``transitions``: see the module docstring)
     Dimension,
     TrafficClass,
+    arrival_outcomes,
+    feasible,
     transitions,
 )
 
@@ -26,6 +35,9 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 DEFAULT_STATE_LIMIT = 5_000_000
+# States expanded per step of the chain search: bounds the arrays of one
+# step and how far the search can pass its state limit before it stops.
+FRONTIER_CHUNK = 1 << 14
 
 # Steady state: incomplete LU (minimum-degree ordering of A^T + A) as the
 # preconditioner of restarted GMRES; the complete factor is the fallback.
@@ -133,58 +145,92 @@ def _state_rows(space: StateSpace) -> np.ndarray:
     return np.array(space.states, dtype=np.int64).reshape(len(space), len(space.dims))
 
 
-def _compile(
+def _state_keys(dims: list[Dimension], capacity: int, rows: np.ndarray):
+    """A function from state rows to one exact, hashable key per row.
+
+    It is exact on ``rows`` and on every arc target out of them. A state in
+    the box ``0 <= c_d < r_d``, ``r_d = min(max_sessions, C // demand) + 1``,
+    which holds every feasible state, is keyed by its mixed-radix number in
+    the box when ``rows`` lie in it and the box has fewer than ``2**63``
+    points; the policy rule and departures never lead out of the box.
+    Otherwise a state is keyed by the bytes of its row.
+    """
+    radix = [min(d.max_sessions, capacity // d.demand_blocks) + 1 for d in dims]
+    if math.prod(radix) < 2**63 and ((rows >= 0) & (rows < radix)).all():
+        weights = np.array([math.prod(radix[i + 1:]) for i in range(len(radix))],
+                           dtype=np.int64)
+        return lambda block: block @ weights
+    return lambda block: np.ascontiguousarray(block, dtype=np.int64).view(
+        np.dtype((np.void, 8 * len(dims)))).ravel()
+
+
+def _admission_rays(
+    dims: list[Dimension], capacity: int, rows: np.ndarray, limit: int
+) -> np.ndarray:
+    """States reachable from ``rows`` by repeated direct admissions.
+
+    For each dimension ``d`` with arrivals and each row with no session of
+    ``d``, the rows with 1, 2, ... sessions of ``d`` up to the last that
+    fits: every policy admits an arrival that fits directly. A chain search
+    that adds them at once walks a long line of states in one step instead
+    of one per state. The rays of one dimension are distinct states, so
+    more than ``limit`` of them raise :class:`StateSpaceLimitError` before
+    they are built.
+    """
+    demand = np.array([d.demand_blocks for d in dims], dtype=np.int64)
+    free = capacity - rows @ demand
+    rays = [np.empty((0, len(dims)), dtype=np.int64)]
+    for d in dims:
+        if d.arrival_rate <= 0:
+            continue
+        base = rows[:, d.index] == 0
+        length = np.minimum(d.max_sessions, free[base] // d.demand_blocks)
+        if length.sum() > limit:
+            raise StateSpaceLimitError(int(length.sum()), limit)
+        ray = np.repeat(rows[base], length, axis=0)
+        starts = np.cumsum(length) - length
+        ray[:, d.index] = np.arange(1, len(ray) + 1) - np.repeat(starts, length)
+        rays.append(ray)
+    return np.concatenate(rays)
+
+
+def _compile_rows(
     policy: str,
     dims: list[Dimension],
     capacity: int,
-    states: list[tuple[int, ...]],
-    index: dict[tuple[int, ...], int],
-    limit: int | None = None,
-) -> ChainTable:
-    """Walk ``states`` once, recording every arc in ``transitions`` order.
+    rows: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Every arc out of each row of ``rows``, ordered by row, then slot.
 
-    With ``limit=None`` the states are fixed and an arc into a state outside
-    ``index`` raises ``KeyError``. Otherwise each new target is appended to
-    ``states`` and ``index`` (and walked in turn) while at most ``limit``
-    states are known.
+    Returns ``(source, target, rate, rejected, slot)``: ``source`` indexes
+    ``rows``, ``target`` holds the arcs' target rows (a rejected arrival's
+    is its source row), and the rest are as in :class:`ChainTable`. Each
+    slot of :func:`~ranburst.traffic.transitions` is resolved for all rows
+    at once: the arrival of each dimension with a positive arrival rate, in
+    dimension order, then the departure of each occupied dimension.
     """
-    source: list[int] = []
-    target: list[int] = []
-    rate: list[float] = []
-    rejected: list[int] = []
-    slot: list[int] = []
-    i = 0
-    while i < len(states):
-        for k, tr in enumerate(transitions(policy, states[i], dims, capacity)):
-            if tr.kind == ARRIVAL_REJECTED:
-                j, code = i, tr.dim
-            else:
-                code = -1
-                j = index.get(tr.target)
-                if j is None:
-                    if limit is None:
-                        raise KeyError(tr.target)
-                    if len(states) >= limit:
-                        raise StateSpaceLimitError(len(states) + 1, limit)
-                    j = index[tr.target] = len(states)
-                    states.append(tr.target)
-            source.append(i)
-            target.append(j)
-            rate.append(tr.rate)
-            rejected.append(code)
-            slot.append(k)
-        i += 1
-    return ChainTable(
-        policy=policy,
-        dims=tuple(dims),
-        capacity=capacity,
-        counts=np.array(states, dtype=np.int64).reshape(len(states), len(dims)),
-        source=np.array(source, dtype=np.intp),
-        target=np.array(target, dtype=np.intp),
-        rate=np.array(rate, dtype=float),
-        rejected=np.array(rejected, dtype=np.intp),
-        slot=np.array(slot, dtype=np.intp),
-    )
+    m, n = rows.shape
+    arriving = [d for d in dims if d.arrival_rate > 0]
+    # One column per slot kind: each arrival, then each departure. A state
+    # has an arc of each kind but the departures of its empty dimensions,
+    # and its slots number its arcs in column order.
+    a = len(arriving)
+    target = np.empty((m, a + n, n), dtype=np.int64)
+    rate = np.empty((m, a + n))
+    rejected = np.full((m, a + n), -1, dtype=np.intp)
+    present = np.ones((m, a + n), dtype=bool)
+    for k, d in enumerate(arriving):
+        out = arrival_outcomes(policy, rows, d.index, dims, capacity)
+        target[:, k] = out.target
+        rate[:, k] = d.arrival_rate
+        rejected[out.rejected, k] = d.index
+    target[:, a:] = rows[:, None, :] - np.eye(n, dtype=np.int64)
+    rate[:, a:] = rows * np.array([d.service_rate for d in dims])
+    present[:, a:] = rows > 0
+    slot = np.cumsum(present, axis=1) - 1
+    source = np.nonzero(present)[0]
+    return (source, target.reshape(-1, n)[present.ravel()], rate[present],
+            rejected[present], slot[present])
 
 
 def _table_for(space: StateSpace, policy: str, dims, capacity: int) -> ChainTable:
@@ -192,18 +238,40 @@ def _table_for(space: StateSpace, policy: str, dims, capacity: int) -> ChainTabl
     a fresh compile over ``space.states``."""
     if space.table is not None and space.table.compiled_for(policy, dims, capacity):
         return space.table
-    return _compile(policy, list(dims), capacity, space.states, space.index)
+    dims = list(dims)
+    counts = _state_rows(space)
+    source, target_rows, rate, rejected, slot = _compile_rows(
+        policy, dims, capacity, counts)
+    key = _state_keys(dims, capacity, counts)
+    index = dict(zip(key(counts).tolist(), range(len(counts))))
+    moves = rejected < 0
+    ids = np.fromiter(map(index.get, key(target_rows[moves]).tolist(), repeat(-1)),
+                      dtype=np.intp, count=int(np.count_nonzero(moves)))
+    if (ids < 0).any():
+        raise KeyError(tuple(target_rows[moves][np.argmax(ids < 0)].tolist()))
+    target = source.copy()
+    target[moves] = ids
+    return ChainTable(policy=policy, dims=tuple(dims), capacity=capacity, counts=counts,
+                      source=source, target=target, rate=rate, rejected=rejected, slot=slot)
 
 
 def _count_feasible(dims: list[Dimension], capacity: int) -> int:
-    def rec(i: int, free: int) -> int:
-        if i == len(dims):
-            return 1
-        d = dims[i]
-        top = min(d.max_sessions, free // d.demand_blocks)
-        return sum(rec(i + 1, free - k * d.demand_blocks) for k in range(top + 1))
-
-    return rec(0, capacity)
+    """Number of feasible states, by dynamic programming over (dimension,
+    free blocks) in exact integers."""
+    # ways[f]: feasible counts of the dimensions after the current one that
+    # fit in f free blocks.
+    ways = [1] * (capacity + 1)
+    for d in reversed(dims):
+        step = d.demand_blocks
+        # reach[f] = sum of ways[f - k * step] over every k >= 0 with
+        # f - k * step >= 0; the session cap then cuts off k > max_sessions.
+        reach = ways[:]
+        for f in range(step, capacity + 1):
+            reach[f] += reach[f - step]
+        span = (d.max_sessions + 1) * step
+        ways = [reach[f] - reach[f - span] if f >= span else reach[f]
+                for f in range(capacity + 1)]
+    return ways[capacity]
 
 
 def enumerate_states(
@@ -245,30 +313,75 @@ def reachable_states(
 
     Needed when some dimension has no arrival stream (its states would be
     transient or unreachable and make the balance system singular). The
-    search calls ``transitions`` once per state, and the arcs it sees become
-    the returned space's ``table``.
+    search is breadth first: it resolves every arc of a whole frontier of
+    states at once (:func:`_compile_rows`), and the arcs it sees become the
+    returned space's ``table``. Each step also adds the states that repeated
+    direct admissions reach (:func:`_admission_rays`), so a long line of
+    states costs one step. It raises :class:`StateSpaceLimitError` once it
+    has found more than ``limit`` states, and ``ValueError`` when ``start``
+    does not give one count per dimension or is not feasible.
     """
+    dims = list(dims)
     if start is None:
         start = tuple(0 for _ in dims)
-    found = [start]
-    table = _compile(policy, dims, capacity, found, {start: 0}, limit=limit)
-    # Number the states in sorted order and keep the arcs ordered by source.
-    order = np.lexsort(table.counts.T[::-1])
+    if len(start) != len(dims):
+        raise ValueError(f"start {tuple(start)} has {len(start)} counts for "
+                         f"{len(dims)} dimensions")
+    if not feasible(tuple(start), dims, capacity):
+        raise ValueError(f"start {tuple(start)} is not a feasible state")
+    first = np.array([start], dtype=np.int64).reshape(1, len(dims))
+    key = _state_keys(dims, capacity, first)
+    index = dict.fromkeys(key(first).tolist(), 0)  # state key -> number
+    found = [first]  # blocks of states in the order they were numbered
+    arcs = []
+    expanded = 0
+    for block in found:  # grows while it is walked
+        for lo in range(0, len(block), FRONTIER_CHUNK):
+            frontier = block[lo:lo + FRONTIER_CHUNK]
+            source, target_rows, rate, rejected, slot = _compile_rows(
+                policy, dims, capacity, frontier)
+            source += expanded
+            target = source.copy()
+            moves = rejected < 0
+            target_rows = np.concatenate(
+                (target_rows[moves], _admission_rays(dims, capacity, frontier, limit)))
+            keys, at, inverse = np.unique(key(target_rows), return_index=True,
+                                          return_inverse=True)
+            ids = np.fromiter(map(index.get, keys.tolist(), repeat(-1)), dtype=np.intp,
+                              count=len(keys))
+            new = np.flatnonzero(ids < 0)
+            if len(new):
+                known = len(index)
+                if known + len(new) > limit:
+                    raise StateSpaceLimitError(known + len(new), limit)
+                ids[new] = np.arange(known, known + len(new))
+                index.update(zip(keys[new].tolist(), ids[new].tolist()))
+                found.append(target_rows[at[new]])
+            target[moves] = ids[inverse.ravel()[:np.count_nonzero(moves)]]
+            arcs.append((source, target, rate, rejected, slot))
+            expanded += len(frontier)
+    counts = np.concatenate(found)
+    source, target, rate, rejected, slot = (np.concatenate(col) for col in zip(*arcs))
+    # Number the states in sorted order; arcs stay ordered by source.
+    order = np.lexsort(counts.T[::-1])
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    source = rank[table.source]
+    counts = counts[order]
+    source = rank[source]
     arcs = np.argsort(source, kind="stable")
-    table = replace(
-        table,
-        counts=table.counts[order],
+    table = ChainTable(
+        policy=policy,
+        dims=tuple(dims),
+        capacity=capacity,
+        counts=counts,
         source=source[arcs],
-        target=rank[table.target][arcs],
-        rate=table.rate[arcs],
-        rejected=table.rejected[arcs],
-        slot=table.slot[arcs],
+        target=rank[target][arcs],
+        rate=rate[arcs],
+        rejected=rejected[arcs],
+        slot=slot[arcs],
     )
-    states = [found[i] for i in order.tolist()]
-    index = {s: i for i, s in enumerate(states)}
+    states = list(map(tuple, counts.tolist()))
+    index = dict(zip(states, range(len(states))))
     return StateSpace(states=states, index=index, dims=tuple(dims), capacity=capacity,
                       table=table)
 

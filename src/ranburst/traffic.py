@@ -17,11 +17,18 @@ Three admission policies over one block pool of capacity ``C``:
 States are plain tuples of per-dimension session counts. Sessions within a
 dimension are exchangeable (memoryless holding times), so counts fully
 determine the chain and no victim identity is tracked.
+
+:func:`arrival_outcome` states the admission rule for one state and is the
+specification; :func:`arrival_outcomes` resolves it for an array of states
+at once, with the least downgrade and discard counts in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 POLICIES = ("NC1", "NC2", "NC3")
 
@@ -268,6 +275,96 @@ def arrival_outcome(
             return Transition(target, rate, ARRIVAL_DOWNGRADED, dim, downgraded=1)
 
     return Transition(counts, rate, ARRIVAL_REJECTED, dim)
+
+
+class ArrivalOutcomes(NamedTuple):
+    """:func:`arrival_outcome` for each row of a state array.
+
+    ``target[i]`` is the state an arrival at row ``i`` leads to (the row
+    itself when ``rejected[i]``); ``downgraded[i]`` and ``discarded[i]``
+    count sessions as :class:`Transition` does.
+    """
+
+    target: np.ndarray
+    rejected: np.ndarray
+    downgraded: np.ndarray
+    discarded: np.ndarray
+
+
+def _ceil_div(a: np.ndarray, b) -> np.ndarray:
+    return -(-a // b)
+
+
+def arrival_outcomes(
+    policy: str,
+    counts: np.ndarray,
+    dim: int,
+    dims: list[Dimension],
+    capacity: int,
+) -> ArrivalOutcomes:
+    """Resolve an arrival of dimension ``dim`` at every row of ``counts``.
+
+    The array form of :func:`arrival_outcome`, for an ``(m, len(dims))``
+    int array of feasible states. Its cascade probes become closed forms,
+    each the least count that meets the capacity and the session caps,
+    with ``occ`` the occupied blocks, ``d`` the demands and ``cap`` the
+    caps:
+
+    * NC2 priority: discard ``max(1, ceil((occ + d0 - C) / d1))``
+      low-priority sessions, if there are that many and ``n0 + 1 <= cap0``.
+    * NC3 priority: downgrade ``k = max(1, ceil((occ + d0 - C) / (d1 - d2)))``
+      full-rate sessions, if there are that many and ``n_down + k <= cap2``;
+      otherwise downgrade all of them and discard ``max(1, pool - cap2,
+      ceil(((n0 + 1) d0 + pool d2 - C) / d2))`` of the ``pool = n_full +
+      n_down`` video sessions, if there are that many. Either needs
+      ``n0 + 1 <= cap0``.
+    * NC3 video: a blocked arrival is admitted downgraded when
+      ``(n0, n1, n2 + 1)`` is feasible.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    demand = np.array([d.demand_blocks for d in dims], dtype=np.int64)
+    cap = np.array([d.max_sessions for d in dims], dtype=np.int64)
+    occ = counts @ demand
+    rejected = (counts[:, dim] >= cap[dim]) | (occ + demand[dim] > capacity)
+    target = counts.copy()
+    target[:, dim] += ~rejected
+    downgraded = np.zeros(len(counts), dtype=np.int64)
+    discarded = np.zeros(len(counts), dtype=np.int64)
+
+    if policy == "NC2" and dim == 0:
+        n0, n1 = counts.T
+        k = np.maximum(1, _ceil_div(occ + demand[0] - capacity, demand[1]))
+        cut = rejected & (n0 < cap[0]) & (k <= n1)
+        discarded = np.where(cut, k, 0)
+        target[:, 0] += cut
+        target[:, 1] -= discarded
+        rejected &= ~cut
+
+    elif policy == "NC3" and dim == 0:
+        n0, n_full, n_down = counts.T
+        d0, d1, d2 = demand
+        blocked = rejected & (n0 < cap[0])
+        k = np.maximum(1, _ceil_div(occ + d0 - capacity, d1 - d2))
+        down = blocked & (k <= n_full) & (n_down + k <= cap[2])
+        pool = n_full + n_down
+        j = np.maximum(np.maximum(1, pool - cap[2]),
+                       _ceil_div((n0 + 1) * d0 + pool * d2 - capacity, d2))
+        cut = blocked & ~down & (j <= pool)
+        downgraded = np.where(down, k, np.where(cut, n_full, 0))
+        discarded = np.where(cut, j, 0)
+        admitted = down | cut
+        target[:, 0] += admitted
+        target[:, 1] -= downgraded
+        target[:, 2] += downgraded - discarded
+        rejected &= ~admitted
+
+    elif policy == "NC3" and dim == 1:
+        down = rejected & (counts[:, 2] < cap[2]) & (occ + demand[2] <= capacity)
+        downgraded = down.astype(np.int64)
+        target[:, 2] += down
+        rejected &= ~down
+
+    return ArrivalOutcomes(target, rejected, downgraded, discarded)
 
 
 def transitions(

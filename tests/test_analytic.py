@@ -1,3 +1,6 @@
+import itertools
+import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import ranburst.analytic as analytic
+import ranburst.traffic as traffic
 from ranburst import (
     NumericalError,
     StateSpaceLimitError,
@@ -149,6 +153,34 @@ def test_enumeration_cap_raises_with_size():
     with pytest.raises(StateSpaceLimitError) as err:
         enumerate_states(dims, 62, limit=1000)
     assert err.value.size > 1000
+
+
+def test_oversized_enumeration_raises_at_once():
+    # About 1.1e11 states: counting them one by one would not end.
+    classes = [TrafficClass(i, 1.0, 1.0, 1, 200) for i in range(1, 7)]
+    dims = build_dimensions("NC1", classes, 200)
+    t0 = time.perf_counter()
+    with pytest.raises(StateSpaceLimitError) as err:
+        enumerate_states(dims, 200)
+    assert time.perf_counter() - t0 < 1.0
+    assert err.value.size == math.comb(206, 6)  # non-negative 6-tuples summing to <= 200
+
+
+@pytest.mark.parametrize("policy", ["NC1", "NC2", "NC3"])
+@pytest.mark.parametrize("capacity", [1, 7, 13])
+def test_state_count_equals_the_enumeration(policy, capacity):
+    if policy == "NC1":
+        classes = [TrafficClass(1, 1.0, 1.0, 1, 5), TrafficClass(2, 1.0, 1.0, 3, 9),
+                   TrafficClass(3, 1.0, 1.0, 2, 2)]
+    else:
+        classes = [TrafficClass(1, 1.0, 1.0, 2, 4, "high"),
+                   TrafficClass(2, 1.0, 1.0, 3, 3, "low", adaptive=policy == "NC3",
+                                downgraded_demand_blocks=1 if policy == "NC3" else None)]
+    dims = build_dimensions(policy, classes, capacity)
+    boxes = [range(d.max_sessions + 1) for d in dims]
+    brute = sum(occupied(c, dims) <= capacity for c in itertools.product(*boxes))
+    assert analytic._count_feasible(dims, capacity) == brute == len(
+        enumerate_states(dims, capacity))
 
 
 def test_nc2_preemption_arc_in_generator():
@@ -440,6 +472,7 @@ def test_compiled_generator_on_an_enumerated_space():
     assert space.table is None
     compiled, q = build_generator(policy, dims, capacity, space=space)
     assert compiled == space and compiled.table.compiled_for(policy, dims, capacity)
+    assert_same_table(compiled.table, per_state_table(policy, dims, capacity, space.states))
     assert_same_matrix(q, per_state_generator(policy, dims, capacity, space))
     _, q_default = build_generator(policy, dims, capacity)
     assert_same_matrix(q_default, q)
@@ -462,18 +495,120 @@ def test_space_compiled_for_other_arguments_is_compiled_afresh():
                 == blocking_from_generator(policy, fresh, pi))
 
 
-def test_burst_chain_walks_each_reachable_state_once(monkeypatch):
-    walked = []
+def test_compiling_the_burst_chain_resolves_no_state_one_at_a_time(monkeypatch):
+    def per_state(*args, **kwargs):
+        raise AssertionError("the chain compiler resolved one state at a time")
 
-    def counted(policy, state, *args):
-        walked.append(state)
-        return transitions(policy, state, *args)
-
-    monkeypatch.setattr(analytic, "transitions", counted)
+    for module in (traffic, analytic):
+        monkeypatch.setattr(module, "transitions", per_state)
+    monkeypatch.setattr(traffic, "arrival_outcome", per_state)
     space, q = table2_nc3_burst_chain()
     blocking_from_generator("NC3", space, np.full(len(space), 1 / len(space)))
-    assert len(walked) == len(space) == 22_352
-    assert set(walked) == set(space.states)
+    build_generator("NC3", list(space.dims), space.capacity,
+                    space=replace(space, table=None))
+    assert len(space) == 22_352
+
+
+def per_state_table(policy, dims, capacity, states):
+    """The per-state walk the chain compiler replaced: ``transitions`` for
+    each state of ``states`` in order, every arc recorded in slot order."""
+    index = {s: i for i, s in enumerate(states)}
+    columns = ([], [], [], [], [])
+    for i, state in enumerate(states):
+        for k, tr in enumerate(transitions(policy, state, dims, capacity)):
+            rejected = tr.kind == ARRIVAL_REJECTED
+            arc = (i, i if rejected else index[tr.target], tr.rate,
+                   tr.dim if rejected else -1, k)
+            for column, value in zip(columns, arc):
+                column.append(value)
+    source, target, rate, rejected, slot = columns
+    return {
+        "counts": np.array(states, dtype=np.int64).reshape(len(states), len(dims)),
+        "source": np.array(source, dtype=np.intp),
+        "target": np.array(target, dtype=np.intp),
+        "rate": np.array(rate, dtype=float),
+        "rejected": np.array(rejected, dtype=np.intp),
+        "slot": np.array(slot, dtype=np.intp),
+    }
+
+
+def assert_same_table(table, expected):
+    for name, column in expected.items():
+        got = getattr(table, name)
+        assert got.dtype == column.dtype, name
+        assert np.array_equal(got, column), name
+
+
+TABLE2 = [f"table2_nc{p}_lam{lam}" for p in (1, 2, 3) for lam in (10, 20, 40)]
+
+
+@pytest.mark.parametrize("name", TABLE2)
+def test_compiled_burst_chain_equals_the_per_state_walk(name):
+    policy, dims, capacity = table2_burst_dims(name)
+    space = reachable_states(policy, dims, capacity)
+    states = per_state_reachable(policy, dims, capacity)
+    assert space.states == states
+    assert_same_table(space.table, per_state_table(policy, dims, capacity, states))
+
+
+def test_state_keys_stay_exact_beyond_int64():
+    # Mixed-radix keys over these 20 dimensions would need 10_001**20 values;
+    # only the first dimension has arrivals, so 10_001 states are reachable.
+    classes = [TrafficClass(i, 1.0 if i == 1 else 0.0, 1.0, 1, 10_000)
+               for i in range(1, 21)]
+    dims = build_dimensions("NC1", classes, 10_000)
+    space = reachable_states("NC1", dims, 10_000)
+    assert len(space) == 10_001
+    assert space.states == [(k,) + (0,) * 19 for k in range(10_001)]
+    key = analytic._state_keys(dims, 10_000, space.table.counts)
+    assert key(space.table.counts).dtype.kind == "V"  # bytes, not int64 keys
+    assert_same_table(space.table, per_state_table("NC1", dims, 10_000, space.states))
+
+
+def test_a_frontier_larger_than_a_search_step_is_expanded_in_parts():
+    # The first step finds the whole line, which the next steps expand in
+    # FRONTIER_CHUNK parts.
+    capacity = 2 * analytic.FRONTIER_CHUNK + 7
+    dims = build_dimensions("NC1", [TrafficClass(1, 1.0, 1.0, 1, capacity)], capacity)
+    space = reachable_states("NC1", dims, capacity)
+    assert space.states == [(k,) for k in range(capacity + 1)]
+    assert_same_table(space.table, per_state_table("NC1", dims, capacity, space.states))
+
+
+def test_reachable_states_rejects_a_bad_start():
+    dims = build_dimensions("NC3", table2_classes("NC3"), 62)
+    for start, match in (((0, 0), "3 dimensions"), ((0, 0, 0, 0), "3 dimensions"),
+                         ((100, 0, 0), "not a feasible"), ((-1, 0, 0), "not a feasible"),
+                         ((0, 32, 0), "not a feasible")):
+        with pytest.raises(ValueError, match=match):
+            reachable_states("NC3", dims, 62, start=start)
+    space = reachable_states("NC3", dims, 62, start=(3, 5, 2))
+    assert (3, 5, 2) in space.index
+    assert all(s[0] <= 3 for s in space.states)  # no priority arrivals
+
+
+def test_reachable_states_stops_at_its_limit():
+    policy, dims, capacity = table2_burst_dims()
+    with pytest.raises(StateSpaceLimitError) as err:
+        reachable_states(policy, dims, capacity, limit=1000)
+    assert err.value.limit == 1000 and err.value.size > 1000
+    assert len(reachable_states(policy, dims, capacity, limit=22_352)) == 22_352
+
+
+def test_rays_past_the_limit_raise_before_they_are_built():
+    classes = [TrafficClass(i, 1.0, 1.0, 1, 10**6) for i in (1, 2)]
+    dims = build_dimensions("NC1", classes, 10**6)
+    with pytest.raises(StateSpaceLimitError) as err:
+        reachable_states("NC1", dims, 10**6, limit=100_000)
+    assert err.value.size == 10**6
+
+
+def test_fixed_space_without_an_arc_target_raises_key_error():
+    dims = build_dimensions("NC3", table2_classes("NC3"), 62)
+    video_only = reachable_states("NC3", dims, 62)  # no priority arrivals
+    offered = [replace(dims[0], arrival_rate=1.0), *dims[1:]]
+    with pytest.raises(KeyError, match=r"\(1, 0, 0\)"):
+        build_generator("NC3", offered, 62, space=video_only)
 
 
 def test_marginal_and_means_equal_the_per_state_loops():

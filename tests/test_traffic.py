@@ -1,6 +1,10 @@
 import itertools
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranburst import (
     TrafficClass,
@@ -16,7 +20,9 @@ from ranburst.traffic import (
     ARRIVAL_REJECTED,
     DEPARTURE,
     DOWNGRADE_CASCADE,
+    POLICIES,
     PREEMPT_DISCARD,
+    arrival_outcomes,
 )
 
 from conftest import table2_classes
@@ -274,6 +280,81 @@ def test_nc3_admission_matches_bruteforce_oracle_small(setup):
             assert (tr.downgraded, tr.discarded) == (k, j)
             if tr.discarded:
                 assert tr.target[1] == 0  # nothing left to downgrade
+
+
+# ---------------------------------------------------------------------------
+# The array form of the admission rule
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def random_pools(draw):
+    """A policy, its dimensions and a capacity of at most 12 blocks. NC3
+    draws full-rate demands up to five blocks over any smaller downgraded
+    demand, and a cap on the downgraded dimension that may bind."""
+    policy = draw(st.sampled_from(POLICIES))
+    capacity = draw(st.integers(1, 12))
+    demand = st.integers(1, 4)
+    cap = st.integers(1, 8)
+    if policy == "NC1":
+        classes = [
+            TrafficClass(i + 1, 1.0, 1.0, draw(demand), draw(cap))
+            for i in range(draw(st.integers(1, 3)))
+        ]
+        return policy, build_dimensions(policy, classes, capacity), capacity
+    prio = TrafficClass(1, 1.0, 1.0, draw(demand), draw(cap), "high")
+    if policy == "NC2":
+        low = TrafficClass(2, 1.0, 1.0, draw(demand), draw(cap), "low")
+        return policy, build_dimensions(policy, [prio, low], capacity), capacity
+    full = draw(st.integers(2, 5))
+    low = TrafficClass(2, 1.0, 1.0, full, draw(cap), "low", adaptive=True,
+                       downgraded_demand_blocks=draw(st.integers(1, full - 1)))
+    dims = build_dimensions(policy, [prio, low], capacity)
+    dims[2] = replace(dims[2], max_sessions=draw(st.integers(0, dims[2].max_sessions)))
+    return policy, dims, capacity
+
+
+def outcome_kind(policy, dim, out, i):
+    """The :class:`Transition` kind of row ``i`` of an ``arrival_outcomes``
+    result."""
+    if out.rejected[i]:
+        return ARRIVAL_REJECTED
+    if out.downgraded[i] == 0 and out.discarded[i] == 0:
+        return ARRIVAL_ACCEPTED
+    if policy == "NC2":
+        return PREEMPT_DISCARD
+    return DOWNGRADE_CASCADE if dim == 0 else ARRIVAL_DOWNGRADED
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(pool=random_pools())
+def test_array_rule_equals_arrival_outcome_on_every_feasible_state(pool):
+    policy, dims, capacity = pool
+    states = list(feasible_states(dims, capacity))
+    rows = np.array(states, dtype=np.int64).reshape(len(states), len(dims))
+    for dim in range(len(dims)):
+        out = arrival_outcomes(policy, rows, dim, dims, capacity)
+        for i, counts in enumerate(states):
+            tr = arrival_outcome(policy, counts, dim, dims, capacity, 1.0)
+            assert tuple(out.target[i].tolist()) == tr.target
+            assert outcome_kind(policy, dim, out, i) == tr.kind
+            assert (out.downgraded[i], out.discarded[i]) == (tr.downgraded, tr.discarded)
+
+
+@pytest.mark.parametrize("setup", ["narrow", "wide"])
+def test_array_rule_matches_bruteforce_oracle(setup):
+    dims, cap = (small_dims("NC3"), 8) if setup == "narrow" else wide_goose_dims()
+    states = list(feasible_states(dims, cap))
+    out = arrival_outcomes("NC3", np.array(states), 0, dims, cap)
+    for i, counts in enumerate(states):
+        admitted, k, j = oracle_nc3_goose(counts, dims, cap)
+        assert out.rejected[i] == (not admitted)
+        assert (out.downgraded[i], out.discarded[i]) == (k, j)
+    dims = small_dims("NC2")
+    states = list(feasible_states(dims, 8))
+    out = arrival_outcomes("NC2", np.array(states), 0, dims, 8)
+    for i, counts in enumerate(states):
+        assert (not out.rejected[i], out.discarded[i]) == oracle_nc2_goose(counts, dims, 8)
 
 
 # ---------------------------------------------------------------------------
