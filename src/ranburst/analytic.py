@@ -39,10 +39,16 @@ DEFAULT_STATE_LIMIT = 5_000_000
 # step and how far the search can pass its state limit before it stops.
 FRONTIER_CHUNK = 1 << 14
 
-# Steady state: incomplete LU (minimum-degree ordering of A^T + A) as the
-# preconditioner of restarted GMRES; the complete factor is the fallback.
-ILU_DROP_TOL = 1e-4
-ILU_FILL_FACTOR = 10
+# Steady state: restarted GMRES preconditioned by an incomplete LU factor
+# taken in the states' own order. States are numbered in lexicographic order
+# of their counts, so every arc of a generator stays within a band of rows
+# and the incomplete factor keeps its fill inside that band; a fill-reducing
+# ordering scatters the band and gives a larger, slower factor. Of the drop
+# tolerances 1e-2, 3e-2 and 1e-1, 3e-2 was fastest over the bundled
+# scenarios' chains and random small pools without needing the complete
+# factor; 1e-1 needed it on some random pools. The complete factor, the
+# fallback, keeps a minimum-degree ordering because fill is what costs there.
+ILU_DROP_TOL = 3e-2
 GMRES_RESTART = 50
 GMRES_MAXITER = 20
 GMRES_RTOL = 1e-14
@@ -194,6 +200,27 @@ def _admission_rays(
     return np.concatenate(rays)
 
 
+def _departure_rays(start: np.ndarray, limit: int) -> np.ndarray:
+    """States reachable from the state ``start`` by repeated departures of
+    one dimension.
+
+    For each dimension ``d``, the rows with ``start[d] - 1``, ..., 0
+    sessions of ``d`` and the other counts of ``start``: every occupied
+    dimension has a departure. Like :func:`_admission_rays`, they let a
+    chain search walk a line without arrivals in one step. They are
+    distinct states, none of them ``start``, so more than ``limit - 1`` of
+    them raise :class:`StateSpaceLimitError` before they are built.
+    """
+    total = int(start.sum())
+    if total + 1 > limit:
+        raise StateSpaceLimitError(total + 1, limit)
+    ray = np.repeat(start[None, :], total, axis=0)
+    starts = np.cumsum(start) - start
+    ray[np.arange(total), np.repeat(np.arange(len(start)), start)] = (
+        np.arange(total) - np.repeat(starts, start))
+    return ray
+
+
 def _compile_rows(
     policy: str,
     dims: list[Dimension],
@@ -279,7 +306,12 @@ def enumerate_states(
     capacity: int,
     limit: int = DEFAULT_STATE_LIMIT,
 ) -> StateSpace:
-    """All feasible states (caps respected, occupancy within capacity)."""
+    """All feasible states (caps respected, occupancy within capacity).
+
+    States are numbered in lexicographic order of their counts, as
+    :func:`reachable_states` numbers them; :func:`steady_state` relies on
+    that order for a banded generator.
+    """
     size = _count_feasible(dims, capacity)
     if size > limit:
         raise StateSpaceLimitError(size, limit)
@@ -316,8 +348,12 @@ def reachable_states(
     search is breadth first: it resolves every arc of a whole frontier of
     states at once (:func:`_compile_rows`), and the arcs it sees become the
     returned space's ``table``. Each step also adds the states that repeated
-    direct admissions reach (:func:`_admission_rays`), so a long line of
-    states costs one step. It raises :class:`StateSpaceLimitError` once it
+    direct admissions reach (:func:`_admission_rays`), and the first step
+    the states that repeated departures reach from ``start``
+    (:func:`_departure_rays`), so a long line of states costs one step.
+    States are numbered in lexicographic order of their counts, whatever
+    order the search found them in, which keeps the generator banded for
+    :func:`steady_state`. It raises :class:`StateSpaceLimitError` once it
     has found more than ``limit`` states, and ``ValueError`` when ``start``
     does not give one count per dimension or is not feasible.
     """
@@ -329,9 +365,10 @@ def reachable_states(
                          f"{len(dims)} dimensions")
     if not feasible(tuple(start), dims, capacity):
         raise ValueError(f"start {tuple(start)} is not a feasible state")
-    first = np.array([start], dtype=np.int64).reshape(1, len(dims))
+    start = np.array(start, dtype=np.int64).reshape(len(dims))
+    first = np.concatenate((start[None, :], _departure_rays(start, limit)))
     key = _state_keys(dims, capacity, first)
-    index = dict.fromkeys(key(first).tolist(), 0)  # state key -> number
+    index = dict(zip(key(first).tolist(), range(len(first))))  # state key -> number
     found = [first]  # blocks of states in the order they were numbered
     arcs = []
     expanded = 0
@@ -438,10 +475,16 @@ def steady_state(q: sp.spmatrix, tol: float = 1e-10) -> np.ndarray:
     the scale of a probability; pinning one state's mass to 1 instead would
     scale the others by its inverse, which leaves the range of a double when
     that state's mass does. Restarted GMRES solves the system, preconditioned
-    by an incomplete LU factor (minimum-degree ordering of ``A^T + A``). A
-    solution is accepted when it is finite, its residual ``max |pi Q|`` is at
-    most ``tol`` and no state has mass below ``-tol``; if the incomplete
-    factor gives none, the solve is repeated once with the complete factor.
+    by an incomplete LU factor in the states' own order: :func:`reachable_states`
+    and :func:`enumerate_states` number states in lexicographic order of their
+    counts, which keeps every arc, and so the factor's fill, within a band of
+    rows. A solution is accepted when it is finite, its residual
+    ``max |pi Q|`` is at most ``tol`` and no state has mass below ``-tol``; if
+    the incomplete factor gives none, the solve is repeated once with the
+    complete factor, taken in minimum-degree order of ``A^T + A`` to keep its
+    fill small. Any numbering gives the same answer; one that scatters the
+    band only makes the incomplete factor costlier or sends the solve to the
+    complete one.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -464,8 +507,7 @@ def steady_state(q: sp.spmatrix, tol: float = 1e-10) -> np.ndarray:
         return bool(np.isfinite(pi).all()) and residual <= tol and pi.min() >= -tol
 
     try:
-        ilu = spla.spilu(a, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR,
-                         permc_spec="MMD_AT_PLUS_A")
+        ilu = spla.spilu(a, drop_tol=ILU_DROP_TOL, permc_spec="NATURAL")
     except RuntimeError:  # a singular incomplete factor: try the complete one
         pi = None
     else:

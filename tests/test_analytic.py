@@ -352,6 +352,87 @@ def test_steady_state_residual_guard():
         steady_state(q)
 
 
+def burst_generator(name):
+    """A ``table2_*`` burst chain as the benchmark's checks build it: NC1
+    over every feasible state, NC2 and NC3 over the reachable ones."""
+    policy, dims, capacity = table2_burst_dims(name)
+    space = None if policy == "NC1" else reachable_states(policy, dims, capacity)
+    return build_generator(policy, dims, capacity, space=space)
+
+
+def report_generator(name):
+    """The chain of a bundled NC2/NC3 scenario's steady-state report: no
+    burst, rates scaled by ``time_scale``, as ``cli`` builds it."""
+    scenario = load_bundled_scenario(name)
+    capacity = scenario.radio.capacity_blocks
+    k = scenario.time_scale
+    dims = [replace(d, arrival_rate=d.arrival_rate * k, service_rate=d.service_rate * k)
+            for d in scenario.dimensions()]
+    space = reachable_states(scenario.policy, dims, capacity)
+    return build_generator(scenario.policy, dims, capacity, space=space)
+
+
+def light_load_nc1_generator():
+    dims = build_dimensions("NC1", [TrafficClass(1, 0.01, 1.0, 1, 200)], 200)
+    return build_generator("NC1", dims, 200)
+
+
+def two_class_nc1_generator():
+    classes = [TrafficClass(1, 2.0, 1.0, 1, 10), TrafficClass(2, 3.0, 1.0, 2, 5)]
+    return build_generator("NC1", build_dimensions("NC1", classes, 10), 10)
+
+
+PAPER_CHAINS = {
+    **{f"burst_table2_nc{p}_lam{lam}": lambda n=f"table2_nc{p}_lam{lam}": burst_generator(n)[1]
+       for p in (1, 2, 3) for lam in (10, 20, 40)},
+    **{f"report_{n}": lambda n=n: report_generator(n)[1]
+       for n in ("demo_nc3_small", "table2_nc2_lam10", "table2_nc2_lam20",
+                 "table2_nc2_lam40", "table2_nc3_lam10", "table2_nc3_lam20",
+                 "table2_nc3_lam40", "table2_nc3_lam20_literal")},
+    "nc3_chain": lambda: nc3_chain()[1],
+    "light_load_nc1": lambda: light_load_nc1_generator()[1],
+    "two_class_nc1": lambda: two_class_nc1_generator()[1],
+    "nearly_decomposable": lambda: nearly_decomposable_generator(),
+}
+
+
+def complete_lu_steady_state(q):
+    """The bordered system of ``steady_state`` solved by one complete LU."""
+    n = q.shape[0]
+    a = sp.vstack([q.T.tocsr()[:-1], sp.csr_matrix(np.ones((1, n)))], format="csc")
+    b = np.zeros(n)
+    b[-1] = 1.0
+    return spla.splu(a).solve(b)
+
+
+@pytest.mark.parametrize("chain", sorted(PAPER_CHAINS))
+def test_paper_chains_never_need_the_complete_factor(monkeypatch, chain):
+    q = PAPER_CHAINS[chain]()
+    expected = complete_lu_steady_state(q) if q.shape[0] <= 3000 else None
+    complete = []
+
+    def splu(*args, **kwargs):
+        complete.append(args)
+        return real_splu(*args, **kwargs)
+
+    real_splu = spla.splu
+    monkeypatch.setattr(spla, "splu", splu)
+    pi = steady_state(q)
+    assert complete == []
+    assert np.abs(pi @ q).max() <= 1e-10
+    if expected is not None:
+        assert np.abs(pi - expected).max() <= 1e-12
+
+
+def test_state_order_changes_the_cost_of_a_solve_not_its_answer():
+    # A random numbering scatters the band the incomplete factor relies on.
+    space, q = nc3_chain()
+    pi = steady_state(q)
+    perm = np.random.default_rng(2024).permutation(len(space))
+    shuffled = steady_state(q[perm][:, perm].tocsr())
+    assert np.abs(shuffled - pi[perm]).max() <= 1e-12
+
+
 def test_blocking_from_generator_matches_per_dimension_walk():
     space, q = nc3_chain()
     pi = steady_state(q)
@@ -375,9 +456,9 @@ def test_blocking_from_generator_matches_per_dimension_walk():
 # ---------------------------------------------------------------------------
 
 
-def per_state_reachable(policy, dims, capacity):
+def per_state_reachable(policy, dims, capacity, start=None):
     """The state search ``reachable_states`` ran before it compiled a table."""
-    start = tuple(0 for _ in dims)
+    start = tuple(0 for _ in dims) if start is None else start
     seen = {start}
     frontier = [start]
     while frontier:
@@ -585,6 +666,26 @@ def test_reachable_states_rejects_a_bad_start():
     space = reachable_states("NC3", dims, 62, start=(3, 5, 2))
     assert (3, 5, 2) in space.index
     assert all(s[0] <= 3 for s in space.states)  # no priority arrivals
+
+
+def test_a_pure_death_line_is_walked_in_one_step():
+    # No arrivals: from a full pool only departures move, one state at a time.
+    dims = build_dimensions("NC1", [TrafficClass(1, 0.0, 1.0, 1, 5000)], 5000)
+    t0 = time.perf_counter()
+    space = reachable_states("NC1", dims, 5000, start=(5000,))
+    assert time.perf_counter() - t0 < 0.1
+    assert space.states == [(k,) for k in range(5001)]
+    assert_same_table(space.table, per_state_table("NC1", dims, 5000, space.states))
+
+
+def test_departure_rays_leave_the_search_unchanged_from_an_occupied_start():
+    policy, dims, capacity = "NC3", build_dimensions("NC3", table2_classes("NC3"), 62), 62
+    start = (3, 5, 2)
+    space = reachable_states(policy, dims, capacity, start=start)
+    assert space.states == per_state_reachable(policy, dims, capacity, start)
+    assert_same_table(space.table, per_state_table(policy, dims, capacity, space.states))
+    with pytest.raises(StateSpaceLimitError):
+        reachable_states(policy, dims, capacity, start=start, limit=10)
 
 
 def test_reachable_states_stops_at_its_limit():
