@@ -1,23 +1,27 @@
 """Event-driven Monte-Carlo simulation of the policy chains.
 
-``run_replication`` samples the continuous-time chain directly (draw an
-exponential holding time at the total outgoing rate, pick an arc
-proportionally to its rate), with a burst-injection schedule layered on top
-and deterministic per-replication seeding. Identical (scenario, seed) pairs
-reproduce trajectories bit for bit. The first time a state is visited it is
-proved feasible and its arcs are resolved through the policy; afterwards
-they are looked up in a table that lives for one ``run_experiment`` or
-``run_replication`` call.
+Two engines walk the same chain, with a burst-injection schedule layered on
+top and deterministic per-replication seeding; identical (scenario, seed)
+pairs reproduce trajectories bit for bit. Both resolve a state's arcs the
+same way: the first time a state is visited it is proved feasible and its
+arcs are resolved through the policy; afterwards they are looked up in a
+table that lives for one ``run_experiment`` or ``run_replication`` call.
 
-A second engine (``crn=True``) pre-draws the arrival processes and
-per-arrival service marks from seed streams that do not depend on the
-policy, so two policies can be compared on the same offered traffic. It
-samples the same process law and exists for variance-reduced comparisons.
+* The direct engine (the default) samples the continuous-time chain: an
+  exponential holding time at the total outgoing rate, then an arc picked
+  proportionally to its rate.
+* The coupled engine (``crn=True``) thins policy-independent candidate
+  streams: arrival instants, injected offers, and per-class departure
+  candidates with their marks. Two scenarios that differ only in policy
+  share all of these, so their difference has a small variance (common
+  random numbers). They do not share per-session service times: the
+  engine tracks counts, not sessions.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -29,13 +33,9 @@ from .analytic import kaufman_roberts
 from .errors import ScenarioError
 from .numerology import RadioConfig
 from .traffic import (
-    ARRIVAL_ACCEPTED,
-    ARRIVAL_DOWNGRADED,
     ARRIVAL_REJECTED,
     DEPARTURE,
-    DOWNGRADE_CASCADE,
     EVENT_KINDS,
-    PREEMPT_DISCARD,
     Dimension,
     TrafficClass,
     arrival_outcome,
@@ -302,15 +302,19 @@ def _initial_state(scenario: Scenario, dims: list[Dimension], rng) -> tuple[int,
 
 
 def run_replication(scenario: Scenario, seed: int, crn: bool = False) -> TrajectoryRecord:
-    """Simulate one replication; bit-for-bit reproducible from (scenario, seed)."""
+    """Simulate one replication; bit-for-bit reproducible from (scenario, seed).
+
+    ``crn=True`` runs the coupled engine (see :func:`_run_coupled`): two
+    scenarios that differ only in policy then share their arrival instants,
+    injected offers and departure candidates with their marks.
+    """
     scenario.validate()
-    if crn:
-        return _run_replication_crn(scenario, seed)
-    return _run_direct(scenario, seed, _ArcTable(len(scenario.dimensions())))
+    run = _run_coupled if crn else _run_direct
+    return run(scenario, seed, _ArcTable(scenario))
 
 
-# An arc as the engine follows it: (arc id, kind, target state).
-Arc = tuple[int, str, tuple[int, ...]]
+# An arc as the engines follow it: (arc id, kind, target state, dim).
+Arc = tuple[int, str, tuple[int, ...], int]
 
 
 class _StateArcs:
@@ -333,29 +337,67 @@ class _StateArcs:
 
 
 class _ArcTable:
-    """The arcs resolved so far, shared by the replications of one scenario
-    in one process.
+    """The arcs of one scenario resolved so far, shared by its replications
+    in one process and by both engines.
 
-    ``by_state`` maps each visited state to its :class:`_StateArcs`. Every
-    arc gets an integer id when it is resolved: row ``id`` of ``rows`` is
-    ``(kind code, dim, downgraded, discarded, target id, *target counts)``.
-    A path is kept as a list of arc ids and turned into record columns by
-    :meth:`columns`.
+    ``by_state`` maps each visited state to its :class:`_StateArcs`, filled
+    by :meth:`resolve` on the state's first visit. Every arc gets an integer
+    id when it is resolved: row ``id`` of ``rows`` is ``(kind code, dim,
+    downgraded, discarded, target id, *target counts)``. A path is kept as a
+    list of arc ids and turned into record columns by :meth:`columns`.
     """
 
-    def __init__(self, n_dims: int):
+    def __init__(self, scenario: Scenario):
+        self.dims = scenario.dimensions()
+        self.capacity = scenario.radio.capacity_blocks
+        self.policy = scenario.policy
+        self.scale = scenario.time_scale / 1000.0  # configured per-second rates -> per ms
+        self.arr_rates = [d.arrival_rate * self.scale for d in self.dims]
+        self.dep_rates = [d.service_rate * self.scale for d in self.dims]
         self.by_state: dict[tuple[int, ...], _StateArcs] = {}
         self.rows: list[tuple[int, ...]] = []
         self.target_id: dict[tuple[int, ...], int] = {}
-        self._array = np.empty((0, 5 + n_dims), dtype=np.int64)  # ``rows`` so far
+        self._array = np.empty((0, 5 + len(self.dims)), dtype=np.int64)  # ``rows`` so far
 
     def arc(self, kind: str, dim: int, downgraded: int, discarded: int,
             target: tuple[int, ...]) -> Arc:
         tid = self.target_id.setdefault(target, len(self.target_id))
         self.rows.append((_KIND_CODE[kind], dim, downgraded, discarded, tid, *target))
-        return (len(self.rows) - 1, kind, target)
+        return (len(self.rows) - 1, kind, target, dim)
 
-    def columns(self, path: list[int], capacity: int) -> dict[str, np.ndarray]:
+    def _outcome(self, state: tuple[int, ...], i: int, rate: float) -> Arc:
+        # ``arrival_outcome`` and ``feasible`` are looked up in this module
+        # on every call, so that wrappers installed on it see each one.
+        tr = arrival_outcome(self.policy, state, i, self.dims, self.capacity, rate)
+        return self.arc(tr.kind, tr.dim, tr.downgraded, tr.discarded, tr.target)
+
+    def resolve(self, state: tuple[int, ...], t: float) -> _StateArcs:
+        """Prove ``state`` feasible, reached at ``t``, and resolve its arcs."""
+        if not feasible(state, self.dims, self.capacity):
+            raise RuntimeError(f"simulation produced infeasible state {state} at t={t:.3f} ms")
+
+        arrivals = [
+            (rate, self._outcome(state, i, rate))
+            for i, rate in enumerate(self.arr_rates) if rate > 0.0
+        ]
+        departures = []
+        for i, rate in enumerate(self.dep_rates):
+            out = state[i] * rate
+            if out > 0.0:
+                target = list(state)
+                target[i] -= 1
+                departures.append((out, self.arc(DEPARTURE, i, 0, 0, tuple(target))))
+        departure_total = sum(c * r for c, r in zip(state, self.dep_rates))
+        arcs = _StateArcs(arrivals, departures, departure_total)
+        self.by_state[state] = arcs
+        return arcs
+
+    def offer(self, state: tuple[int, ...], arcs: _StateArcs) -> Arc:
+        """Resolve the injected-offer arc of ``state``, whose arcs are ``arcs``."""
+        arcs.offer = self._outcome(state, 0, 0.0)
+        return arcs.offer
+
+    def columns(self, path: list[int]) -> dict[str, np.ndarray]:
         """Event columns of a path of arc ids, gathered in one fancy-index;
         its states are numbered in order of first entry."""
         if len(self._array) < len(self.rows):
@@ -366,7 +408,7 @@ class _ArcTable:
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        small = _int_dtype(max(capacity, cols.shape[1] - 5))
+        small = _int_dtype(max(self.capacity, cols.shape[1] - 5))
         return dict(
             kind=cols[:, 0].astype(np.int8),
             dim=cols[:, 1].astype(small),
@@ -376,58 +418,47 @@ class _ArcTable:
             states=cols[first[order], 5:].astype(small),
         )
 
+    def record(self, scenario: Scenario, seed: int, initial: tuple[int, ...],
+               times: list[float], path: list[int], end: float,
+               stopped: bool) -> TrajectoryRecord:
+        """The record of a path of arc ids entered at ``times``."""
+        inj = scenario.injection
+        return TrajectoryRecord(
+            policy=self.policy,
+            capacity=self.capacity,
+            dim_labels=tuple(d.label for d in self.dims),
+            demands=tuple(d.demand_blocks for d in self.dims),
+            initial_counts=initial,
+            t_ms=np.array(times, dtype=np.float64),
+            **self.columns(path),
+            end_ms=end,
+            horizon_ms=scenario.horizon_ms,
+            t_inject_ms=inj.t_inject_ms if inj is not None else None,
+            seed=seed,
+            stopped_early=stopped,
+        )
+
 
 def _run_direct(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryRecord:
     """The direct engine. ``table`` holds the arcs of each state visited so
     far; it is filled lazily and may be shared by replications of the same
     scenario."""
-    dims = scenario.dimensions()
-    capacity = scenario.radio.capacity_blocks
-    policy = scenario.policy
+    dims = table.dims
     rng = np.random.default_rng(seed)
     initial = _initial_state(scenario, dims, rng)
     counts = initial
 
-    scale = scenario.time_scale / 1000.0  # configured per-second rates -> per ms
-    arr_rates = [d.arrival_rate * scale for d in dims]
-    dep_rates = [d.service_rate * scale for d in dims]
-    arr_total = sum(arr_rates)
+    arr_total = sum(table.arr_rates)
     inj = scenario.injection
     has_stream = inj is not None and inj.has_stream
-    inj_rate = inj.poisson_rate * scale if has_stream else 0.0
+    inj_rate = inj.poisson_rate * table.scale if has_stream else 0.0
     inj_cap = inj.batch_size if inj is not None and inj.mode == POISSON else 0
     early_stop = scenario.early_stop_at_goose_cap
     goose_cap = dims[0].max_sessions
     horizon = scenario.horizon_ms
     lookup = table.by_state.get
-
-    def outcome(state: tuple[int, ...], i: int, rate: float) -> Arc:
-        tr = arrival_outcome(policy, state, i, dims, capacity, rate)
-        return table.arc(tr.kind, tr.dim, tr.downgraded, tr.discarded, tr.target)
-
-    def resolve(state: tuple[int, ...], t: float) -> _StateArcs:
-        """Prove ``state`` feasible, reached at ``t``, and resolve its arcs."""
-        if not feasible(state, dims, capacity):
-            raise RuntimeError(f"simulation produced infeasible state {state} at t={t:.3f} ms")
-
-        arrivals = [
-            (rate, outcome(state, i, rate)) for i, rate in enumerate(arr_rates) if rate > 0.0
-        ]
-        departures = []
-        for i, rate in enumerate(dep_rates):
-            out = state[i] * rate
-            if out > 0.0:
-                target = list(state)
-                target[i] -= 1
-                departures.append((out, table.arc(DEPARTURE, i, 0, 0, tuple(target))))
-        departure_total = sum(c * r for c, r in zip(state, dep_rates))
-        arcs = _StateArcs(arrivals, departures, departure_total)
-        table.by_state[state] = arcs
-        return arcs
-
-    def offer(state: tuple[int, ...], arcs: _StateArcs) -> Arc:
-        arcs.offer = outcome(state, 0, 0.0)
-        return arcs.offer
+    resolve = table.resolve
+    offer = table.offer
 
     arcs = lookup(counts) or resolve(counts, 0.0)
     times: list[float] = []
@@ -504,21 +535,111 @@ def _run_direct(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryRe
             stopped = True
             break
 
-    end = t if stopped else horizon
-    return TrajectoryRecord(
-        policy=policy,
-        capacity=capacity,
-        dim_labels=tuple(d.label for d in dims),
-        demands=tuple(d.demand_blocks for d in dims),
-        initial_counts=initial,
-        t_ms=np.array(times, dtype=np.float64),
-        **table.columns(path, capacity),
-        end_ms=end,
-        horizon_ms=horizon,
-        t_inject_ms=inj.t_inject_ms if inj is not None else None,
-        seed=seed,
-        stopped_early=stopped,
-    )
+    return table.record(scenario, seed, initial, times, path,
+                        t if stopped else horizon, stopped)
+
+
+# Sources of the coupled engine's candidate events.
+_ARRIVAL, _OFFER, _DEPARTURE = range(3)
+
+
+def _candidates(rng: np.random.Generator, rate: float, start: float, stop: float,
+                source: int, k: int, marked: bool = False):
+    """Events ``(t, source, k, mark)`` at the points of a Poisson process of
+    ``rate`` per ms on ``(start, stop)``; with ``marked`` each carries a
+    uniform mark in ``[0, rate)``, else 0."""
+    t = start + rng.exponential(1.0 / rate)
+    while t < stop:
+        yield t, source, k, rng.random() * rate if marked else 0.0
+        t += rng.exponential(1.0 / rate)
+
+
+def _run_coupled(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryRecord:
+    """The coupled engine, a walk over the same ``table`` as the direct one.
+
+    Every random number comes from a stream spawned from ``seed`` that does
+    not depend on the policy: the initial state; one Poisson arrival stream
+    per dimension with a positive arrival rate; the injected offers (the
+    batch at ``t_inject_ms``, then the Poisson offers); and one stream of
+    departure candidates per traffic class. Class ``c``'s candidates come at
+    ``Λ_c = C · max μ`` over its dimensions, each with a uniform mark ``v``
+    in ``[0, Λ_c)``; a candidate removes a session from the first of the
+    class's dimensions, in order, whose running sum of ``n_i μ_i`` exceeds
+    ``v``, and is a null event otherwise. A session holds at least one
+    block, so ``n_i ≤ C`` and the thinned candidates are the departures of
+    the chain (Lewis & Shedler 1979). The streams are merged lazily in time
+    order; the walk itself draws nothing.
+    """
+    dims = table.dims
+    horizon = scenario.horizon_ms
+    init_ss, arr_ss, inj_ss, dep_ss = np.random.SeedSequence(seed).spawn(4)
+    initial = _initial_state(scenario, dims, np.random.default_rng(init_ss))
+
+    streams = []
+    # The k-th positive arrival rate is the k-th entry of ``_StateArcs.arrivals``.
+    positive = [(child, rate) for child, rate in zip(arr_ss.spawn(len(dims)), table.arr_rates)
+                if rate > 0.0]
+    for k, (child, rate) in enumerate(positive):
+        streams.append(_candidates(np.random.default_rng(child), rate, 0.0, horizon,
+                                   _ARRIVAL, k))
+
+    inj = scenario.injection
+    delivered = 0  # injected sessions admitted so far
+    if inj is not None:
+        offers = itertools.repeat((inj.t_inject_ms, _OFFER, 0, 0.0),
+                                  inj.batch_size if inj.has_batch else 0)
+        if inj.has_stream:
+            offers = itertools.chain(offers, _candidates(
+                np.random.default_rng(inj_ss), inj.poisson_rate * table.scale,
+                inj.t_inject_ms, horizon, _OFFER, 0))
+        if inj.mode == POISSON and inj.batch_size:
+            # Offers lapse once the burst is delivered. ``heapq.merge`` asks
+            # for the next offer only after the walk has handled this one.
+            offers = itertools.takewhile(lambda _: delivered < inj.batch_size, offers)
+        streams.append(offers)
+
+    classes = list(dict.fromkeys(d.source_class for d in dims))
+    class_of = [classes.index(d.source_class) for d in dims]
+    for c, child in enumerate(dep_ss.spawn(len(classes))):
+        lam = table.capacity * max(r for r, j in zip(table.dep_rates, class_of) if j == c)
+        streams.append(_candidates(np.random.default_rng(child), lam, 0.0, horizon,
+                                   _DEPARTURE, c, marked=True))
+
+    early_stop = scenario.early_stop_at_goose_cap
+    goose_cap = dims[0].max_sessions
+    lookup = table.by_state.get
+    resolve = table.resolve
+
+    counts = initial
+    arcs = lookup(counts) or resolve(counts, 0.0)
+    times: list[float] = []
+    path: list[int] = []
+    stopped = False
+    for t, source, k, v in heapq.merge(*streams):
+        if source == _ARRIVAL:
+            a = arcs.arrivals[k][1]
+        elif source == _OFFER:
+            a = arcs.offer or table.offer(counts, arcs)
+            if a[1] != ARRIVAL_REJECTED:
+                delivered += 1
+        else:
+            for out, a in arcs.departures:
+                if class_of[a[3]] == k:
+                    if v < out:
+                        break
+                    v -= out
+            else:
+                continue  # null candidate
+        times.append(t)
+        path.append(a[0])
+        counts = a[2]
+        arcs = lookup(counts) or resolve(counts, t)
+        if early_stop and counts[0] >= goose_cap:
+            stopped = True
+            break
+
+    return table.record(scenario, seed, initial, times, path,
+                        t if stopped else horizon, stopped)
 
 
 def pool_size(workers: int | None, replications: int) -> int:
@@ -535,8 +656,8 @@ def run_experiment(
     Replications are independent; with ``workers`` they run in a process
     pool (clamped by :func:`pool_size`), and results are identical to a
     serial run because every replication owns a deterministic seed stream.
-    The direct engine's arc table lives for this call only; each pool worker
-    builds its own.
+    The arc table lives for this call only; each pool worker builds its
+    own. ``crn=True`` runs the coupled engine, as in :func:`run_replication`.
     """
     scenario.validate()
     seeds = [mix_seed(scenario.base_seed, r) for r in range(scenario.replications)]
@@ -560,206 +681,6 @@ def run_experiment(
 def _replicate(args) -> list[TrajectoryRecord]:
     """Replications of one scenario for a list of seeds, sharing one arc table."""
     scenario, seeds, crn = args
-    if crn:
-        return [_run_replication_crn(scenario, s) for s in seeds]
-    table = _ArcTable(len(scenario.dimensions()))
-    return [_run_direct(scenario, s, table) for s in seeds]
-
-
-# ---------------------------------------------------------------------------
-# Common-random-numbers engine
-# ---------------------------------------------------------------------------
-
-
-class _Session:
-    """One active session with a scheduled departure."""
-
-    __slots__ = ("dim", "admitted_ms", "alive", "token")
-
-    def __init__(self, dim: int, admitted_ms: float):
-        self.dim = dim
-        self.admitted_ms = admitted_ms
-        self.alive = True
-        self.token = 0
-
-
-class _Calendar:
-    """Session registry plus a lazy-deletion departure heap."""
-
-    def __init__(self, n_dims: int):
-        self.active: list[list[_Session]] = [[] for _ in range(n_dims)]
-        self.heap: list[tuple[float, int, int, _Session]] = []
-        self._seq = 0
-
-    def counts(self) -> tuple[int, ...]:
-        return tuple(len(lst) for lst in self.active)
-
-    def schedule(self, session: _Session, when: float) -> None:
-        self._seq += 1
-        heapq.heappush(self.heap, (when, self._seq, session.token, session))
-
-    def admit(self, dim: int, t: float, holding_ms: float) -> None:
-        s = _Session(dim, t)
-        self.active[dim].append(s)
-        self.schedule(s, t + holding_ms)
-
-    def drop_oldest(self, dim: int) -> None:
-        s = self.active[dim].pop(0)
-        s.alive = False
-
-    def move_oldest(self, src: int, dst: int, reschedule_ms: float | None, t: float) -> None:
-        s = self.active[src].pop(0)
-        s.dim = dst
-        self.active[dst].append(s)
-        if reschedule_ms is not None:
-            s.token += 1  # invalidate the old departure entry
-            self.schedule(s, t + reschedule_ms)
-
-    def next_departure(self) -> tuple[float, _Session] | None:
-        while self.heap:
-            when, _, token, session = self.heap[0]
-            if session.alive and token == session.token:
-                return when, session
-            heapq.heappop(self.heap)
-        return None
-
-    def pop_departure(self) -> tuple[float, _Session]:
-        when, _, _, session = heapq.heappop(self.heap)
-        session.alive = False
-        self.active[session.dim].remove(session)
-        return when, session
-
-
-def _run_replication_crn(scenario: Scenario, seed: int) -> TrajectoryRecord:
-    dims = scenario.dimensions()
-    capacity = scenario.radio.capacity_blocks
-    policy = scenario.policy
-    horizon = scenario.horizon_ms
-    scale = scenario.time_scale / 1000.0
-    dep_rates = [d.service_rate * scale for d in dims]
-
-    ss = np.random.SeedSequence(seed)
-    init_ss, arr_ss, inj_ss, extra_ss = ss.spawn(4)
-    rng_init = np.random.default_rng(init_ss)
-    rng_extra = np.random.default_rng(extra_ss)
-
-    initial = _initial_state(scenario, dims, rng_init)
-
-    # Offered traffic is drawn up front from streams independent of the
-    # policy: scenarios differing only in policy see the same arrival
-    # instants and the same per-arrival service marks.
-    arrivals: list[tuple[float, int, float]] = []  # (t, dim, unit-exp mark)
-    for child, d in zip(arr_ss.spawn(len(dims)), dims):
-        rate = d.arrival_rate * scale
-        if rate <= 0:
-            continue
-        rng = np.random.default_rng(child)
-        t = rng.exponential(1.0 / rate)
-        while t < horizon:
-            arrivals.append((t, d.index, rng.exponential()))
-            t += rng.exponential(1.0 / rate)
-    arrivals.sort(key=lambda item: item[0])
-
-    inj = scenario.injection
-    offers: list[tuple[float, float]] = []  # (t, unit-exp mark)
-    if inj is not None:
-        rng = np.random.default_rng(inj_ss)
-        if inj.has_batch:
-            offers.extend((inj.t_inject_ms, rng.exponential()) for _ in range(inj.batch_size))
-        if inj.has_stream:
-            rate = inj.poisson_rate * scale
-            t = inj.t_inject_ms + rng.exponential(1.0 / rate)
-            while t < horizon:
-                offers.append((t, rng.exponential()))
-                t += rng.exponential(1.0 / rate)
-
-    cal = _Calendar(len(dims))
-    for i, n0 in enumerate(initial):
-        for _ in range(n0):
-            cal.admit(i, 0.0, rng_init.exponential() / dep_rates[i])
-
-    inj_cap = inj.batch_size if inj is not None and inj.mode == POISSON else 0
-    delivered = 0
-    goose_cap = dims[0].max_sessions
-    same_rate = len(dims) == 3 and dims[1].service_rate == dims[2].service_rate
-    events: list[Event] = []
-    stopped = False
-    t_now = 0.0
-    ia = io = 0
-
-    while True:
-        t_arr = arrivals[ia][0] if ia < len(arrivals) else float("inf")
-        t_off = offers[io][0] if io < len(offers) else float("inf")
-        nxt = cal.next_departure()
-        t_dep = nxt[0] if nxt is not None else float("inf")
-
-        t_next = min(t_arr, t_off, t_dep)
-        if t_next >= horizon:
-            break
-        t_now = t_next
-
-        if t_dep <= t_arr and t_dep <= t_off:
-            _, session = cal.pop_departure()
-            counts = cal.counts()
-            events.append(Event(t_now, DEPARTURE, session.dim, 0, 0, counts))
-        else:
-            if t_arr <= t_off:
-                _, dim, mark = arrivals[ia]
-                ia += 1
-                is_offer = False
-            else:
-                _, mark = offers[io]
-                dim = 0
-                io += 1
-                is_offer = True
-                if inj_cap and delivered >= inj_cap:
-                    continue  # burst delivered; later offers lapse
-            tr = arrival_outcome(policy, cal.counts(), dim, dims, capacity, 0.0)
-            if tr.kind == ARRIVAL_ACCEPTED:
-                cal.admit(dim, t_now, mark / dep_rates[dim])
-            elif tr.kind == ARRIVAL_DOWNGRADED:
-                cal.admit(2, t_now, mark / dep_rates[2])
-            elif tr.kind == PREEMPT_DISCARD:
-                for _ in range(tr.discarded):
-                    cal.drop_oldest(1)
-                cal.admit(0, t_now, mark / dep_rates[0])
-            elif tr.kind == DOWNGRADE_CASCADE:
-                for _ in range(tr.downgraded):
-                    # With equal service rates the remaining holding time of
-                    # a downgraded session keeps its law, so the scheduled
-                    # departure stands; otherwise redraw memorylessly.
-                    cal.move_oldest(
-                        1, 2,
-                        None if same_rate else rng_extra.exponential() / dep_rates[2],
-                        t_now,
-                    )
-                for _ in range(tr.discarded):
-                    cal.drop_oldest(2)
-                cal.admit(0, t_now, mark / dep_rates[0])
-            counts = cal.counts()
-            if counts != tr.target:
-                raise RuntimeError(
-                    f"calendar state {counts} diverged from transition target {tr.target}"
-                )
-            events.append(Event(t_now, tr.kind, tr.dim, tr.downgraded, tr.discarded, counts))
-            if is_offer and tr.kind != ARRIVAL_REJECTED:
-                delivered += 1
-
-        if scenario.early_stop_at_goose_cap and cal.counts()[0] >= goose_cap:
-            stopped = True
-            break
-
-    end = t_now if stopped else horizon
-    return TrajectoryRecord.from_events(
-        events,
-        policy=policy,
-        capacity=capacity,
-        dim_labels=tuple(d.label for d in dims),
-        demands=tuple(d.demand_blocks for d in dims),
-        initial_counts=initial,
-        end_ms=end,
-        horizon_ms=horizon,
-        t_inject_ms=inj.t_inject_ms if inj is not None else None,
-        seed=seed,
-        stopped_early=stopped,
-    )
+    run = _run_coupled if crn else _run_direct
+    table = _ArcTable(scenario)
+    return [run(scenario, s, table) for s in seeds]

@@ -15,6 +15,7 @@ from ranburst import (
     run_replication,
 )
 from ranburst import simulator
+from ranburst.analytic import build_generator, mean_counts, reachable_states, steady_state
 from ranburst.metrics import empirical_blocking
 from ranburst.simulator import MAX_BATCH_SIZE, MAX_GRID_POINTS, pool_size
 from ranburst.traffic import (
@@ -140,11 +141,12 @@ def test_records_of_both_constructors_hold_the_same_columns():
     assert rec.events is not rec.events  # rebuilt on access, never cached
 
 
-def test_shared_arc_table_matches_fresh_tables():
+@pytest.mark.parametrize("crn", [False, True])
+def test_shared_arc_table_matches_fresh_tables(crn):
     sc = burst_scenario(replications=6)
-    shared = run_experiment(sc)
+    shared = run_experiment(sc, crn=crn)
     for r, rec in enumerate(shared):
-        fresh = run_replication(sc, mix_seed(sc.base_seed, r))
+        fresh = run_replication(sc, mix_seed(sc.base_seed, r), crn=crn)
         assert rec.events == fresh.events
         assert rec.end_ms == fresh.end_ms
 
@@ -206,12 +208,25 @@ REPLAY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("policy, mode, batch, rate, early_stop", REPLAY_CASES)
-def test_recorded_events_replay_as_chain_arcs(policy, mode, batch, rate, early_stop):
+# NC3 "batch" has no coupled case: a batch replication of it makes a
+# downgraded admission with probability about 0.13 in either engine, and the
+# four coupled ones from base seed 11 make none. The batch_plus_poisson cases
+# replay coupled NC3 batches.
+COUPLED_REPLAY_CASES = [case for case in REPLAY_CASES if case[:2] != ("NC3", "batch")]
+
+
+# The coupled cases get a "-crn" suffix, so the direct ones keep their ids.
+@pytest.mark.parametrize("policy, mode, batch, rate, early_stop, crn", [
+    pytest.param(*case, False, id="-".join(map(str, case))) for case in REPLAY_CASES
+] + [
+    pytest.param(*case, True, id="-".join(map(str, case)) + "-crn")
+    for case in COUPLED_REPLAY_CASES
+])
+def test_recorded_events_replay_as_chain_arcs(policy, mode, batch, rate, early_stop, crn):
     sc = burst_scenario(policy, mode, batch=batch, rate=rate, replications=4,
                         early_stop_at_goose_cap=early_stop)
     kinds = set()
-    for rec in run_experiment(sc):
+    for rec in run_experiment(sc, crn=crn):
         assert replay_problems(sc, rec) == []
         kinds.update(e.kind for e in rec.events)
         if early_stop:
@@ -227,7 +242,8 @@ def test_recorded_events_replay_as_chain_arcs(policy, mode, batch, rate, early_s
         assert ARRIVAL_DOWNGRADED in kinds
 
 
-def test_infeasible_state_raises_when_first_visited(monkeypatch):
+@pytest.mark.parametrize("crn", [False, True])
+def test_infeasible_state_raises_when_first_visited(monkeypatch, crn):
     sc = burst_scenario("NC3", "batch", batch=20)
     real = simulator.feasible
 
@@ -236,7 +252,7 @@ def test_infeasible_state_raises_when_first_visited(monkeypatch):
 
     monkeypatch.setattr(simulator, "feasible", no_full_priority)
     with pytest.raises(RuntimeError, match=r"infeasible state \(20, "):
-        run_replication(sc, 5)
+        run_replication(sc, 5, crn=crn)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +340,15 @@ def test_poisson_injection_stops_after_delivering_batch():
     # after the twentieth admission no further priority offers appear
     t_done = admitted[-1].t_ms
     assert all(o.t_ms <= t_done for o in offers)
+
+
+@pytest.mark.parametrize("policy", ["NC2", "NC3"])
+def test_coupled_offers_lapse_once_the_burst_is_delivered(policy):
+    rec = run_replication(burst_scenario(policy, batch=20, rate=4.0), 31, crn=True)
+    offers = [e for e in rec.events if e.dim == 0 and e.kind != DEPARTURE]
+    admitted = [e for e in offers if e.kind != ARRIVAL_REJECTED]
+    assert len(admitted) == 20
+    assert all(o.t_ms <= admitted[-1].t_ms for o in offers)
 
 
 def test_early_stop_at_goose_cap():
@@ -426,6 +451,53 @@ def test_crn_couples_arrival_streams_across_policies():
     video_arrivals_3 = [e.t_ms for e in r3.events if e.dim == 1 and e.kind != DEPARTURE]
     assert video_arrivals_2 == video_arrivals_3
     assert r2.initial_counts[1] == r3.initial_counts[1]
+
+
+def test_crn_pairs_share_every_event_before_the_burst():
+    departures = 0
+    for seed in range(20):
+        r1 = run_replication(burst_scenario("NC1"), seed, crn=True)
+        r2 = run_replication(burst_scenario("NC2"), seed, crn=True)
+        assert r1.initial_counts == r2.initial_counts
+        before = [[e for e in r.events if e.t_ms < 2000.0] for r in (r1, r2)]
+        assert before[0] == before[1]
+        departures += sum(e.kind == DEPARTURE for e in before[0])
+    assert departures > 0
+
+
+def batch_means(rec, n_batches):
+    """Time average of each dimension's count over ``n_batches`` equal
+    windows of ``[0, end_ms]``, one row per window."""
+    x = np.concatenate(([0.0], rec.t_ms))
+    s = np.vstack((rec.initial_counts, rec.states[rec.state])).astype(float)
+    cum = np.vstack((np.zeros(rec.n_dims), np.cumsum(s[:-1] * np.diff(x)[:, None], axis=0)))
+    edges = np.linspace(0.0, rec.end_ms, n_batches + 1)
+    j = np.searchsorted(x, edges, side="right") - 1
+    integral = cum[j] + s[j] * (edges - x[j])[:, None]
+    return np.diff(integral, axis=0) / np.diff(edges)[:, None]
+
+
+def test_coupled_engine_thins_to_the_chain_law_with_unequal_service_rates():
+    # The downgraded video dimension departs 4x faster than the full-rate
+    # one, so the video class's candidates, at C times the larger rate, must
+    # be thinned by each dimension's own rate.
+    sc = Scenario(
+        policy="NC3",
+        radio=RADIO10,
+        classes=(
+            TrafficClass(1, 0.5, 1.0, 1, 10, "high"),
+            TrafficClass(2, 2.0, 0.5, 3, 3, "low", adaptive=True,
+                         downgraded_demand_blocks=1, downgraded_service_rate=2.0),
+        ),
+        injection=None,
+        horizon_ms=4_000_000.0,
+    )
+    dims = sc.dimensions()
+    space, q = build_generator("NC3", dims, 10, space=reachable_states("NC3", dims, 10))
+    expected = mean_counts(space, steady_state(q))
+    means = batch_means(run_replication(sc, 8080, crn=True), 20)
+    z = (means.mean(axis=0) - expected) / (means.std(axis=0, ddof=1) / np.sqrt(20))
+    assert np.all(np.abs(z) <= 4), z
 
 
 # ---------------------------------------------------------------------------
