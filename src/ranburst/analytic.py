@@ -3,7 +3,10 @@
 Contains the Kaufman-Roberts occupancy recursion (valid for the non-priority
 pool), the chain compiler, generator-matrix assembly for all three policies
 from one compiled arc table, a preconditioned Krylov steady-state solve, and
-transient probabilities by uniformization.
+transient probabilities by uniformization. Uniformization drops negligible
+mass and multiplies only the band of rows its iterate can reach; its l1 error
+is the Poisson tail plus twice the dropped mass plus the stationarity cut,
+within ``eps``, and its cost is the steps taken times the band.
 
 The chain compiler resolves the arcs of a whole array of states at once, one
 slot of :func:`ranburst.traffic.transitions` at a time, with the array form
@@ -16,7 +19,10 @@ it is still imported under its name, which the benchmark's tracer
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -52,6 +58,9 @@ ILU_DROP_TOL = 3e-2
 GMRES_RESTART = 50
 GMRES_MAXITER = 20
 GMRES_RTOL = 1e-14
+# Uniformization: the share of the error budget that dropping negligible
+# mass may spend (see :func:`transient`); the rest is left to the cut.
+DROP_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -127,28 +136,63 @@ class ChainTable:
         return (self.policy, self.dims, self.capacity) == (policy, tuple(dims), capacity)
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Dense enumeration of feasible states with a state<->index bijection.
+class _StateIndex(Mapping):
+    """State tuple -> number over rows of counts in lexicographic order.
 
-    ``table`` is the chain compiled while the space was walked
-    (:func:`reachable_states`, :func:`build_generator`), or None.
+    A lookup is a binary search over the rows, so it builds no tuples but
+    the dozen or so it compares.
     """
 
-    states: list[tuple[int, ...]]
-    index: dict[tuple[int, ...], int]
-    dims: tuple[Dimension, ...]
-    capacity: int
-    table: ChainTable | None = field(default=None, compare=False, repr=False)
+    def __init__(self, counts: np.ndarray):
+        self._counts = counts
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._counts)
+
+    def __iter__(self):
+        return map(tuple, self._counts.tolist())
+
+    def __getitem__(self, state):
+        rows = self._counts
+        i = bisect_left(rows, state, key=lambda row: tuple(row.tolist()))
+        if i < len(rows) and tuple(rows[i].tolist()) == state:
+            return i
+        raise KeyError(state)
 
 
-def _state_rows(space: StateSpace) -> np.ndarray:
-    if space.table is not None:
-        return space.table.counts
-    return np.array(space.states, dtype=np.int64).reshape(len(space), len(space.dims))
+@dataclass(frozen=True, eq=False)
+class StateSpace:
+    """Feasible states, numbered in lexicographic order of their counts.
+
+    ``counts`` holds the states as rows, in that order. ``states`` (the rows
+    as tuples) is built when first read; ``index`` maps a state tuple to its
+    number by binary search over ``counts``. ``table`` is the chain compiled
+    while the space was walked (:func:`reachable_states`,
+    :func:`build_generator`), or None. Two spaces are equal when their
+    dimensions, capacity and states are.
+    """
+
+    counts: np.ndarray
+    dims: tuple[Dimension, ...]
+    capacity: int
+    table: ChainTable | None = field(default=None, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @cached_property
+    def states(self) -> list[tuple[int, ...]]:
+        return list(map(tuple, self.counts.tolist()))
+
+    @property
+    def index(self) -> Mapping[tuple[int, ...], int]:
+        return _StateIndex(self.counts)
+
+    def __eq__(self, other):
+        if not isinstance(other, StateSpace):
+            return NotImplemented
+        return ((self.dims, self.capacity) == (other.dims, other.capacity)
+                and np.array_equal(self.counts, other.counts))
 
 
 def _state_keys(dims: list[Dimension], capacity: int, rows: np.ndarray):
@@ -262,11 +306,11 @@ def _compile_rows(
 
 def _table_for(space: StateSpace, policy: str, dims, capacity: int) -> ChainTable:
     """The space's own table when it was compiled for these arguments, else
-    a fresh compile over ``space.states``."""
+    a fresh compile over ``space.counts``."""
     if space.table is not None and space.table.compiled_for(policy, dims, capacity):
         return space.table
     dims = list(dims)
-    counts = _state_rows(space)
+    counts = space.counts
     source, target_rows, rate, rejected, slot = _compile_rows(
         policy, dims, capacity, counts)
     key = _state_keys(dims, capacity, counts)
@@ -330,8 +374,8 @@ def enumerate_states(
             prefix.pop()
 
     rec([], 0, capacity)
-    index = {s: i for i, s in enumerate(states)}
-    return StateSpace(states=states, index=index, dims=tuple(dims), capacity=capacity)
+    counts = np.array(states, dtype=np.int64).reshape(len(states), len(dims))
+    return StateSpace(counts=counts, dims=tuple(dims), capacity=capacity)
 
 
 def reachable_states(
@@ -417,10 +461,7 @@ def reachable_states(
         rejected=rejected[arcs],
         slot=slot[arcs],
     )
-    states = list(map(tuple, counts.tolist()))
-    index = dict(zip(states, range(len(states))))
-    return StateSpace(states=states, index=index, dims=tuple(dims), capacity=capacity,
-                      table=table)
+    return StateSpace(counts=counts, dims=tuple(dims), capacity=capacity, table=table)
 
 
 def build_generator(
@@ -436,7 +477,7 @@ def build_generator(
     rejected-arrival self-loops are omitted (they cancel in a generator).
     Row sums are zero by construction. The arcs come from ``space.table``
     when it was compiled for these arguments, else from one walk over
-    ``space.states``; the returned space carries the table used.
+    ``space.counts``; the returned space carries the table used.
     """
     import scipy.sparse as sp
 
@@ -564,6 +605,23 @@ def poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
     return np.clip(np.exp(xlogy(k, mean) - gammaln(k + 1) - mean), 0.0, 1.0)
 
 
+def _band_product(
+    pt: sp.csr_matrix, v: np.ndarray, y: np.ndarray, r0: int, r1: int
+) -> None:
+    """Add rows ``r0:r1`` of ``pt @ v`` into ``y[r0:r1]``, in place.
+
+    One call of scipy's own CSR kernel on the rows' slice of ``indptr``
+    (entry offsets stay absolute) and a view of ``y``: no copy, and on a
+    zeroed ``y`` the rows are bit for bit those of ``pt @ v``, which makes
+    the same call over every row. The public ``pt[r0:r1] @ v`` copies the
+    rows first and costs several times the product on a narrow band.
+    """
+    from scipy.sparse import _sparsetools
+
+    _sparsetools.csr_matvec(r1 - r0, pt.shape[1], pt.indptr[r0:r1 + 1], pt.indices,
+                            pt.data, v, y[r0:r1])
+
+
 def transient(
     q: sp.spmatrix,
     pi0: np.ndarray,
@@ -573,24 +631,43 @@ def transient(
     """State distribution at time ``t`` by uniformization.
 
     Sums the Poisson-weighted powers ``v_k = pi0 P^k`` of the uniformized
-    jump matrix ``P = I + Q / lam``. The l1 error against ``pi0 exp(Q t)``
+    jump matrix ``P = I + Q / lam``, dropping negligible mass as it goes
+    (fast adaptive uniformization). The l1 error against ``pi0 exp(Q t)``
     is at most ``eps * sum(pi0)`` (``pi0`` may be sub-stochastic), Poisson
-    tail plus cut:
+    tail plus twice the dropped mass plus cut:
 
     * the Poisson tail beyond ``k_max = poisson_isf(eps, lam t) + 1`` is
       dropped;
+    * after each step, every entry of the iterate at or below ``theta`` is
+      set to 0 and its mass added to ``dropped``. ``P`` is non-negative
+      with rows summing to 1, so a drop of ``delta`` moves every later
+      iterate by at most ``delta`` in l1: the iterates summed before the
+      cut, and the exact continuation summed in its place, each lie within
+      ``dropped`` of the exact ones. ``theta = drop_budget / (k_max n)``,
+      where ``drop_budget`` is ``DROP_SHARE`` of what the tail leaves of
+      ``eps``, so no run can drop more than that share;
     * the sum stops at the first step ``k`` whose iterates provably stop
-      moving. ``P`` is non-negative with rows summing to 1, so
-      ``d_k = |v_k - v_{k-1}|_1`` never grows and ``|v_{k+j} - v_k|_1 <=
-      j d_k``. Putting all the remaining Poisson mass on ``v_k`` therefore
-      moves the sum by at most ``d_k J_k``, where ``J_k`` is the remaining
-      mass times the expected number of remaining steps. The stop is taken
-      once ``d_k J_k`` fits in what the dropped tail leaves of ``eps``, or
-      once ``d_k`` is exactly 0: from there every later iterate is the same
-      array, so the stop changes only the order of the additions.
+      moving. ``d_k = |v_{k-1} P - v_{k-1}|_1`` is measured on the computed
+      iterates, before the step's drop; the exact continuation
+      ``v_{k-1} P^j`` then never moves by more than ``d_k`` a step, so
+      putting all the remaining Poisson mass on ``v_{k-1} P`` moves the sum
+      by at most ``d_k J_k``, where ``J_k`` is the remaining mass times the
+      expected number of remaining steps. The stop is taken once
+      ``d_k J_k + 2 dropped`` fits in what the tail leaves of ``eps``, or
+      once ``d_k`` is exactly 0: from there every later iterate is the
+      same array, so the stop changes only the order of the additions.
 
-    No stationary distribution is needed, and the cost follows the chain's
-    mixing time rather than ``lam t``.
+    Each step multiplies only the band of rows the iterate can reach. When
+    every nonzero of ``v`` lies in ``[lo, hi)``, every nonzero of ``v P``
+    lies in ``[lo - down, hi + up)``, where ``up`` and ``down`` are the
+    largest upward and downward index shifts (target - source) of an arc of
+    ``q``; the difference, the sum and the drop also run over that band.
+    The cost is the steps taken times the band's nonzeros. States numbered
+    so that arcs stay near the diagonal (:func:`reachable_states`,
+    :func:`enumerate_states`) keep the band narrow; a scattered numbering
+    widens it to every row, which gives the same answer at the cost of a
+    full product a step. No stationary distribution is needed, and the
+    number of steps follows the chain's mixing time rather than ``lam t``.
     """
     import scipy.sparse as sp
 
@@ -608,8 +685,11 @@ def transient(
         return pi0.copy()
 
     lam = rate * 1.02  # small margin keeps the jump matrix strictly substochastic
+    q = q.tocsr()
     # Row vector times P is P^T times a column vector: one CSR mat-vec a step.
-    pt = (sp.eye(n, format="csr") + q.tocsr() / lam).T.tocsr()
+    pt = (sp.eye(n, format="csr") + q / lam).T.tocsr()
+    shift = q.indices - np.repeat(np.arange(n), np.diff(q.indptr))
+    up, down = int(shift.max(initial=0)), -int(shift.min(initial=0))
     mean = lam * t
     k_max = poisson_isf(eps, mean) + 1
 
@@ -620,31 +700,47 @@ def transient(
     reach = np.append(np.cumsum(tail[:0:-1])[::-1], 0.0)
     neglected = max(0.0, 1.0 - float(weights.sum()))
     budget = max(0.0, eps - neglected) * float(pi0.sum())
+    theta = DROP_SHARE * budget / (k_max * n)
+    dropped = 0.0
     out = weights[0] * pi0
-    scratch = np.empty_like(pi0)
-    v = pi0
+    # v holds the iterate, nonzero only in [lo, hi); y, the next iterate's
+    # buffer, is all zeros at the start of each step.
+    v, y, scratch = pi0.copy(), np.zeros(n), np.empty(n)
+    mask = np.empty(n, dtype=bool)
+    support = np.flatnonzero(v)
+    lo, hi = (int(support[0]), int(support[-1]) + 1) if len(support) else (0, 0)
     for k in range(1, k_max + 1):
-        prev, v = v, pt @ v
-        np.subtract(v, prev, out=scratch)
-        if float(np.abs(scratch, out=scratch).sum()) * reach[k] <= budget:
-            np.multiply(v, tail[k], out=scratch)
-            out += scratch
+        r0, r1 = max(lo - down, 0), min(hi + up, n)
+        _band_product(pt, v, y, r0, r1)
+        new, diff, small = y[r0:r1], scratch[r0:r1], mask[r0:r1]
+        np.subtract(new, v[r0:r1], out=diff)
+        # An empty band has d_k = 0 and always stops here.
+        if float(np.abs(diff, out=diff).sum()) * reach[k] + 2.0 * dropped <= budget:
+            np.multiply(new, tail[k], out=diff)
+            out[r0:r1] += diff
             return out
-        np.multiply(v, weights[k], out=scratch)
-        out += scratch
+        np.less_equal(new, theta, out=small)  # with theta = 0, the zeros only
+        dropped += float(np.dot(new, small))
+        np.putmask(new, small, 0.0)
+        np.multiply(new, weights[k], out=diff)
+        out[r0:r1] += diff
+        v[lo:hi] = 0.0
+        v, y = y, v
+        first, last = int(np.argmin(small)), len(small) - int(np.argmin(small[::-1]))
+        lo, hi = (r0, r0) if small[first] else (r0 + first, r0 + last)
     return out
 
 
 def occupancy_marginal(space: StateSpace, pi: np.ndarray) -> np.ndarray:
     """Aggregate a state distribution by occupied blocks (0..C)."""
     demands = np.array([d.demand_blocks for d in space.dims], dtype=np.int64)
-    return np.bincount(_state_rows(space) @ demands, weights=pi,
+    return np.bincount(space.counts @ demands, weights=pi,
                        minlength=space.capacity + 1)
 
 
 def mean_counts(space: StateSpace, pi: np.ndarray) -> np.ndarray:
     """Expected sessions per dimension under a state distribution."""
-    states = np.asarray(_state_rows(space), dtype=float)
+    states = np.asarray(space.counts, dtype=float)
     return states.T @ pi
 
 

@@ -846,16 +846,19 @@ def burst_chain():
 
 
 def count_matvecs(monkeypatch):
-    """Count the CSR matrix-vector products made from here on (through a
-    private scipy hook; a test that finds none fails rather than passes)."""
+    """Count the CSR matrix-vector products made from here on, whole or over
+    a band of rows (through scipy's private kernel, which both call; a test
+    that finds none fails rather than passes)."""
+    from scipy.sparse import _sparsetools
+
     calls = []
-    real = sp.csr_matrix._matmul_vector
+    real = _sparsetools.csr_matvec
 
-    def counting(self, other):
+    def counting(*args):
         calls.append(1)
-        return real(self, other)
+        return real(*args)
 
-    monkeypatch.setattr(sp.csr_matrix, "_matmul_vector", counting)
+    monkeypatch.setattr(_sparsetools, "csr_matvec", counting)
     return calls
 
 
@@ -934,6 +937,81 @@ def test_sub_stochastic_start_scales_the_result_and_the_budget(burst_chain):
     got = transient(q, mass * pi0, 2.0, eps=eps)
     assert np.abs(got - full_poisson_sum(q, mass * pi0, 2.0, eps)).sum() <= mass * eps
     assert abs(got.sum() - mass) <= mass * eps
+
+
+# ---------------------------------------------------------------------------
+# Band product and dropped mass
+# ---------------------------------------------------------------------------
+
+
+def test_band_product_equals_the_whole_product_bit_for_bit(burst_chain):
+    q, _, _ = burst_chain
+    n = q.shape[0]
+    pt = (sp.eye(n, format="csr") + q.tocsr() / 3.0).T.tocsr()
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        lo, hi = np.sort(rng.integers(0, n + 1, size=2))
+        r0, r1 = int(rng.integers(0, lo + 1)), int(rng.integers(hi, n + 1))
+        v = np.zeros(n)
+        v[lo:hi] = rng.random(hi - lo) * (rng.random(hi - lo) < 0.3)
+        y = np.zeros(n)
+        analytic._band_product(pt, v, y, r0, r1)
+        assert np.array_equal(y[r0:r1], (pt @ v)[r0:r1])
+        assert not y[:r0].any() and not y[r1:].any()
+
+
+def erlang_chain(capacity=200, load=20.0):
+    """An Erlang loss pool whose states far above the load hold almost no
+    mass: a start from the empty pool leaves entries for the drop."""
+    dims = build_dimensions("NC1", [TrafficClass(1, load, 1.0, 1, capacity)], capacity)
+    return build_generator("NC1", dims, capacity)
+
+
+@pytest.mark.parametrize("t", [0.2, 1.0, 20.0])
+def test_dropped_mass_stays_within_eps_of_the_exponential(t):
+    _, q = erlang_chain()
+    pi0 = np.zeros(q.shape[0])
+    pi0[0] = 1.0
+    eps = 1e-4
+    got = transient(q, pi0, t, eps=eps)
+    full = full_poisson_sum(q, pi0, t, eps)
+    # Mass really was dropped, and no more than the drop's share of eps.
+    assert 1e-12 < full.sum() - got.sum() <= analytic.DROP_SHARE * eps
+    assert np.abs(got - pi0 @ expm(q.toarray() * t)).sum() <= eps
+    assert got.min() >= 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-4])
+def test_support_touching_the_first_and_last_state(eps):
+    _, q = erlang_chain()
+    n = q.shape[0]
+    pi0 = np.zeros(n)
+    pi0[[0, n - 1]] = 0.5
+    for t in (0.01, 0.5, 5.0):
+        got = transient(q, pi0, t, eps=eps)
+        assert np.abs(got - pi0 @ expm(q.toarray() * t)).sum() <= eps
+        assert got.min() >= 0.0
+
+
+def test_permuted_numbering_gives_the_permuted_answer():
+    # A scattered numbering widens the band to every row; the answer is the
+    # same up to the error each side is allowed.
+    space, q = nc3_chain()
+    n = len(space)
+    perm = np.random.default_rng(29).permutation(n)
+    pi0 = np.zeros(n)
+    pi0[space.index[(0, 0, 0)]] = 1.0
+    eps = 1e-9
+    for t in (5.0, 60.0):
+        got = transient(q.tocsr()[perm][:, perm], pi0[perm], t, eps=eps)
+        assert np.abs(got - transient(q, pi0, t, eps=eps)[perm]).sum() <= 2 * eps
+        assert got.min() >= 0.0
+
+
+def test_all_zero_start_stays_zero(burst_chain):
+    q, _, _ = burst_chain
+    got = transient(q, np.zeros(q.shape[0]), 2.0)
+    assert got.shape == (q.shape[0],) and not got.any()
 
 
 def test_mean_counts_matches_occupancy():

@@ -208,11 +208,12 @@ REPLAY_CASES = [
 ]
 
 
-# NC3 "batch" has no coupled case: a batch replication of it makes a
-# downgraded admission with probability about 0.13 in either engine, and the
-# four coupled ones from base seed 11 make none. The batch_plus_poisson cases
-# replay coupled NC3 batches.
-COUPLED_REPLAY_CASES = [case for case in REPLAY_CASES if case[:2] != ("NC3", "batch")]
+# The NC3 "batch" case starts one block short of a full pool, with one
+# downgraded video session. A replication makes a downgraded admission with
+# probability about 0.1-0.13 from a stationary video start, and about 0.82
+# from this state in either engine (300 seeds each), so four replications
+# miss one with probability about 1e-3.
+ODD_FREE_START = {("NC3", "batch"): (0, 30, 1)}
 
 
 # The coupled cases get a "-crn" suffix, so the direct ones keep their ids.
@@ -220,11 +221,12 @@ COUPLED_REPLAY_CASES = [case for case in REPLAY_CASES if case[:2] != ("NC3", "ba
     pytest.param(*case, False, id="-".join(map(str, case))) for case in REPLAY_CASES
 ] + [
     pytest.param(*case, True, id="-".join(map(str, case)) + "-crn")
-    for case in COUPLED_REPLAY_CASES
+    for case in REPLAY_CASES
 ])
 def test_recorded_events_replay_as_chain_arcs(policy, mode, batch, rate, early_stop, crn):
     sc = burst_scenario(policy, mode, batch=batch, rate=rate, replications=4,
-                        early_stop_at_goose_cap=early_stop)
+                        early_stop_at_goose_cap=early_stop,
+                        initial_counts=ODD_FREE_START.get((policy, mode)))
     kinds = set()
     for rec in run_experiment(sc, crn=crn):
         assert replay_problems(sc, rec) == []
