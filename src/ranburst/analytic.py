@@ -195,17 +195,22 @@ class StateSpace:
                 and np.array_equal(self.counts, other.counts))
 
 
+def _state_box(dims: list[Dimension], capacity: int) -> list[int]:
+    """The radices ``r_d = min(max_sessions, C // demand) + 1`` of the box
+    ``0 <= c_d < r_d``, which holds every feasible state."""
+    return [min(d.max_sessions, capacity // d.demand_blocks) + 1 for d in dims]
+
+
 def _state_keys(dims: list[Dimension], capacity: int, rows: np.ndarray):
     """A function from state rows to one exact, hashable key per row.
 
     It is exact on ``rows`` and on every arc target out of them. A state in
-    the box ``0 <= c_d < r_d``, ``r_d = min(max_sessions, C // demand) + 1``,
-    which holds every feasible state, is keyed by its mixed-radix number in
-    the box when ``rows`` lie in it and the box has fewer than ``2**63``
-    points; the policy rule and departures never lead out of the box.
-    Otherwise a state is keyed by the bytes of its row.
+    the box of :func:`_state_box` is keyed by its mixed-radix number in the
+    box when ``rows`` lie in it and the box has fewer than ``2**63`` points;
+    the policy rule and departures never lead out of the box. Otherwise a
+    state is keyed by the bytes of its row.
     """
-    radix = [min(d.max_sessions, capacity // d.demand_blocks) + 1 for d in dims]
+    radix = _state_box(dims, capacity)
     if math.prod(radix) < 2**63 and ((rows >= 0) & (rows < radix)).all():
         weights = np.array([math.prod(radix[i + 1:]) for i in range(len(radix))],
                            dtype=np.int64)
@@ -599,10 +604,73 @@ def poisson_isf(eps: float, mean: float) -> int:
 
 
 def poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
-    """``poisson.pmf(k, mean)`` for integer ``k >= 0``."""
+    """``poisson.pmf(k, mean)`` for integer ``k >= 0``, by scipy's formula.
+
+    Its exponent ``k log(mean) - log(k!) - mean`` is a difference of terms
+    near ``mean log(mean)``, so each value has a relative error of about
+    ``mean log(mean)`` units in the last place: at mean 1e5 the weights up
+    to ``poisson_isf(1e-9, mean)`` lose 6e-11 more than the tail, and at
+    mean 1e6 they sum above 1. :func:`transient` uses
+    :func:`poisson_weights`.
+    """
     from scipy.special import gammaln, xlogy
 
     return np.clip(np.exp(xlogy(k, mean) - gammaln(k + 1) - mean), 0.0, 1.0)
+
+
+# Coefficients of the Stirling series of log(n!) (Loader 2000).
+_STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+
+
+def _stirling_error(n: np.ndarray) -> np.ndarray:
+    """``log(n!) - log(sqrt(2 pi n) (n / e)^n)`` for integer ``n >= 1``.
+
+    The Stirling series from ``n = 16`` on, where its five terms are exact
+    to rounding; below, ``log(n!)`` is small and the difference loses
+    nothing that matters.
+    """
+    from scipy.special import gammaln
+
+    s0, s1, s2, s3, s4 = _STIRLING
+    nn = n * n
+    series = (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / n
+    small = np.minimum(n, 16)
+    direct = (gammaln(small + 1) - (small + 0.5) * np.log(small) + small
+              - 0.5 * math.log(2 * math.pi))
+    return np.where(n > 15, series, direct)
+
+
+def _deviance(x: np.ndarray, mean: float) -> np.ndarray:
+    """``x log(x / mean) + mean - x`` for ``x >= 1``, without cancellation.
+
+    Near the mean (``|x - mean| < 0.1 (x + mean)``) it is the series
+    ``(x - mean) v + 2 x sum_j v^(2j+1) / (2j + 1)`` with ``v = (x - mean) /
+    (x + mean)``; there ``|v| < 0.1`` and twelve terms reach rounding.
+    """
+    d = x - mean
+    v = d / (x + mean)
+    series, term, v2 = d * v, 2 * x * v, v * v
+    for j in range(1, 13):
+        term = term * v2
+        series = series + term / (2 * j + 1)
+    direct = x * np.log(x / mean) + mean - x
+    return np.where(np.abs(d) < 0.1 * (x + mean), series, direct)
+
+
+def poisson_weights(k: np.ndarray, mean: float) -> np.ndarray:
+    """``poisson.pmf(k, mean)`` for integer ``k >= 0`` and ``mean > 0``,
+    accurate at any mean.
+
+    Loader's saddle-point form ``exp(-stirling(k) - deviance(k, mean)) /
+    sqrt(2 pi k)`` (C. Loader, "Fast and accurate computation of binomial
+    probabilities", 2000) has no term that grows with the mean: each value
+    is within about 1e-13 of the exact one, relatively, from mean 1e2 to
+    1e7, and the weights keep their mass.
+    """
+    k = np.asarray(k, dtype=np.float64)
+    x = np.maximum(k, 1.0)
+    w = np.exp(-_stirling_error(x) - _deviance(x, mean)) / np.sqrt(2 * math.pi * x)
+    return np.where(k == 0, math.exp(-mean), w)
 
 
 def _band_product(
@@ -637,7 +705,8 @@ def transient(
     tail plus twice the dropped mass plus cut:
 
     * the Poisson tail beyond ``k_max = poisson_isf(eps, lam t) + 1`` is
-      dropped;
+      dropped; the weights up to it are :func:`poisson_weights`, whose
+      missing mass is the tail to rounding;
     * after each step, every entry of the iterate at or below ``theta`` is
       set to 0 and its mass added to ``dropped``. ``P`` is non-negative
       with rows summing to 1, so a drop of ``delta`` moves every later
@@ -693,7 +762,7 @@ def transient(
     mean = lam * t
     k_max = poisson_isf(eps, mean) + 1
 
-    weights = poisson_pmf(np.arange(k_max + 1), mean)
+    weights = poisson_weights(np.arange(k_max + 1), mean)
     # tail[k]: Poisson mass from step k on; reach[k] = J_k = sum of tail[m]
     # for m > k, both as sums of non-negative terms (no cancellation).
     tail = np.cumsum(weights[::-1])[::-1]

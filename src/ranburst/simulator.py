@@ -2,10 +2,16 @@
 
 Two engines walk the same chain, with a burst-injection schedule layered on
 top and deterministic per-replication seeding; identical (scenario, seed)
-pairs reproduce trajectories bit for bit. Both resolve a state's arcs the
-same way: the first time a state is visited it is proved feasible and its
-arcs are resolved through the policy; afterwards they are looked up in a
-table that lives for one ``run_experiment`` or ``run_replication`` call.
+pairs reproduce trajectories bit for bit. Both walk one compiled chain
+(:class:`_Chain`) by integer state key; it lives for one ``run_experiment``
+or ``run_replication`` call. The chain is compiled one block of keys at a
+time, when a walk first enters the block: the array rule
+:func:`~ranburst.traffic.arrival_outcomes` resolves the arrival arcs of the
+block's feasible states, and every arrival target is proved feasible before
+it is keyed. The scalar
+:func:`~ranburst.traffic.arrival_outcome` is not called here; it is still
+imported under its name, with ``feasible`` and ``kaufman_roberts``, which
+the benchmark's tracer (``perfbench/tracer.py``) wraps to count calls.
 
 * The direct engine (the default) samples the continuous-time chain: an
   exponential holding time at the total outgoing rate, then an arc picked
@@ -25,20 +31,22 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import kaufman_roberts
+from .analytic import FRONTIER_CHUNK, _state_box, kaufman_roberts
 from .errors import ScenarioError
 from .numerology import RadioConfig
-from .traffic import (
-    ARRIVAL_REJECTED,
+from .traffic import (  # noqa: F401  (``arrival_outcome``: see the module docstring)
+    _KIND_CODE,
     DEPARTURE,
     EVENT_KINDS,
     Dimension,
     TrafficClass,
     arrival_outcome,
+    arrival_outcomes,
     build_dimensions,
     feasible,
 )
@@ -175,9 +183,6 @@ class Scenario:
                 raise ScenarioError("initial_counts is not a feasible state")
 
 
-_KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
-
-
 def _int_dtype(bound: int) -> type:
     """int16 if it holds every integer from 0 to ``bound``, else int32.
 
@@ -282,22 +287,14 @@ def mix_seed(base_seed: int, replication: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _initial_state(scenario: Scenario, dims: list[Dimension], rng) -> tuple[int, ...]:
+def _initial_state(scenario: Scenario, chain: _Chain, rng) -> tuple[int, ...]:
     if scenario.initial_counts is not None:
         return tuple(scenario.initial_counts)
-    counts = [0] * len(dims)
+    counts = [0] * len(chain.dims)
     if scenario.warmup == STATIONARY_VIDEO_START:
-        video = scenario.classes[1]
-        solo = TrafficClass(
-            id=video.id,
-            arrival_rate=video.arrival_rate,
-            service_rate=video.service_rate,
-            demand_blocks=video.demand_blocks,
-            max_sessions=video.max_sessions,
-        )
-        dist = kaufman_roberts([solo], scenario.radio.capacity_blocks)
-        blocks = int(rng.choice(len(dist.q), p=dist.q))
-        counts[1] = blocks // video.demand_blocks
+        q = chain.start_law
+        blocks = int(rng.choice(len(q), p=q))
+        counts[1] = blocks // scenario.classes[1].demand_blocks
     return tuple(counts)
 
 
@@ -310,112 +307,203 @@ def run_replication(scenario: Scenario, seed: int, crn: bool = False) -> Traject
     """
     scenario.validate()
     run = _run_coupled if crn else _run_direct
-    return run(scenario, seed, _ArcTable(scenario))
+    return run(scenario, seed, _Chain(scenario))
 
 
-# An arc as the engines follow it: (arc id, kind, target state, dim).
-Arc = tuple[int, str, tuple[int, ...], int]
+# An arc as the engines follow it: (arc id, key of the target state). An
+# injected offer's arc carries a third entry, 1 if it admits the session.
+Arc = tuple[int, int]
 
 
-class _StateArcs:
-    """Resolved outgoing arcs of one visited state.
+class _Block(NamedTuple):
+    """The feasible states of one block of keys, as :meth:`_Chain.compile`
+    leaves them: arc ``offset + r * slots + s`` is slot ``s`` of row ``r``."""
 
-    ``arrivals`` pairs each positive class arrival rate with its arc, in
-    dimension order; ``departures`` pairs each positive departure rate with
-    its arc; ``departure_total`` is the sum of those rates. ``offer``, the
-    arc of an injected priority offer, is resolved on first use: most
-    states are never visited while the burst is being offered.
-    """
-
-    __slots__ = ("arrivals", "departures", "departure_total", "offer")
-
-    def __init__(self, arrivals, departures, departure_total):
-        self.arrivals: list[tuple[float, Arc]] = arrivals
-        self.departures: list[tuple[float, Arc]] = departures
-        self.departure_total: float = departure_total
-        self.offer: Arc | None = None
+    offset: int
+    row: np.ndarray  # (keys,) row of each key of the block, -1 if infeasible
+    counts: np.ndarray  # (rows, n_dims)
+    target: np.ndarray  # (rows, slots) target key of each arc
 
 
-class _ArcTable:
-    """The arcs of one scenario resolved so far, shared by its replications
-    in one process and by both engines.
+class _Chain:
+    """A scenario's chain, compiled one block of states at a time; shared by
+    its replications in one process and by both engines.
 
-    ``by_state`` maps each visited state to its :class:`_StateArcs`, filled
-    by :meth:`resolve` on the state's first visit. Every arc gets an integer
-    id when it is resolved: row ``id`` of ``rows`` is ``(kind code, dim,
-    downgraded, discarded, target id, *target counts)``. A path is kept as a
-    list of arc ids and turned into record columns by :meth:`columns`.
+    A state is keyed by its mixed-radix number in the box of
+    :func:`~ranburst.analytic._state_box`, as the chain search keys it. A
+    block is a fixed range of at most ``FRONTIER_CHUNK`` keys: ``per``
+    consecutive values of the leading digits, each with every value of the
+    trailing digits, which span ``span`` keys. The first time a walk enters
+    a state of a block, :meth:`compile` resolves the arrival arcs of the
+    block's feasible states with one call of the array rule
+    :func:`~ranburst.traffic.arrival_outcomes` per slot and proves every
+    arrival target feasible; a departure's target, one session fewer, is
+    feasible by construction. A state's slots are the arrival of each
+    dimension with a positive rate, in dimension order, the injected offer
+    (an arrival of dimension 0), then the departure of each dimension. Arc ``id`` is row ``id`` of the columns ``target`` (a state
+    key), ``kind``, ``dim``, ``downgraded`` and ``discarded``; a path is
+    kept as a list of arc ids and turned into record columns by
+    :meth:`columns`.
+
+    ``by_state`` maps the key of each visited state to what the engines
+    walk, built by :meth:`visit` from its block's arrays: ``(arrivals,
+    departures, departure_total, offer, n0)``. ``arrivals`` pairs each
+    positive arrival rate with its arc, in dimension order; ``departures``
+    holds ``(rate, arc, class)`` for each positive departure rate, with
+    ``class`` the dimension's index in ``classes``; ``departure_total`` is
+    the sum of those rates; ``offer`` is the injected offer's arc; ``n0`` is
+    the count of dimension 0.
     """
 
     def __init__(self, scenario: Scenario):
-        self.dims = scenario.dimensions()
+        self.scenario = scenario
+        self.dims = dims = scenario.dimensions()
         self.capacity = scenario.radio.capacity_blocks
         self.policy = scenario.policy
         self.scale = scenario.time_scale / 1000.0  # configured per-second rates -> per ms
-        self.arr_rates = [d.arrival_rate * self.scale for d in self.dims]
-        self.dep_rates = [d.service_rate * self.scale for d in self.dims]
-        self.by_state: dict[tuple[int, ...], _StateArcs] = {}
-        self.rows: list[tuple[int, ...]] = []
-        self.target_id: dict[tuple[int, ...], int] = {}
-        self._array = np.empty((0, 5 + len(self.dims)), dtype=np.int64)  # ``rows`` so far
+        self.arr_rates = [d.arrival_rate * self.scale for d in dims]
+        self.dep_rates = [d.service_rate * self.scale for d in dims]
+        self.classes = list(dict.fromkeys(d.source_class for d in dims))
+        self.class_of = [self.classes.index(d.source_class) for d in dims]
+        self.arriving = [i for i, rate in enumerate(self.arr_rates) if rate > 0.0]
+        self.slots = len(self.arriving) + 1 + len(dims)
+        radix = _state_box(dims, self.capacity)
+        self.weights = [math.prod(radix[i + 1:]) for i in range(len(radix))]
+        # Keys past int64 stay exact as Python ints in object arrays.
+        self.wide = math.prod(radix) > np.iinfo(np.int64).max
+        self._weights = np.array(self.weights, dtype=object if self.wide else np.int64)
+        self._radix = np.array(radix, dtype=np.int64)
+        self._demand = np.array([d.demand_blocks for d in dims], dtype=np.int64)
+        # The trailing digits are the longest run at the end whose values
+        # fit in a block. Their rows and occupancy are decoded once here, so
+        # a compile decodes only its ``per`` leading values.
+        j = next(i for i in range(len(radix) + 1) if math.prod(radix[i:]) <= FRONTIER_CHUNK)
+        self._lead = j
+        self._leads = math.prod(radix[:j])  # values of the leading digits
+        self.span = math.prod(radix[j:])
+        self.per = FRONTIER_CHUNK // self.span
+        trail = np.arange(self.span, dtype=np.int64)[:, None]
+        self._trail = (trail // self._weights[j:].astype(np.int64)) % self._radix[j:]
+        self._trail_occ = self._trail @ self._demand[j:]
+        self.small = _int_dtype(max(self.capacity, len(dims)))
+        self.blocks: dict[int, _Block] = {}
+        self.by_state: dict[int, tuple] = {}
+        self._parts: list[tuple[np.ndarray, ...]] = []  # arc columns, one entry per block
+        self._arcs = 0
 
-    def arc(self, kind: str, dim: int, downgraded: int, discarded: int,
-            target: tuple[int, ...]) -> Arc:
-        tid = self.target_id.setdefault(target, len(self.target_id))
-        self.rows.append((_KIND_CODE[kind], dim, downgraded, discarded, tid, *target))
-        return (len(self.rows) - 1, kind, target, dim)
+    @cached_property
+    def start_law(self) -> np.ndarray:
+        """Occupancy law of the video class alone (``stationary_video_start``)."""
+        video = self.scenario.classes[1]
+        solo = TrafficClass(
+            id=video.id,
+            arrival_rate=video.arrival_rate,
+            service_rate=video.service_rate,
+            demand_blocks=video.demand_blocks,
+            max_sessions=video.max_sessions,
+        )
+        return kaufman_roberts([solo], self.capacity).q
 
-    def _outcome(self, state: tuple[int, ...], i: int, rate: float) -> Arc:
-        # ``arrival_outcome`` and ``feasible`` are looked up in this module
-        # on every call, so that wrappers installed on it see each one.
-        tr = arrival_outcome(self.policy, state, i, self.dims, self.capacity, rate)
-        return self.arc(tr.kind, tr.dim, tr.downgraded, tr.discarded, tr.target)
+    def key(self, counts: tuple[int, ...]) -> int:
+        return sum(c * w for c, w in zip(counts, self.weights))
 
-    def resolve(self, state: tuple[int, ...], t: float) -> _StateArcs:
-        """Prove ``state`` feasible, reached at ``t``, and resolve its arcs."""
-        if not feasible(state, self.dims, self.capacity):
-            raise RuntimeError(f"simulation produced infeasible state {state} at t={t:.3f} ms")
+    def _decode(self, keys: np.ndarray) -> np.ndarray:
+        """The counts of each key, as rows."""
+        return ((keys[:, None] // self._weights) % self._radix).astype(np.int64)
 
-        arrivals = [
-            (rate, self._outcome(state, i, rate))
-            for i, rate in enumerate(self.arr_rates) if rate > 0.0
-        ]
+    def compile(self, b: int) -> _Block:
+        """Resolve every arc out of the feasible states of block ``b``."""
+        n, slots, j = len(self.dims), self.slots, self._lead
+        first, stop = b * self.per, min((b + 1) * self.per, self._leads)
+        leads = (np.array(range(first, stop), dtype=object) if self.wide
+                 else np.arange(first, stop, dtype=np.int64))
+        lead = ((leads[:, None] // (self._weights[:j] // self.span)) % self._radix[:j]
+                ).astype(np.int64)
+        free = self.capacity - lead @ self._demand[:j]
+        # The box holds the session caps, so a row is feasible when it fits.
+        p, t = np.nonzero(self._trail_occ <= free[:, None])
+        rows = np.concatenate((lead[p], self._trail[t]), axis=1)
+        m = len(rows)
+        keys = leads[p] * self.span + t
+        target = np.empty((m, slots), dtype=keys.dtype)
+        kind = np.full((m, slots), _KIND_CODE[DEPARTURE], dtype=np.int8)
+        downgraded = np.zeros((m, slots), dtype=self.small)
+        discarded = np.zeros((m, slots), dtype=self.small)
+        arrivals = [*self.arriving, 0]  # the offer is an arrival of dimension 0
+        for s, i in enumerate(arrivals):
+            out = arrival_outcomes(self.policy, rows, i, self.dims, self.capacity)
+            # An out-of-box row would alias another state's key.
+            bad = ((out.target < 0) | (out.target >= self._radix)).any(axis=1)
+            bad |= out.target @ self._demand > self.capacity
+            if bad.any():
+                r = int(np.argmax(bad))
+                raise RuntimeError(
+                    f"compiling the chain gave infeasible state {tuple(out.target[r].tolist())}, "
+                    f"the target of an arc out of {tuple(rows[r].tolist())}")
+            target[:, s] = out.target @ self._weights
+            kind[:, s] = out.kind
+            downgraded[:, s] = out.downgraded
+            discarded[:, s] = out.discarded
+        # A departure takes one session from a feasible row, so its target is
+        # feasible. From an empty dimension it is never taken, and its slot
+        # keeps the row's own key.
+        target[:, len(arrivals):] = keys[:, None] - (rows > 0) * self._weights
+        dim = np.broadcast_to(np.array([*arrivals, *range(n)], dtype=self.small), (m, slots))
+        self._parts.append((target.ravel(), kind.ravel(), dim.ravel(), downgraded.ravel(),
+                            discarded.ravel()))
+        row = np.full(self.per * self.span, -1, dtype=_int_dtype(FRONTIER_CHUNK))
+        row[p * self.span + t] = np.arange(m)
+        block = _Block(self._arcs, row, rows, target)
+        self._arcs += m * slots
+        self.blocks[b] = block
+        return block
+
+    def visit(self, key: int) -> tuple:
+        """What the engines walk out of the state keyed ``key``, on its first visit."""
+        b, at = divmod(key, self.per * self.span)
+        block = self.blocks.get(b) or self.compile(b)
+        r = int(block.row[at])
+        if r < 0:
+            raise RuntimeError(
+                f"simulation entered infeasible state {tuple(self._decode(np.array([key]))[0])}")
+        counts = block.counts[r].tolist()
+        targets = block.target[r].tolist()
+        first = block.offset + r * self.slots  # arc id of slot 0
+        a = len(self.arriving)
+        arrivals = tuple([(self.arr_rates[i], (first + s, targets[s]))
+                          for s, i in enumerate(self.arriving)])
+        # A rejected offer is a self-loop; an admitted one adds a session.
+        offer = (first + a, targets[a], int(targets[a] != key))
         departures = []
+        departure_total = 0.0  # summed in dimension order, zeros included
         for i, rate in enumerate(self.dep_rates):
-            out = state[i] * rate
+            out = counts[i] * rate
+            departure_total += out
             if out > 0.0:
-                target = list(state)
-                target[i] -= 1
-                departures.append((out, self.arc(DEPARTURE, i, 0, 0, tuple(target))))
-        departure_total = sum(c * r for c, r in zip(state, self.dep_rates))
-        arcs = _StateArcs(arrivals, departures, departure_total)
-        self.by_state[state] = arcs
-        return arcs
-
-    def offer(self, state: tuple[int, ...], arcs: _StateArcs) -> Arc:
-        """Resolve the injected-offer arc of ``state``, whose arcs are ``arcs``."""
-        arcs.offer = self._outcome(state, 0, 0.0)
-        return arcs.offer
+                s = a + 1 + i
+                departures.append((out, (first + s, targets[s]), self.class_of[i]))
+        state = (arrivals, tuple(departures), departure_total, offer, counts[0])
+        self.by_state[key] = state
+        return state
 
     def columns(self, path: list[int]) -> dict[str, np.ndarray]:
-        """Event columns of a path of arc ids, gathered in one fancy-index;
-        its states are numbered in order of first entry."""
-        if len(self._array) < len(self.rows):
-            new = np.array(self.rows[len(self._array):], dtype=np.int64)
-            self._array = np.concatenate((self._array, new))
-        cols = self._array[np.array(path, dtype=np.intp)]
-        _, first, inverse = np.unique(cols[:, 4], return_index=True, return_inverse=True)
+        """Event columns of a path of arc ids, gathered in one fancy-index
+        each; its states are numbered in order of first entry."""
+        if len(self._parts) > 1:
+            self._parts = [tuple(np.concatenate(c) for c in zip(*self._parts))]
+        target, kind, dim, downgraded, discarded = (
+            c[np.array(path, dtype=np.intp)] for c in self._parts[0])
+        _, first, inverse = np.unique(target, return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        small = _int_dtype(max(self.capacity, cols.shape[1] - 5))
         return dict(
-            kind=cols[:, 0].astype(np.int8),
-            dim=cols[:, 1].astype(small),
-            downgraded=cols[:, 2].astype(small),
-            discarded=cols[:, 3].astype(small),
+            kind=kind,
+            dim=dim,
+            downgraded=downgraded,
+            discarded=discarded,
             state=rank[inverse].astype(_int_dtype(len(order))),
-            states=cols[first[order], 5:].astype(small),
+            states=self._decode(target[first[order]]).astype(self.small),
         )
 
     def record(self, scenario: Scenario, seed: int, initial: tuple[int, ...],
@@ -439,28 +527,25 @@ class _ArcTable:
         )
 
 
-def _run_direct(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryRecord:
-    """The direct engine. ``table`` holds the arcs of each state visited so
-    far; it is filled lazily and may be shared by replications of the same
-    scenario."""
-    dims = table.dims
+def _run_direct(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
+    """The direct engine, a walk over ``chain``, which may be shared by
+    replications of the same scenario."""
     rng = np.random.default_rng(seed)
-    initial = _initial_state(scenario, dims, rng)
-    counts = initial
+    initial = _initial_state(scenario, chain, rng)
 
-    arr_total = sum(table.arr_rates)
+    arr_total = sum(chain.arr_rates)
     inj = scenario.injection
     has_stream = inj is not None and inj.has_stream
-    inj_rate = inj.poisson_rate * table.scale if has_stream else 0.0
+    inj_rate = inj.poisson_rate * chain.scale if has_stream else 0.0
     inj_cap = inj.batch_size if inj is not None and inj.mode == POISSON else 0
     early_stop = scenario.early_stop_at_goose_cap
-    goose_cap = dims[0].max_sessions
+    goose_cap = chain.dims[0].max_sessions
     horizon = scenario.horizon_ms
-    lookup = table.by_state.get
-    resolve = table.resolve
-    offer = table.offer
+    lookup = chain.by_state.get
+    visit = chain.visit
 
-    arcs = lookup(counts) or resolve(counts, 0.0)
+    key = chain.key(initial)
+    arrivals, departures, departure_total, offer, n0 = lookup(key) or visit(key)
     times: list[float] = []
     path: list[int] = []  # arc id of each event
     t = 0.0
@@ -475,12 +560,12 @@ def _run_direct(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryRe
             t_break = horizon
             if inj.has_batch:
                 for _ in range(inj.batch_size):
-                    a = arcs.offer or offer(counts, arcs)
                     times.append(t)
-                    path.append(a[0])
-                    counts = a[2]
-                    arcs = lookup(counts) or resolve(counts, t)
-                    if early_stop and counts[0] >= goose_cap:
+                    path.append(offer[0])
+                    key = offer[1]
+                    arrivals, departures, departure_total, offer, n0 = (
+                        lookup(key) or visit(key))
+                    if early_stop and n0 >= goose_cap:
                         stopped = True
                         break
                 if stopped:
@@ -488,7 +573,7 @@ def _run_direct(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryRe
 
         stream_on = has_stream and injected and (inj_cap == 0 or delivered < inj_cap)
         total = arr_total + (inj_rate if stream_on else 0.0)
-        total += arcs.departure_total
+        total += departure_total
 
         if total == 0.0:
             if t_break >= horizon:
@@ -506,20 +591,19 @@ def _run_direct(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryRe
 
         u = rng.random() * total
         a: Arc | None = None
-        for rate, arrival in arcs.arrivals:
+        for rate, arrival in arrivals:
             if u < rate:
                 a = arrival
                 break
             u -= rate
         if a is None and stream_on:
             if u < inj_rate:
-                a = arcs.offer or offer(counts, arcs)
-                if a[1] != ARRIVAL_REJECTED:
-                    delivered += 1
+                a = offer
+                delivered += offer[2]
             else:
                 u -= inj_rate
         if a is None:
-            for out, departure in arcs.departures:
+            for out, departure, _ in departures:
                 if u < out:
                     a = departure
                     break
@@ -529,13 +613,13 @@ def _run_direct(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryRe
 
         times.append(t)
         path.append(a[0])
-        counts = a[2]
-        arcs = lookup(counts) or resolve(counts, t)
-        if early_stop and counts[0] >= goose_cap:
+        key = a[1]
+        arrivals, departures, departure_total, offer, n0 = lookup(key) or visit(key)
+        if early_stop and n0 >= goose_cap:
             stopped = True
             break
 
-    return table.record(scenario, seed, initial, times, path,
+    return chain.record(scenario, seed, initial, times, path,
                         t if stopped else horizon, stopped)
 
 
@@ -554,8 +638,8 @@ def _candidates(rng: np.random.Generator, rate: float, start: float, stop: float
         t += rng.exponential(1.0 / rate)
 
 
-def _run_coupled(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryRecord:
-    """The coupled engine, a walk over the same ``table`` as the direct one.
+def _run_coupled(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
+    """The coupled engine, a walk over the same ``chain`` as the direct one.
 
     Every random number comes from a stream spawned from ``seed`` that does
     not depend on the policy: the initial state; one Poisson arrival stream
@@ -570,14 +654,14 @@ def _run_coupled(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryR
     the chain (Lewis & Shedler 1979). The streams are merged lazily in time
     order; the walk itself draws nothing.
     """
-    dims = table.dims
+    dims = chain.dims
     horizon = scenario.horizon_ms
     init_ss, arr_ss, inj_ss, dep_ss = np.random.SeedSequence(seed).spawn(4)
-    initial = _initial_state(scenario, dims, np.random.default_rng(init_ss))
+    initial = _initial_state(scenario, chain, np.random.default_rng(init_ss))
 
     streams = []
-    # The k-th positive arrival rate is the k-th entry of ``_StateArcs.arrivals``.
-    positive = [(child, rate) for child, rate in zip(arr_ss.spawn(len(dims)), table.arr_rates)
+    # The k-th positive arrival rate is the k-th entry of a state's arrivals.
+    positive = [(child, rate) for child, rate in zip(arr_ss.spawn(len(dims)), chain.arr_rates)
                 if rate > 0.0]
     for k, (child, rate) in enumerate(positive):
         streams.append(_candidates(np.random.default_rng(child), rate, 0.0, horizon,
@@ -590,7 +674,7 @@ def _run_coupled(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryR
                                   inj.batch_size if inj.has_batch else 0)
         if inj.has_stream:
             offers = itertools.chain(offers, _candidates(
-                np.random.default_rng(inj_ss), inj.poisson_rate * table.scale,
+                np.random.default_rng(inj_ss), inj.poisson_rate * chain.scale,
                 inj.t_inject_ms, horizon, _OFFER, 0))
         if inj.mode == POISSON and inj.batch_size:
             # Offers lapse once the burst is delivered. ``heapq.merge`` asks
@@ -598,33 +682,30 @@ def _run_coupled(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryR
             offers = itertools.takewhile(lambda _: delivered < inj.batch_size, offers)
         streams.append(offers)
 
-    classes = list(dict.fromkeys(d.source_class for d in dims))
-    class_of = [classes.index(d.source_class) for d in dims]
-    for c, child in enumerate(dep_ss.spawn(len(classes))):
-        lam = table.capacity * max(r for r, j in zip(table.dep_rates, class_of) if j == c)
+    for c, child in enumerate(dep_ss.spawn(len(chain.classes))):
+        lam = chain.capacity * max(r for r, j in zip(chain.dep_rates, chain.class_of) if j == c)
         streams.append(_candidates(np.random.default_rng(child), lam, 0.0, horizon,
                                    _DEPARTURE, c, marked=True))
 
     early_stop = scenario.early_stop_at_goose_cap
     goose_cap = dims[0].max_sessions
-    lookup = table.by_state.get
-    resolve = table.resolve
+    lookup = chain.by_state.get
+    visit = chain.visit
 
-    counts = initial
-    arcs = lookup(counts) or resolve(counts, 0.0)
+    key = chain.key(initial)
+    arrivals, departures, _, offer, n0 = lookup(key) or visit(key)
     times: list[float] = []
     path: list[int] = []
     stopped = False
     for t, source, k, v in heapq.merge(*streams):
         if source == _ARRIVAL:
-            a = arcs.arrivals[k][1]
+            a = arrivals[k][1]
         elif source == _OFFER:
-            a = arcs.offer or table.offer(counts, arcs)
-            if a[1] != ARRIVAL_REJECTED:
-                delivered += 1
+            a = offer
+            delivered += offer[2]
         else:
-            for out, a in arcs.departures:
-                if class_of[a[3]] == k:
+            for out, a, c in departures:
+                if c == k:
                     if v < out:
                         break
                     v -= out
@@ -632,13 +713,13 @@ def _run_coupled(scenario: Scenario, seed: int, table: _ArcTable) -> TrajectoryR
                 continue  # null candidate
         times.append(t)
         path.append(a[0])
-        counts = a[2]
-        arcs = lookup(counts) or resolve(counts, t)
-        if early_stop and counts[0] >= goose_cap:
+        key = a[1]
+        arrivals, departures, _, offer, n0 = lookup(key) or visit(key)
+        if early_stop and n0 >= goose_cap:
             stopped = True
             break
 
-    return table.record(scenario, seed, initial, times, path,
+    return chain.record(scenario, seed, initial, times, path,
                         t if stopped else horizon, stopped)
 
 
@@ -656,8 +737,10 @@ def run_experiment(
     Replications are independent; with ``workers`` they run in a process
     pool (clamped by :func:`pool_size`), and results are identical to a
     serial run because every replication owns a deterministic seed stream.
-    The arc table lives for this call only; each pool worker builds its
-    own. ``crn=True`` runs the coupled engine, as in :func:`run_replication`.
+    The replications share one compiled chain (:class:`_Chain`), which
+    lives for this call only: it compiles a block of states the first time
+    a walk enters it, and each pool worker compiles its own. ``crn=True``
+    runs the coupled engine, as in :func:`run_replication`.
     """
     scenario.validate()
     seeds = [mix_seed(scenario.base_seed, r) for r in range(scenario.replications)]
@@ -667,8 +750,8 @@ def run_experiment(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # One contiguous chunk of seeds per worker, so that each worker fills
-        # one arc table and sends its records back in one message.
+        # One contiguous chunk of seeds per worker, so that each worker
+        # compiles one chain and sends its records back in one message.
         bounds = [len(seeds) * k // n_workers for k in range(n_workers + 1)]
         chunks = [(scenario, seeds[a:b], crn) for a, b in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -679,8 +762,8 @@ def run_experiment(
 
 
 def _replicate(args) -> list[TrajectoryRecord]:
-    """Replications of one scenario for a list of seeds, sharing one arc table."""
+    """Replications of one scenario for a list of seeds, sharing one compiled chain."""
     scenario, seeds, crn = args
     run = _run_coupled if crn else _run_direct
-    table = _ArcTable(scenario)
-    return [run(scenario, s, table) for s in seeds]
+    chain = _Chain(scenario)
+    return [run(scenario, s, chain) for s in seeds]

@@ -47,6 +47,7 @@ EVENT_KINDS = (
     PREEMPT_DISCARD,
     DOWNGRADE_CASCADE,
 )
+_KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -282,13 +283,15 @@ class ArrivalOutcomes(NamedTuple):
 
     ``target[i]`` is the state an arrival at row ``i`` leads to (the row
     itself when ``rejected[i]``); ``downgraded[i]`` and ``discarded[i]``
-    count sessions as :class:`Transition` does.
+    count sessions as :class:`Transition` does; ``kind[i]`` indexes
+    :data:`EVENT_KINDS` with the transition's kind.
     """
 
     target: np.ndarray
     rejected: np.ndarray
     downgraded: np.ndarray
     discarded: np.ndarray
+    kind: np.ndarray
 
 
 def _ceil_div(a: np.ndarray, b) -> np.ndarray:
@@ -330,6 +333,8 @@ def arrival_outcomes(
     target[:, dim] += ~rejected
     downgraded = np.zeros(len(counts), dtype=np.int64)
     discarded = np.zeros(len(counts), dtype=np.int64)
+    # Rows admitted by the policy's cascade, and the kind of their arc.
+    cascade, cascade_kind = np.zeros(len(counts), dtype=bool), ARRIVAL_ACCEPTED
 
     if policy == "NC2" and dim == 0:
         n0, n1 = counts.T
@@ -339,6 +344,7 @@ def arrival_outcomes(
         target[:, 0] += cut
         target[:, 1] -= discarded
         rejected &= ~cut
+        cascade, cascade_kind = cut, PREEMPT_DISCARD
 
     elif policy == "NC3" and dim == 0:
         n0, n_full, n_down = counts.T
@@ -357,14 +363,18 @@ def arrival_outcomes(
         target[:, 1] -= downgraded
         target[:, 2] += downgraded - discarded
         rejected &= ~admitted
+        cascade, cascade_kind = admitted, DOWNGRADE_CASCADE
 
     elif policy == "NC3" and dim == 1:
         down = rejected & (counts[:, 2] < cap[2]) & (occ + demand[2] <= capacity)
         downgraded = down.astype(np.int64)
         target[:, 2] += down
         rejected &= ~down
+        cascade, cascade_kind = down, ARRIVAL_DOWNGRADED
 
-    return ArrivalOutcomes(target, rejected, downgraded, discarded)
+    kind = np.where(rejected, _KIND_CODE[ARRIVAL_REJECTED], _KIND_CODE[ARRIVAL_ACCEPTED])
+    kind[cascade] = _KIND_CODE[cascade_kind]
+    return ArrivalOutcomes(target, rejected, downgraded, discarded, kind.astype(np.int8))
 
 
 def transitions(

@@ -32,6 +32,7 @@ from ranburst.analytic import (
     occupancy_marginal,
     poisson_isf,
     poisson_pmf,
+    poisson_weights,
 )
 from ranburst.cli import load_bundled_scenario
 from ranburst.traffic import ARRIVAL_REJECTED, occupied
@@ -826,7 +827,7 @@ def full_poisson_sum(q, pi0, t, eps=1e-9):
     pt = (sp.eye(q.shape[0], format="csr") + q.tocsr() / lam).T.tocsr()
     mean = lam * t
     k_max = poisson_isf(eps, mean) + 1
-    weights = poisson_pmf(np.arange(k_max + 1), mean)
+    weights = poisson_weights(np.arange(k_max + 1), mean)
     out = weights[0] * pi0
     v = pi0
     for k in range(1, k_max + 1):
@@ -885,10 +886,12 @@ def test_cut_follows_mixing_time_not_the_horizon(burst_chain, monkeypatch):
 
 
 def test_iterates_that_stop_moving_exactly_cut_without_a_budget(monkeypatch):
-    # On the NC2 burst chain at t = 100 s the computed Poisson weights sum to
-    # less than 1 - eps, so the dropped tail leaves no budget for the cut.
-    # The iterates still reach a fixed point of the floating-point mat-vec,
-    # after which every remaining term of the sum is the same array.
+    # On the NC2 burst chain at t = 100 s (Poisson mean 103,020) scipy's
+    # formula for the weights (poisson_pmf) loses more than eps, which left
+    # the cut no budget. transient's weights keep their mass and leave it
+    # 3e-11, too little to cut on: the iterates still have to reach a fixed
+    # point of the floating-point mat-vec, after which every remaining term
+    # of the sum is the same array.
     policy, dims, capacity = table2_burst_dims("table2_nc2_lam20")
     space = reachable_states(policy, dims, capacity)
     space, q = build_generator(policy, dims, capacity, space=space)
@@ -981,6 +984,48 @@ def test_dropped_mass_stays_within_eps_of_the_exponential(t):
     assert got.min() >= 0.0
 
 
+def drift_and_dust_chain(mean, eps, n_dust=200, m_a=0.01, fast=1000.0):
+    """A chain on which ``transient`` drops about a fifth of its budget and
+    the cut's bound is nearly exact, with the time ``t`` of Poisson mean
+    ``mean`` and the start.
+
+    State 1 holds 99% of the mass and never moves. State 0 holds 1% and
+    drifts into state 1 so slowly that the drift is nearly constant over
+    the Poisson window: the cut's error is close to its bound ``d_k J_k``,
+    with the cut about one standard deviation before the mean. State 0
+    also feeds ``n_dust`` absorbing states at 99% of the drop threshold a
+    step, so every step drops them. A pair of states with no mass swapping
+    at ``fast`` sets the uniformization rate.
+    """
+    lam = 1.02 * fast
+    k_max = poisson_isf(eps, mean) + 1
+    budget = eps - (1.0 - poisson_weights(np.arange(k_max + 1), mean).sum())
+    n = n_dust + 4
+    theta = analytic.DROP_SHARE * budget / (k_max * n)
+    rates = np.zeros((n, n))
+    rates[0, 1] = budget / (2 * m_a * math.sqrt(mean)) * lam
+    rates[0, 2:n_dust + 2] = 0.99 * theta * lam / m_a
+    rates[n - 2, n - 1] = rates[n - 1, n - 2] = fast
+    pi0 = np.zeros(n)
+    pi0[:2] = m_a, 1 - m_a
+    q = sp.csr_matrix(rates - np.diag(rates.sum(axis=1)))
+    return q, pi0, mean / lam, budget
+
+
+def test_stop_rule_charges_the_dropped_mass():
+    # The Poisson tail takes 60% of eps here and the drops take 19% of what
+    # is left. A stop rule without its 2 * dropped term spends the whole
+    # rest on the cut and misses eps by about 5%.
+    eps = 1e-4
+    q, pi0, t, budget = drift_and_dust_chain(202.5, eps)
+    got = transient(q, pi0, t, eps=eps)
+    exact = pi0 @ expm(q.toarray() * t)
+    dust = slice(2, q.shape[0] - 2)
+    assert (exact[dust] - got[dust]).sum() > 0.15 * budget
+    assert np.abs(got - exact).sum() <= eps
+    assert got.min() >= 0.0
+
+
 @pytest.mark.parametrize("eps", [1e-9, 1e-4])
 def test_support_touching_the_first_and_last_state(eps):
     _, q = erlang_chain()
@@ -1056,6 +1101,34 @@ def test_poisson_truncation_and_weights_equal_scipy_stats_exactly():
             assert poisson_isf(eps, mean) == poisson.isf(eps, mean), (mean, eps)
         ks = np.arange(poisson_isf(1e-12, mean) + 2)  # the longest sum asked for
         assert np.array_equal(poisson_pmf(ks, mean), poisson.pmf(ks, mean)), mean
+
+
+@pytest.mark.parametrize("mean", np.geomspace(1e2, 1e7, 11))
+def test_poisson_weights_keep_their_mass(mean):
+    from scipy.special import pdtr, pdtrc
+
+    # Over mean +- 40 standard deviations the weights plus the mass outside
+    # sum to 1 to rounding. scipy's formula (poisson_pmf) misses by 6e-14
+    # at mean 1e2, 6e-11 at 1e5 and 2e-9 at 3e6.
+    sd = math.sqrt(mean)
+    lo, hi = max(0, int(mean - 40 * sd)), int(mean + 40 * sd)
+    below = pdtr(lo - 1, mean) if lo else 0.0
+    weights = poisson_weights(np.arange(lo, hi + 1), mean)
+    assert abs(below + weights.sum() + pdtrc(hi, mean) - 1.0) <= 1e-14
+    # What they leave past transient's truncation point is the tail.
+    # scipy's pdtrc drifts above mean 1e6 (1.7% low at 1e7, against an
+    # exact sum), so it is the reference up to there only.
+    k_max = poisson_isf(1e-9, mean) + 1
+    tail = 1.0 - below - weights[:k_max - lo + 1].sum()
+    if mean <= 1e6:
+        assert tail == pytest.approx(pdtrc(k_max, mean), rel=1e-5)
+
+
+def test_poisson_weights_equal_scipy_where_its_formula_is_accurate():
+    for mean in POISSON_MEANS[POISSON_MEANS <= 100.0]:
+        ks = np.arange(poisson_isf(1e-12, mean) + 2)
+        assert np.allclose(poisson_weights(ks, mean), poisson_pmf(ks, mean),
+                           rtol=1e-12, atol=0.0), mean
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-9, float("nan")])

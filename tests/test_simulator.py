@@ -14,7 +14,7 @@ from ranburst import (
     run_experiment,
     run_replication,
 )
-from ranburst import simulator
+from ranburst import analytic, simulator, traffic
 from ranburst.analytic import build_generator, mean_counts, reachable_states, steady_state
 from ranburst.metrics import empirical_blocking
 from ranburst.simulator import MAX_BATCH_SIZE, MAX_GRID_POINTS, pool_size
@@ -29,7 +29,7 @@ from ranburst.traffic import (
     occupied,
 )
 
-from conftest import RADIO10, RADIO62, table2_classes
+from conftest import RADIO10, RADIO62, goose_class, table2_classes, video_class
 
 
 def two_class_scenario(horizon_ms=20000.0, **kw):
@@ -246,15 +246,81 @@ def test_recorded_events_replay_as_chain_arcs(policy, mode, batch, rate, early_s
 
 @pytest.mark.parametrize("crn", [False, True])
 def test_infeasible_state_raises_when_first_visited(monkeypatch, crn):
+    # The rule sends an offer to a 20th priority session over the pool. The
+    # walk first enters a state with 19 of them when the batch arrives, and
+    # compiling that state's block proves the bad target infeasible.
     sc = burst_scenario("NC3", "batch", batch=20)
-    real = simulator.feasible
+    real = simulator.arrival_outcomes
 
-    def no_full_priority(counts, dims, capacity):
-        return counts[0] < 20 and real(counts, dims, capacity)
+    def over_the_pool(policy, counts, dim, dims, capacity):
+        out = real(policy, counts, dim, dims, capacity)
+        if dim == 0:
+            out.target[out.target[:, 0] == 20, 1] = capacity
+        return out
 
-    monkeypatch.setattr(simulator, "feasible", no_full_priority)
+    monkeypatch.setattr(simulator, "arrival_outcomes", over_the_pool)
     with pytest.raises(RuntimeError, match=r"infeasible state \(20, "):
         run_replication(sc, 5, crn=crn)
+
+
+@pytest.mark.parametrize("crn", [False, True])
+def test_walking_the_burst_chain_resolves_no_state_one_at_a_time(monkeypatch, crn):
+    def per_state(*args, **kwargs):
+        raise AssertionError("the simulator resolved one state at a time")
+
+    for module in (traffic, simulator):
+        monkeypatch.setattr(module, "arrival_outcome", per_state)
+    sc = burst_scenario("NC3", "batch_plus_poisson", batch=30, replications=3)
+    records = run_experiment(sc, crn=crn)
+    assert sum(rec.n_events for rec in records) > 0
+
+
+def test_a_large_pool_compiles_only_the_blocks_its_walk_enters():
+    # 18.2M feasible states in 6,701 blocks; a short walk with a small
+    # burst enters a handful of them.
+    classes = (goose_class(max_sessions=600),
+               video_class("low", 1 / 20, adaptive=True, max_sessions=300))
+    sc = burst_scenario("NC3", "batch", batch=3, classes=classes,
+                        radio=RadioConfig(250000, 360, 216000, 600),
+                        injection=InjectionSchedule("batch", 500.0, batch_size=3),
+                        horizon_ms=1000.0)
+    dims = sc.dimensions()
+    assert analytic._count_feasible(dims, 600) > 5_000_000
+    chain = simulator._Chain(sc)
+    rec = simulator._run_direct(sc, 3, chain)
+    assert rec.n_events > 10
+    assert replay_problems(sc, rec) == []
+    assert len(chain.blocks) <= 8
+    assert rec.events == run_replication(sc, 3).events
+
+
+def test_a_state_box_past_int64_keeps_exact_keys():
+    # 20 classes of up to 10,000 sessions: the box has 10_001**20 keys. Only
+    # the last class has arrivals, so the walk stays in the first block.
+    classes = tuple(TrafficClass(i, 50.0 if i == 20 else 0.0, 10.0, 1, 10_000)
+                    for i in range(1, 21))
+    sc = two_class_scenario(horizon_ms=1000.0, classes=classes,
+                            radio=RadioConfig(3_600_000, 360, 3_600_000, 10_000))
+    chain = simulator._Chain(sc)
+    rec = simulator._run_direct(sc, 9, chain)
+    assert chain.wide and len(chain.blocks) == 1
+    assert rec.n_events > 10
+    assert replay_problems(sc, rec) == []
+    assert rec.final_counts()[:19] == (0,) * 19
+
+
+def test_the_start_law_is_computed_once_per_experiment(monkeypatch):
+    calls = []
+    real = simulator.kaufman_roberts
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simulator, "kaufman_roberts", counting)
+    records = run_experiment(burst_scenario(replications=5))
+    assert len(calls) == 1
+    assert len({rec.initial_counts for rec in records}) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from ranburst.traffic import (
     ARRIVAL_REJECTED,
     DEPARTURE,
     DOWNGRADE_CASCADE,
+    EVENT_KINDS,
     POLICIES,
     PREEMPT_DISCARD,
     arrival_outcomes,
@@ -338,6 +339,7 @@ def test_array_rule_equals_arrival_outcome_on_every_feasible_state(pool):
             tr = arrival_outcome(policy, counts, dim, dims, capacity, 1.0)
             assert tuple(out.target[i].tolist()) == tr.target
             assert outcome_kind(policy, dim, out, i) == tr.kind
+            assert EVENT_KINDS[out.kind[i]] == tr.kind
             assert (out.downgraded[i], out.discarded[i]) == (tr.downgraded, tr.discarded)
 
 
