@@ -8,12 +8,14 @@ mass and multiplies only the band of rows its iterate can reach; its l1 error
 is the Poisson tail plus twice the dropped mass plus the stationarity cut,
 within ``eps``, and its cost is the steps taken times the band.
 
-The chain compiler resolves the arcs of a whole array of states at once, one
-slot of :func:`ranburst.traffic.transitions` at a time, with the array form
-of the admission rule (:func:`ranburst.traffic.arrival_outcomes`).
-``transitions`` stays the per-state specification and is not called here;
-it is still imported under its name, which the benchmark's tracer
-(``perfbench/tracer.py``) wraps to count per-state calls.
+This module and the simulator share one state key, a state's number in the
+box of session counts (:class:`_StateBox`), whose rank numbers states here,
+and one slot compiler (:func:`_resolve_slots`), which resolves every slot of
+an array of states with the array rule
+(:func:`ranburst.traffic.arrival_outcomes`). ``transitions`` stays the
+per-state specification and is not called here; it is still imported under
+its name, which the benchmark's tracer (``perfbench/tracer.py``) wraps to
+count per-state calls.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import numpy as np
 
 from .errors import NumericalError, StateSpaceLimitError
 from .traffic import (  # noqa: F401  (``transitions``: see the module docstring)
+    _KIND_CODE,
+    DEPARTURE,
     Dimension,
     TrafficClass,
     arrival_outcomes,
@@ -195,28 +199,28 @@ class StateSpace:
                 and np.array_equal(self.counts, other.counts))
 
 
-def _state_box(dims: list[Dimension], capacity: int) -> list[int]:
-    """The radices ``r_d = min(max_sessions, C // demand) + 1`` of the box
-    ``0 <= c_d < r_d``, which holds every feasible state."""
-    return [min(d.max_sessions, capacity // d.demand_blocks) + 1 for d in dims]
+class _StateBox:
+    """The box ``0 <= c_d < radix[d] = min(max_sessions, C // demand) + 1``,
+    which holds every feasible state. A state's key is its mixed-radix number
+    in the box, so keys sort as the counts do lexicographically; they are
+    int64, or exact Python ints in object arrays past int64."""
 
+    def __init__(self, dims: list[Dimension], capacity: int):
+        self.dims, self.capacity = list(dims), capacity
+        self.demand = np.array([d.demand_blocks for d in dims], dtype=np.int64)
+        radix = [min(d.max_sessions, capacity // d.demand_blocks) + 1 for d in dims]
+        self.radix = np.array(radix, dtype=np.int64)
+        wide = math.prod(radix) > np.iinfo(np.int64).max
+        self.weights = np.array([math.prod(radix[i + 1:]) for i in range(len(radix))],
+                                dtype=object if wide else np.int64)
 
-def _state_keys(dims: list[Dimension], capacity: int, rows: np.ndarray):
-    """A function from state rows to one exact, hashable key per row.
+    def keys(self, rows) -> np.ndarray:
+        """The key of each state row (the last axis holds the counts)."""
+        return np.asarray(rows, dtype=np.int64) @ self.weights
 
-    It is exact on ``rows`` and on every arc target out of them. A state in
-    the box of :func:`_state_box` is keyed by its mixed-radix number in the
-    box when ``rows`` lie in it and the box has fewer than ``2**63`` points;
-    the policy rule and departures never lead out of the box. Otherwise a
-    state is keyed by the bytes of its row.
-    """
-    radix = _state_box(dims, capacity)
-    if math.prod(radix) < 2**63 and ((rows >= 0) & (rows < radix)).all():
-        weights = np.array([math.prod(radix[i + 1:]) for i in range(len(radix))],
-                           dtype=np.int64)
-        return lambda block: block @ weights
-    return lambda block: np.ascontiguousarray(block, dtype=np.int64).view(
-        np.dtype((np.void, 8 * len(dims)))).ravel()
+    def decode(self, keys: np.ndarray) -> np.ndarray:
+        """The counts of each key, as rows."""
+        return (keys[..., None] // self.weights % self.radix).astype(np.int64)
 
 
 def _admission_rays(
@@ -270,43 +274,64 @@ def _departure_rays(start: np.ndarray, limit: int) -> np.ndarray:
     return ray
 
 
-def _compile_rows(
-    policy: str,
-    dims: list[Dimension],
-    capacity: int,
-    rows: np.ndarray,
+def _resolve_slots(
+    policy: str, box: _StateBox, rows: np.ndarray, arriving: list[int]
 ) -> tuple[np.ndarray, ...]:
+    """Every slot of each feasible state in ``rows``: the arrival of each
+    dimension in ``arriving``, then each departure (an empty dimension's
+    keeps the row). Returns ``(target, kind, downgraded, discarded,
+    rejected)`` indexed by slot, then row: the target rows, then the columns
+    of :class:`~ranburst.traffic.ArrivalOutcomes`. Raises ``RuntimeError``
+    when an arrival target is not a feasible state."""
+    m, n = rows.shape
+    a = len(arriving)
+    target = np.empty((a + n, m, n), dtype=np.int64)
+    kind = np.full((a + n, m), _KIND_CODE[DEPARTURE], dtype=np.int8)
+    downgraded, discarded = np.zeros((2, a + n, m), dtype=np.int64)
+    rejected = np.zeros((a + n, m), dtype=bool)
+    for s, i in enumerate(arriving):
+        target[s], rejected[s], downgraded[s], discarded[s], kind[s] = arrival_outcomes(
+            policy, rows, i, box.dims, box.capacity)
+    # An out-of-box row would alias another state's key; a negative count
+    # wraps past every radix as uint64.
+    outside = target[:a].view(np.uint64) >= box.radix.view(np.uint64)
+    over = target[:a] @ box.demand > box.capacity
+    if outside.any() or over.any():
+        s, r = divmod(int(np.argmax(outside.any(axis=-1) | over)), m)
+        raise RuntimeError(
+            f"compiling the chain gave infeasible state {tuple(target[s, r].tolist())}, "
+            f"the target of an arc out of {tuple(rows[r].tolist())}")
+    # A departure takes one session from a feasible row, so its target is feasible.
+    for i in range(n):
+        target[a + i] = rows
+        target[a + i, :, i] -= rows[:, i] > 0
+    return target, kind, downgraded, discarded, rejected
+
+
+def _compile_rows(policy: str, box: _StateBox, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """Every arc out of each row of ``rows``, ordered by row, then slot.
 
     Returns ``(source, target, rate, rejected, slot)``: ``source`` indexes
     ``rows``, ``target`` holds the arcs' target rows (a rejected arrival's
-    is its source row), and the rest are as in :class:`ChainTable`. Each
-    slot of :func:`~ranburst.traffic.transitions` is resolved for all rows
-    at once: the arrival of each dimension with a positive arrival rate, in
-    dimension order, then the departure of each occupied dimension.
+    is its source row), and the rest are as in :class:`ChainTable`. The
+    slots of :func:`~ranburst.traffic.transitions` are those of
+    :func:`_resolve_slots` for the dimensions with a positive arrival rate,
+    less the departures of empty dimensions.
     """
     m, n = rows.shape
-    arriving = [d for d in dims if d.arrival_rate > 0]
-    # One column per slot kind: each arrival, then each departure. A state
-    # has an arc of each kind but the departures of its empty dimensions,
-    # and its slots number its arcs in column order.
+    arriving = [d.index for d in box.dims if d.arrival_rate > 0]
     a = len(arriving)
-    target = np.empty((m, a + n, n), dtype=np.int64)
+    target, _, _, _, rejected = _resolve_slots(policy, box, rows, arriving)
     rate = np.empty((m, a + n))
-    rejected = np.full((m, a + n), -1, dtype=np.intp)
-    present = np.ones((m, a + n), dtype=bool)
-    for k, d in enumerate(arriving):
-        out = arrival_outcomes(policy, rows, d.index, dims, capacity)
-        target[:, k] = out.target
-        rate[:, k] = d.arrival_rate
-        rejected[out.rejected, k] = d.index
-    target[:, a:] = rows[:, None, :] - np.eye(n, dtype=np.int64)
-    rate[:, a:] = rows * np.array([d.service_rate for d in dims])
-    present[:, a:] = rows > 0
+    rate[:, :a] = [box.dims[i].arrival_rate for i in arriving]
+    rate[:, a:] = rows * np.array([d.service_rate for d in box.dims])
+    rejected = np.where(rejected.T, np.array([*arriving, *range(n)], dtype=np.intp), -1)
+    # A state's slots number its arcs in column order.
+    present = np.concatenate((np.ones((m, a), dtype=bool), rows > 0), axis=1)
     slot = np.cumsum(present, axis=1) - 1
     source = np.nonzero(present)[0]
-    return (source, target.reshape(-1, n)[present.ravel()], rate[present],
-            rejected[present], slot[present])
+    return (source, target.swapaxes(0, 1)[present], rate[present], rejected[present],
+            slot[present])
 
 
 def _table_for(space: StateSpace, policy: str, dims, capacity: int) -> ChainTable:
@@ -314,19 +339,15 @@ def _table_for(space: StateSpace, policy: str, dims, capacity: int) -> ChainTabl
     a fresh compile over ``space.counts``."""
     if space.table is not None and space.table.compiled_for(policy, dims, capacity):
         return space.table
-    dims = list(dims)
+    box = _StateBox(dims, capacity)
     counts = space.counts
-    source, target_rows, rate, rejected, slot = _compile_rows(
-        policy, dims, capacity, counts)
-    key = _state_keys(dims, capacity, counts)
-    index = dict(zip(key(counts).tolist(), range(len(counts))))
-    moves = rejected < 0
-    ids = np.fromiter(map(index.get, key(target_rows[moves]).tolist(), repeat(-1)),
-                      dtype=np.intp, count=int(np.count_nonzero(moves)))
-    if (ids < 0).any():
-        raise KeyError(tuple(target_rows[moves][np.argmax(ids < 0)].tolist()))
-    target = source.copy()
-    target[moves] = ids
+    source, target_rows, rate, rejected, slot = _compile_rows(policy, box, counts)
+    # A state's number is the rank of its key.
+    keys, wanted = box.keys(counts), box.keys(target_rows)
+    target = np.searchsorted(keys, wanted)
+    missing = keys[np.minimum(target, len(keys) - 1)] != wanted
+    if missing.any():
+        raise KeyError(tuple(target_rows[np.argmax(missing)].tolist()))
     return ChainTable(policy=policy, dims=tuple(dims), capacity=capacity, counts=counts,
                       source=source, target=target, rate=rate, rejected=rejected, slot=slot)
 
@@ -416,22 +437,21 @@ def reachable_states(
         raise ValueError(f"start {tuple(start)} is not a feasible state")
     start = np.array(start, dtype=np.int64).reshape(len(dims))
     first = np.concatenate((start[None, :], _departure_rays(start, limit)))
-    key = _state_keys(dims, capacity, first)
-    index = dict(zip(key(first).tolist(), range(len(first))))  # state key -> number
+    box = _StateBox(dims, capacity)
+    index = dict(zip(box.keys(first).tolist(), range(len(first))))  # state key -> number
     found = [first]  # blocks of states in the order they were numbered
     arcs = []
     expanded = 0
     for block in found:  # grows while it is walked
         for lo in range(0, len(block), FRONTIER_CHUNK):
             frontier = block[lo:lo + FRONTIER_CHUNK]
-            source, target_rows, rate, rejected, slot = _compile_rows(
-                policy, dims, capacity, frontier)
+            source, target_rows, rate, rejected, slot = _compile_rows(policy, box, frontier)
             source += expanded
             target = source.copy()
             moves = rejected < 0
             target_rows = np.concatenate(
                 (target_rows[moves], _admission_rays(dims, capacity, frontier, limit)))
-            keys, at, inverse = np.unique(key(target_rows), return_index=True,
+            keys, at, inverse = np.unique(box.keys(target_rows), return_index=True,
                                           return_inverse=True)
             ids = np.fromiter(map(index.get, keys.tolist(), repeat(-1)), dtype=np.intp,
                               count=len(keys))
@@ -448,8 +468,8 @@ def reachable_states(
             expanded += len(frontier)
     counts = np.concatenate(found)
     source, target, rate, rejected, slot = (np.concatenate(col) for col in zip(*arcs))
-    # Number the states in sorted order; arcs stay ordered by source.
-    order = np.lexsort(counts.T[::-1])
+    # Number the states by the rank of their keys; arcs stay ordered by source.
+    order = np.argsort(box.keys(counts))
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     counts = counts[order]

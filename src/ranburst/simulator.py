@@ -4,11 +4,11 @@ Two engines walk the same chain, with a burst-injection schedule layered on
 top and deterministic per-replication seeding; identical (scenario, seed)
 pairs reproduce trajectories bit for bit. Both walk one compiled chain
 (:class:`_Chain`) by integer state key; it lives for one ``run_experiment``
-or ``run_replication`` call. The chain is compiled one block of keys at a
-time, when a walk first enters the block: the array rule
-:func:`~ranburst.traffic.arrival_outcomes` resolves the arrival arcs of the
-block's feasible states, and every arrival target is proved feasible before
-it is keyed. The scalar
+or ``run_replication`` call. A key is the state's number in the analytic
+layer's box (:class:`~ranburst.analytic._StateBox`). The chain is compiled
+one block of keys at a time, when a walk first enters the block, by the
+analytic layer's slot compiler (:func:`~ranburst.analytic._resolve_slots`),
+which proves every arrival target feasible. The scalar
 :func:`~ranburst.traffic.arrival_outcome` is not called here; it is still
 imported under its name, with ``feasible`` and ``kaufman_roberts``, which
 the benchmark's tracer (``perfbench/tracer.py``) wraps to count calls.
@@ -36,17 +36,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import FRONTIER_CHUNK, _state_box, kaufman_roberts
+from .analytic import FRONTIER_CHUNK, _resolve_slots, _StateBox, kaufman_roberts
 from .errors import ScenarioError
 from .numerology import RadioConfig
 from .traffic import (  # noqa: F401  (``arrival_outcome``: see the module docstring)
     _KIND_CODE,
-    DEPARTURE,
     EVENT_KINDS,
     Dimension,
     TrafficClass,
     arrival_outcome,
-    arrival_outcomes,
     build_dimensions,
     feasible,
 )
@@ -66,6 +64,12 @@ MAX_GRID_POINTS = 10_000_000
 # 17 MB of record columns and peaks near 170 MB while it runs. The bundled
 # scenarios use at most 52.
 MAX_BATCH_SIZE = 1_000_000
+
+# Most events a replication may expect: the horizon times the event-rate bound
+# both engines respect, sum_d (arrival_rate + C * service_rate) plus the offer
+# rate. A walk peaks near 106 bytes per event, so 1e7 events near 1 GB; the
+# bundled scenarios reach at most 6.25e5 (``oracle_nc1_small``).
+MAX_EXPECTED_EVENTS = 10_000_000
 
 EMPTY_START = "empty_start"
 STATIONARY_VIDEO_START = "stationary_video_start"
@@ -167,6 +171,14 @@ class Scenario:
             raise ScenarioError("stationary_video_start needs a second (video) class")
         if not (math.isfinite(self.time_scale) and self.time_scale > 0):
             raise ScenarioError("time_scale must be positive and finite")
+        if self.base_seed < 0:
+            raise ScenarioError("base_seed must be >= 0")
+        rate = sum(d.arrival_rate + self.radio.capacity_blocks * d.service_rate for d in dims)
+        if self.injection is not None:
+            rate += self.injection.poisson_rate
+        if not rate * self.time_scale / 1000.0 * self.horizon_ms <= MAX_EXPECTED_EVENTS:
+            raise ScenarioError(
+                f"rates over horizon_ms allow more than {MAX_EXPECTED_EVENTS} events")
         if not (math.isfinite(self.grid_ms) and self.grid_ms > 0):
             raise ScenarioError("grid_ms must be positive and finite")
         steps = self.horizon_ms / self.grid_ms
@@ -329,18 +341,17 @@ class _Chain:
     """A scenario's chain, compiled one block of states at a time; shared by
     its replications in one process and by both engines.
 
-    A state is keyed by its mixed-radix number in the box of
-    :func:`~ranburst.analytic._state_box`, as the chain search keys it. A
-    block is a fixed range of at most ``FRONTIER_CHUNK`` keys: ``per``
-    consecutive values of the leading digits, each with every value of the
-    trailing digits, which span ``span`` keys. The first time a walk enters
-    a state of a block, :meth:`compile` resolves the arrival arcs of the
-    block's feasible states with one call of the array rule
-    :func:`~ranburst.traffic.arrival_outcomes` per slot and proves every
-    arrival target feasible; a departure's target, one session fewer, is
-    feasible by construction. A state's slots are the arrival of each
-    dimension with a positive rate, in dimension order, the injected offer
-    (an arrival of dimension 0), then the departure of each dimension. Arc ``id`` is row ``id`` of the columns ``target`` (a state
+    A state is keyed by ``box``, the analytic layer's
+    :class:`~ranburst.analytic._StateBox`, whose key ranks are the analytic
+    state numbers. A block is a fixed range of at most ``FRONTIER_CHUNK``
+    keys: ``per`` consecutive values of the leading digits, each with every
+    value of the trailing digits, which span ``span`` keys. The first time a
+    walk enters a state of a block, :meth:`compile` resolves every slot of
+    the block's feasible states with
+    :func:`~ranburst.analytic._resolve_slots`: the arrival of each dimension
+    with a positive rate, in dimension order, the injected offer (an arrival
+    of dimension 0), then the departure of each dimension. Arc ``id`` is row
+    ``id`` of the columns ``target`` (a state
     key), ``kind``, ``dim``, ``downgraded`` and ``discarded``; a path is
     kept as a list of arc ids and turned into record columns by
     :meth:`columns`.
@@ -367,24 +378,18 @@ class _Chain:
         self.class_of = [self.classes.index(d.source_class) for d in dims]
         self.arriving = [i for i, rate in enumerate(self.arr_rates) if rate > 0.0]
         self.slots = len(self.arriving) + 1 + len(dims)
-        radix = _state_box(dims, self.capacity)
-        self.weights = [math.prod(radix[i + 1:]) for i in range(len(radix))]
-        # Keys past int64 stay exact as Python ints in object arrays.
-        self.wide = math.prod(radix) > np.iinfo(np.int64).max
-        self._weights = np.array(self.weights, dtype=object if self.wide else np.int64)
-        self._radix = np.array(radix, dtype=np.int64)
-        self._demand = np.array([d.demand_blocks for d in dims], dtype=np.int64)
+        self.box = box = _StateBox(dims, self.capacity)
         # The trailing digits are the longest run at the end whose values
         # fit in a block. Their rows and occupancy are decoded once here, so
         # a compile decodes only its ``per`` leading values.
+        radix = box.radix.tolist()
         j = next(i for i in range(len(radix) + 1) if math.prod(radix[i:]) <= FRONTIER_CHUNK)
         self._lead = j
         self._leads = math.prod(radix[:j])  # values of the leading digits
         self.span = math.prod(radix[j:])
         self.per = FRONTIER_CHUNK // self.span
-        trail = np.arange(self.span, dtype=np.int64)[:, None]
-        self._trail = (trail // self._weights[j:].astype(np.int64)) % self._radix[j:]
-        self._trail_occ = self._trail @ self._demand[j:]
+        self._trail = box.decode(np.arange(self.span))[:, j:]
+        self._trail_occ = self._trail @ box.demand[j:]
         self.small = _int_dtype(max(self.capacity, len(dims)))
         self.blocks: dict[int, _Block] = {}
         self.by_state: dict[int, tuple] = {}
@@ -404,57 +409,29 @@ class _Chain:
         )
         return kaufman_roberts([solo], self.capacity).q
 
-    def key(self, counts: tuple[int, ...]) -> int:
-        return sum(c * w for c, w in zip(counts, self.weights))
-
-    def _decode(self, keys: np.ndarray) -> np.ndarray:
-        """The counts of each key, as rows."""
-        return ((keys[:, None] // self._weights) % self._radix).astype(np.int64)
-
     def compile(self, b: int) -> _Block:
         """Resolve every arc out of the feasible states of block ``b``."""
-        n, slots, j = len(self.dims), self.slots, self._lead
+        j, box = self._lead, self.box
         first, stop = b * self.per, min((b + 1) * self.per, self._leads)
-        leads = (np.array(range(first, stop), dtype=object) if self.wide
-                 else np.arange(first, stop, dtype=np.int64))
-        lead = ((leads[:, None] // (self._weights[:j] // self.span)) % self._radix[:j]
-                ).astype(np.int64)
-        free = self.capacity - lead @ self._demand[:j]
+        leads = np.arange(stop - first).astype(box.weights.dtype) + first
+        lead = box.decode(leads * self.span)[:, :j]
+        free = self.capacity - lead @ box.demand[:j]
         # The box holds the session caps, so a row is feasible when it fits.
         p, t = np.nonzero(self._trail_occ <= free[:, None])
         rows = np.concatenate((lead[p], self._trail[t]), axis=1)
         m = len(rows)
-        keys = leads[p] * self.span + t
-        target = np.empty((m, slots), dtype=keys.dtype)
-        kind = np.full((m, slots), _KIND_CODE[DEPARTURE], dtype=np.int8)
-        downgraded = np.zeros((m, slots), dtype=self.small)
-        discarded = np.zeros((m, slots), dtype=self.small)
         arrivals = [*self.arriving, 0]  # the offer is an arrival of dimension 0
-        for s, i in enumerate(arrivals):
-            out = arrival_outcomes(self.policy, rows, i, self.dims, self.capacity)
-            # An out-of-box row would alias another state's key.
-            bad = ((out.target < 0) | (out.target >= self._radix)).any(axis=1)
-            bad |= out.target @ self._demand > self.capacity
-            if bad.any():
-                r = int(np.argmax(bad))
-                raise RuntimeError(
-                    f"compiling the chain gave infeasible state {tuple(out.target[r].tolist())}, "
-                    f"the target of an arc out of {tuple(rows[r].tolist())}")
-            target[:, s] = out.target @ self._weights
-            kind[:, s] = out.kind
-            downgraded[:, s] = out.downgraded
-            discarded[:, s] = out.discarded
-        # A departure takes one session from a feasible row, so its target is
-        # feasible. From an empty dimension it is never taken, and its slot
-        # keeps the row's own key.
-        target[:, len(arrivals):] = keys[:, None] - (rows > 0) * self._weights
-        dim = np.broadcast_to(np.array([*arrivals, *range(n)], dtype=self.small), (m, slots))
-        self._parts.append((target.ravel(), kind.ravel(), dim.ravel(), downgraded.ravel(),
-                            discarded.ravel()))
+        target_rows, kind, downgraded, discarded, _ = _resolve_slots(
+            self.policy, box, rows, arrivals)
+        target = box.keys(target_rows).T
+        dim = np.tile(np.array([*arrivals, *range(len(self.dims))], dtype=self.small), m)
+        self._parts.append((target.ravel(), kind.T.ravel(), dim,
+                            downgraded.T.astype(self.small).ravel(),
+                            discarded.T.astype(self.small).ravel()))
         row = np.full(self.per * self.span, -1, dtype=_int_dtype(FRONTIER_CHUNK))
         row[p * self.span + t] = np.arange(m)
         block = _Block(self._arcs, row, rows, target)
-        self._arcs += m * slots
+        self._arcs += m * self.slots
         self.blocks[b] = block
         return block
 
@@ -464,8 +441,8 @@ class _Chain:
         block = self.blocks.get(b) or self.compile(b)
         r = int(block.row[at])
         if r < 0:
-            raise RuntimeError(
-                f"simulation entered infeasible state {tuple(self._decode(np.array([key]))[0])}")
+            state = tuple(self.box.decode(np.array([key]))[0].tolist())
+            raise RuntimeError(f"simulation entered infeasible state {state}")
         counts = block.counts[r].tolist()
         targets = block.target[r].tolist()
         first = block.offset + r * self.slots  # arc id of slot 0
@@ -503,7 +480,7 @@ class _Chain:
             downgraded=downgraded,
             discarded=discarded,
             state=rank[inverse].astype(_int_dtype(len(order))),
-            states=self._decode(target[first[order]]).astype(self.small),
+            states=self.box.decode(target[first[order]]).astype(self.small),
         )
 
     def record(self, scenario: Scenario, seed: int, initial: tuple[int, ...],
@@ -544,7 +521,7 @@ def _run_direct(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecor
     lookup = chain.by_state.get
     visit = chain.visit
 
-    key = chain.key(initial)
+    key = int(chain.box.keys(initial))
     arrivals, departures, departure_total, offer, n0 = lookup(key) or visit(key)
     times: list[float] = []
     path: list[int] = []  # arc id of each event
@@ -692,7 +669,7 @@ def _run_coupled(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryReco
     lookup = chain.by_state.get
     visit = chain.visit
 
-    key = chain.key(initial)
+    key = int(chain.box.keys(initial))
     arrivals, departures, _, offer, n0 = lookup(key) or visit(key)
     times: list[float] = []
     path: list[int] = []

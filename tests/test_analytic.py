@@ -12,6 +12,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import ranburst.analytic as analytic
+import ranburst.simulator as simulator
 import ranburst.traffic as traffic
 from ranburst import (
     NumericalError,
@@ -633,6 +634,33 @@ def test_compiled_burst_chain_equals_the_per_state_walk(name):
     assert_same_table(space.table, per_state_table(policy, dims, capacity, states))
 
 
+@pytest.mark.parametrize("policy", ["NC1", "NC2", "NC3"])
+def test_the_simulator_compiles_the_analytic_burst_chain(policy):
+    # Both layers key a state by its box number: the analytic numbering is
+    # the keys' rank, and the simulator's offer is the analytic chain's
+    # priority arrival.
+    name = f"table2_{policy.lower()}_lam20"
+    _, dims, capacity = table2_burst_dims(name)
+    table = reachable_states(policy, dims, capacity).table
+    keys = analytic._StateBox(dims, capacity).keys(table.counts)
+    assert (np.diff(keys) > 0).all()
+    chain = simulator._Chain(load_bundled_scenario(name))
+    arriving = [d.index for d in dims if d.arrival_rate > 0]
+    assert arriving == [0, 1] and chain.arriving == [1]
+    sim_slot = [len(chain.arriving), 0]  # the offer, then the video arrival
+    first = np.searchsorted(table.source, np.arange(len(table.counts)))
+    block_keys = chain.per * chain.span
+    for b in np.unique(keys // block_keys).tolist():
+        block = chain.compile(b)
+        here = keys // block_keys == b
+        r = block.row[keys[here] - b * block_keys]
+        assert (r >= 0).all()
+        for k in range(len(arriving)):
+            assert (table.slot[first[here] + k] == k).all()
+            assert np.array_equal(block.target[r, sim_slot[k]],
+                                  keys[table.target[first[here] + k]])
+
+
 def test_state_keys_stay_exact_beyond_int64():
     # Mixed-radix keys over these 20 dimensions would need 10_001**20 values;
     # only the first dimension has arrivals, so 10_001 states are reachable.
@@ -642,8 +670,11 @@ def test_state_keys_stay_exact_beyond_int64():
     space = reachable_states("NC1", dims, 10_000)
     assert len(space) == 10_001
     assert space.states == [(k,) + (0,) * 19 for k in range(10_001)]
-    key = analytic._state_keys(dims, 10_000, space.table.counts)
-    assert key(space.table.counts).dtype.kind == "V"  # bytes, not int64 keys
+    box = analytic._StateBox(dims, 10_000)
+    keys = box.keys(space.table.counts)
+    assert keys.dtype == object and all(type(k) is int for k in keys)  # exact, not int64
+    assert keys[-1] == 10_000 * 10_001**19
+    assert np.array_equal(box.decode(keys), space.table.counts)
     assert_same_table(space.table, per_state_table("NC1", dims, 10_000, space.states))
 
 

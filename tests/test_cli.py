@@ -26,7 +26,13 @@ from ranburst.cli import (
     scenario_from_dict,
     write_trajectory_csv,
 )
-from ranburst.simulator import MAX_BATCH_SIZE, MAX_GRID_POINTS, Event, TrajectoryRecord
+from ranburst.simulator import (
+    MAX_BATCH_SIZE,
+    MAX_EXPECTED_EVENTS,
+    MAX_GRID_POINTS,
+    Event,
+    TrajectoryRecord,
+)
 from ranburst.traffic import (
     ARRIVAL_ACCEPTED,
     ARRIVAL_DOWNGRADED,
@@ -271,6 +277,27 @@ def test_main_validation_failure(tmp_path, capsys):
     assert "downgraded demand" in err["message"]
 
 
+def test_main_rejects_a_negative_seed(tmp_path, capsys):
+    path = bundled_scenario_path("demo_nc3_small")
+    code = main(["--scenario", str(path), "--out", str(tmp_path), "--seed", "-1"])
+    assert code == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and "base_seed" in err["message"]
+
+
+@pytest.mark.parametrize("path, value", [(("time_scale",), 1.0e308),
+                                         (("classes", 1, "arrival_rate"), 1.0e300)],
+                         ids=["time_scale", "arrival_rate"])
+def test_rates_too_high_for_the_horizon_are_validation_errors(tmp_path, capsys, path, value):
+    # Holding times this short stop the clock, or overflow the start law.
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(_set(demo_dict(), path, value)))
+    code = main(["--scenario", str(bad), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and f"{MAX_EXPECTED_EVENTS} events" in err["message"]
+
+
 @pytest.mark.parametrize("literal", [".nan", ".inf", "1.0e+400", "'1e400'"])
 def test_non_finite_rates_are_validation_errors(tmp_path, capsys, literal):
     raw = demo_dict()
@@ -488,21 +515,28 @@ containers = st.one_of(st.lists(numbers, max_size=2),
                        st.dictionaries(printable, numbers, max_size=2))
 finite = st.floats(allow_nan=False, allow_infinity=False)
 non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+# Strictly negative: a filter ``x < 0`` becomes a bound that lets -0.0 through.
+negative = st.floats(max_value=-5e-324, allow_infinity=False)
 # Values of the right type that no valid scenario of this shape can hold
 # (horizon 3000 ms, injection at 1000 ms, 360 kHz blocks, three dimensions).
 OUT_OF_RANGE = {
     ("horizon_ms",): st.one_of(non_finite, finite.filter(lambda x: x <= 1000)),
     ("grid_ms",): st.one_of(non_finite, finite.filter(lambda x: x <= 3000 / MAX_GRID_POINTS)),
-    ("time_scale",): st.one_of(non_finite, finite.filter(lambda x: x <= 0)),
+    # The event-rate bound of full_dict is 22.2 per second times time_scale,
+    # over 3 s: these exceed MAX_EXPECTED_EVENTS (1e7) with a wide margin.
+    ("time_scale",): st.one_of(non_finite, finite.filter(lambda x: x <= 0),
+                               st.floats(min_value=1e6, allow_infinity=False)),
     ("replications",): st.integers(max_value=0),
+    ("base_seed",): st.integers(max_value=-1),
     ("radio", "beta"): st.integers().filter(lambda b: not 0 <= b <= 4),
     ("radio", "block_khz"): st.integers().filter(lambda b: b <= 0 or 360 % b),
-    ("classes", 0, "arrival_rate"): st.one_of(non_finite, finite.filter(lambda x: x < 0)),
+    ("classes", 0, "arrival_rate"): st.one_of(non_finite, negative,
+                                              st.floats(min_value=1e10, allow_infinity=False)),
     ("classes", 1, "service_rate"): st.one_of(non_finite, finite.filter(lambda x: x <= 0)),
     ("classes", 0, "demand_khz"): st.integers().filter(lambda d: d <= 0 or d % 360),
     ("classes", 1, "max_sessions"): st.integers(max_value=0),
     ("classes", 1, "priority"): printable.filter(lambda p: p not in ("high", "low", "none")),
-    ("injection", "t_inject_ms"): st.one_of(non_finite, finite.filter(lambda x: x < 0),
+    ("injection", "t_inject_ms"): st.one_of(non_finite, negative,
                                             finite.filter(lambda x: x >= 3000)),
     ("injection", "batch_size"): st.one_of(st.integers(max_value=-1),
                                            st.integers(min_value=MAX_BATCH_SIZE + 1)),

@@ -250,7 +250,7 @@ def test_infeasible_state_raises_when_first_visited(monkeypatch, crn):
     # walk first enters a state with 19 of them when the batch arrives, and
     # compiling that state's block proves the bad target infeasible.
     sc = burst_scenario("NC3", "batch", batch=20)
-    real = simulator.arrival_outcomes
+    real = analytic.arrival_outcomes
 
     def over_the_pool(policy, counts, dim, dims, capacity):
         out = real(policy, counts, dim, dims, capacity)
@@ -258,7 +258,7 @@ def test_infeasible_state_raises_when_first_visited(monkeypatch, crn):
             out.target[out.target[:, 0] == 20, 1] = capacity
         return out
 
-    monkeypatch.setattr(simulator, "arrival_outcomes", over_the_pool)
+    monkeypatch.setattr(analytic, "arrival_outcomes", over_the_pool)
     with pytest.raises(RuntimeError, match=r"infeasible state \(20, "):
         run_replication(sc, 5, crn=crn)
 
@@ -303,7 +303,7 @@ def test_a_state_box_past_int64_keeps_exact_keys():
                             radio=RadioConfig(3_600_000, 360, 3_600_000, 10_000))
     chain = simulator._Chain(sc)
     rec = simulator._run_direct(sc, 9, chain)
-    assert chain.wide and len(chain.blocks) == 1
+    assert chain.box.weights.dtype == object and len(chain.blocks) == 1
     assert rec.n_events > 10
     assert replay_problems(sc, rec) == []
     assert rec.final_counts()[:19] == (0,) * 19
