@@ -1,8 +1,9 @@
 """Exact and numerical solutions used as oracles and for steady-state reports.
 
 Contains the Kaufman-Roberts occupancy recursion (valid for the non-priority
-pool), the chain compiler, generator-matrix assembly for all three policies
-from one compiled arc table, a preconditioned Krylov steady-state solve, and
+pool), the chain search, the chain compiler (:func:`_table_for`, which builds
+every :class:`ChainTable`), generator-matrix assembly for all three policies
+from that arc table, a preconditioned Krylov steady-state solve, and
 transient probabilities by uniformization. Uniformization drops negligible
 mass and multiplies only the band of rows its iterate can reach; its l1 error
 is the Poisson tail plus twice the dropped mass plus the stationarity cut,
@@ -25,7 +26,6 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -121,9 +121,10 @@ class ChainTable:
 
     ``counts`` holds the states as rows. Arc ``a`` leaves state
     ``source[a]`` for state ``target[a]`` at ``rate[a]``; ``rejected[a]`` is
-    the dimension whose arrival it rejects (a self-loop), or -1; ``slot[a]``
-    is its position in the state's :func:`~ranburst.traffic.transitions`
-    list. Arcs are ordered by source, then slot.
+    the dimension whose arrival it rejects (a self-loop), or -1. Arcs are
+    ordered by source, then in the order of the state's
+    :func:`~ranburst.traffic.transitions` list. :func:`_table_for` builds
+    every table.
     """
 
     policy: str
@@ -134,7 +135,6 @@ class ChainTable:
     target: np.ndarray
     rate: np.ndarray
     rejected: np.ndarray
-    slot: np.ndarray
 
     def compiled_for(self, policy: str, dims, capacity: int) -> bool:
         return (self.policy, self.dims, self.capacity) == (policy, tuple(dims), capacity)
@@ -171,8 +171,9 @@ class StateSpace:
     ``counts`` holds the states as rows, in that order. ``states`` (the rows
     as tuples) is built when first read; ``index`` maps a state tuple to its
     number by binary search over ``counts``. ``table`` is the chain compiled
-    while the space was walked (:func:`reachable_states`,
-    :func:`build_generator`), or None. Two spaces are equal when their
+    over ``counts`` (:func:`_table_for`) once the space was found
+    (:func:`reachable_states`) or a generator built on it
+    (:func:`build_generator`), or None. Two spaces are equal when their
     dimensions, capacity and states are.
     """
 
@@ -308,48 +309,38 @@ def _resolve_slots(
     return target, kind, downgraded, discarded, rejected
 
 
-def _compile_rows(policy: str, box: _StateBox, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every arc out of each row of ``rows``, ordered by row, then slot.
-
-    Returns ``(source, target, rate, rejected, slot)``: ``source`` indexes
-    ``rows``, ``target`` holds the arcs' target rows (a rejected arrival's
-    is its source row), and the rest are as in :class:`ChainTable`. The
-    slots of :func:`~ranburst.traffic.transitions` are those of
-    :func:`_resolve_slots` for the dimensions with a positive arrival rate,
-    less the departures of empty dimensions.
-    """
-    m, n = rows.shape
-    arriving = [d.index for d in box.dims if d.arrival_rate > 0]
-    a = len(arriving)
-    target, _, _, _, rejected = _resolve_slots(policy, box, rows, arriving)
-    rate = np.empty((m, a + n))
-    rate[:, :a] = [box.dims[i].arrival_rate for i in arriving]
-    rate[:, a:] = rows * np.array([d.service_rate for d in box.dims])
-    rejected = np.where(rejected.T, np.array([*arriving, *range(n)], dtype=np.intp), -1)
-    # A state's slots number its arcs in column order.
-    present = np.concatenate((np.ones((m, a), dtype=bool), rows > 0), axis=1)
-    slot = np.cumsum(present, axis=1) - 1
-    source = np.nonzero(present)[0]
-    return (source, target.swapaxes(0, 1)[present], rate[present], rejected[present],
-            slot[present])
-
-
 def _table_for(space: StateSpace, policy: str, dims, capacity: int) -> ChainTable:
     """The space's own table when it was compiled for these arguments, else
-    a fresh compile over ``space.counts``."""
+    every arc out of each state of ``space.counts``, compiled at once.
+
+    The arcs of a state follow :func:`~ranburst.traffic.transitions`: the
+    slots of :func:`_resolve_slots` for the dimensions with a positive
+    arrival rate, less the departures of empty dimensions. A target is
+    numbered by the rank of its key among the space's keys; a target outside
+    the space raises ``KeyError``.
+    """
     if space.table is not None and space.table.compiled_for(policy, dims, capacity):
         return space.table
     box = _StateBox(dims, capacity)
     counts = space.counts
-    source, target_rows, rate, rejected, slot = _compile_rows(policy, box, counts)
-    # A state's number is the rank of its key.
+    m, n = counts.shape
+    arriving = [d.index for d in box.dims if d.arrival_rate > 0]
+    a = len(arriving)
+    target_rows, _, _, _, rejected = _resolve_slots(policy, box, counts, arriving)
+    rate = np.empty((m, a + n))
+    rate[:, :a] = [box.dims[i].arrival_rate for i in arriving]
+    rate[:, a:] = counts * np.array([d.service_rate for d in box.dims])
+    rejected = np.where(rejected.T, np.array([*arriving, *range(n)], dtype=np.intp), -1)
+    present = np.concatenate((np.ones((m, a), dtype=bool), counts > 0), axis=1)
+    target_rows = target_rows.swapaxes(0, 1)[present]
     keys, wanted = box.keys(counts), box.keys(target_rows)
     target = np.searchsorted(keys, wanted)
     missing = keys[np.minimum(target, len(keys) - 1)] != wanted
     if missing.any():
         raise KeyError(tuple(target_rows[np.argmax(missing)].tolist()))
     return ChainTable(policy=policy, dims=tuple(dims), capacity=capacity, counts=counts,
-                      source=source, target=target, rate=rate, rejected=rejected, slot=slot)
+                      source=np.nonzero(present)[0], target=target, rate=rate[present],
+                      rejected=rejected[present])
 
 
 def _count_feasible(dims: list[Dimension], capacity: int) -> int:
@@ -415,17 +406,18 @@ def reachable_states(
 
     Needed when some dimension has no arrival stream (its states would be
     transient or unreachable and make the balance system singular). The
-    search is breadth first: it resolves every arc of a whole frontier of
-    states at once (:func:`_compile_rows`), and the arcs it sees become the
-    returned space's ``table``. Each step also adds the states that repeated
-    direct admissions reach (:func:`_admission_rays`), and the first step
-    the states that repeated departures reach from ``start``
-    (:func:`_departure_rays`), so a long line of states costs one step.
-    States are numbered in lexicographic order of their counts, whatever
-    order the search found them in, which keeps the generator banded for
-    :func:`steady_state`. It raises :class:`StateSpaceLimitError` once it
-    has found more than ``limit`` states, and ``ValueError`` when ``start``
-    does not give one count per dimension or is not feasible.
+    search is breadth first: it resolves every slot of a whole frontier of
+    states at once (:func:`_resolve_slots`) and keeps the targets it has not
+    seen. Each step also adds the states that repeated direct admissions
+    reach (:func:`_admission_rays`), and the first step the states that
+    repeated departures reach from ``start`` (:func:`_departure_rays`), so a
+    long line of states costs one step. States are numbered in lexicographic
+    order of their counts, whatever order the search found them in, which
+    keeps the generator banded for :func:`steady_state`; the returned
+    space's ``table`` is then compiled over them (:func:`_table_for`). It
+    raises :class:`StateSpaceLimitError` once it has found more than
+    ``limit`` states, and ``ValueError`` when ``start`` does not give one
+    count per dimension or is not feasible.
     """
     dims = list(dims)
     if start is None:
@@ -438,55 +430,27 @@ def reachable_states(
     start = np.array(start, dtype=np.int64).reshape(len(dims))
     first = np.concatenate((start[None, :], _departure_rays(start, limit)))
     box = _StateBox(dims, capacity)
-    index = dict(zip(box.keys(first).tolist(), range(len(first))))  # state key -> number
-    found = [first]  # blocks of states in the order they were numbered
-    arcs = []
-    expanded = 0
+    arriving = [d.index for d in dims if d.arrival_rate > 0]
+    seen = set(box.keys(first).tolist())
+    found = [first]  # blocks of states in the order they were found
     for block in found:  # grows while it is walked
         for lo in range(0, len(block), FRONTIER_CHUNK):
             frontier = block[lo:lo + FRONTIER_CHUNK]
-            source, target_rows, rate, rejected, slot = _compile_rows(policy, box, frontier)
-            source += expanded
-            target = source.copy()
-            moves = rejected < 0
-            target_rows = np.concatenate(
-                (target_rows[moves], _admission_rays(dims, capacity, frontier, limit)))
-            keys, at, inverse = np.unique(box.keys(target_rows), return_index=True,
-                                          return_inverse=True)
-            ids = np.fromiter(map(index.get, keys.tolist(), repeat(-1)), dtype=np.intp,
+            target = _resolve_slots(policy, box, frontier, arriving)[0]
+            target = np.concatenate((target[(target != frontier).any(axis=-1)],
+                                     _admission_rays(dims, capacity, frontier, limit)))
+            keys, at = np.unique(box.keys(target), return_index=True)
+            new = np.fromiter((k not in seen for k in keys.tolist()), dtype=bool,
                               count=len(keys))
-            new = np.flatnonzero(ids < 0)
-            if len(new):
-                known = len(index)
-                if known + len(new) > limit:
-                    raise StateSpaceLimitError(known + len(new), limit)
-                ids[new] = np.arange(known, known + len(new))
-                index.update(zip(keys[new].tolist(), ids[new].tolist()))
-                found.append(target_rows[at[new]])
-            target[moves] = ids[inverse.ravel()[:np.count_nonzero(moves)]]
-            arcs.append((source, target, rate, rejected, slot))
-            expanded += len(frontier)
+            total = len(seen) + int(np.count_nonzero(new))
+            if total > limit:
+                raise StateSpaceLimitError(total, limit)
+            seen.update(keys[new].tolist())
+            found.append(target[at[new]])
     counts = np.concatenate(found)
-    source, target, rate, rejected, slot = (np.concatenate(col) for col in zip(*arcs))
-    # Number the states by the rank of their keys; arcs stay ordered by source.
-    order = np.argsort(box.keys(counts))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    counts = counts[order]
-    source = rank[source]
-    arcs = np.argsort(source, kind="stable")
-    table = ChainTable(
-        policy=policy,
-        dims=tuple(dims),
-        capacity=capacity,
-        counts=counts,
-        source=source[arcs],
-        target=rank[target][arcs],
-        rate=rate[arcs],
-        rejected=rejected[arcs],
-        slot=slot[arcs],
-    )
-    return StateSpace(counts=counts, dims=tuple(dims), capacity=capacity, table=table)
+    counts = counts[np.argsort(box.keys(counts))]
+    space = StateSpace(counts=counts, dims=tuple(dims), capacity=capacity)
+    return replace(space, table=_table_for(space, policy, dims, capacity))
 
 
 def build_generator(
@@ -501,8 +465,9 @@ def build_generator(
     Rows match :func:`ranburst.traffic.transitions` exactly, except that
     rejected-arrival self-loops are omitted (they cancel in a generator).
     Row sums are zero by construction. The arcs come from ``space.table``
-    when it was compiled for these arguments, else from one walk over
-    ``space.counts``; the returned space carries the table used.
+    when it was compiled for these arguments, else from one compile over
+    ``space.counts`` (:func:`_table_for`); the returned space carries the
+    table used.
     """
     import scipy.sparse as sp
 
@@ -514,13 +479,9 @@ def build_generator(
     n = len(space)
     keep = table.rejected < 0
     source, target, rate = table.source[keep], table.target[keep], table.rate[keep]
-    slot = table.slot[keep]
-    # Each state's outflow, added in transitions order as a per-state loop
-    # would add it: a state has at most one arc in each slot.
-    out = np.zeros(n)
-    for k in range(int(slot.max(initial=-1)) + 1):
-        at = slot == k
-        out[source[at]] += rate[at]
+    # Each state's outflow, its arcs added one by one in transitions order
+    # as a per-state loop would add them.
+    out = np.bincount(source, weights=rate, minlength=n)
     diagonal = np.arange(n)
     rows = np.concatenate((source, diagonal))
     # Each row: its arcs in transitions order, then the diagonal.

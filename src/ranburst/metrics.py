@@ -6,7 +6,7 @@ the reporting grid only affects the exported curves, never the averages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,7 +169,7 @@ class ReplicationSummary:
     mean_counts: np.ndarray  # exact time average of each dimension's count
 
 
-def ratios(traj: TrajectoryRecord, whole_window_r_v: bool = False) -> dict:
+def ratios(traj: TrajectoryRecord) -> dict:
     """Loss/downgrade bookkeeping over the observed window.
 
     ``r_rj``, ``r_dw``, ``r_dc`` divide by the number of video arrivals over
@@ -177,8 +177,7 @@ def ratios(traj: TrajectoryRecord, whole_window_r_v: bool = False) -> dict:
     sessions and downgraded admissions. ``r_v`` is the rejection ratio of
     the priority-free part of the run: video rejections that happen with no
     priority session present, over video arrivals in that same condition
-    (set ``whole_window_r_v`` to divide whole-window rejections by all
-    arrivals instead).
+    (whole-window rejections over all arrivals are ``r_rj``).
     """
     m = _window(traj)
     kind = traj.kind[:m]
@@ -216,16 +215,12 @@ def ratios(traj: TrajectoryRecord, whole_window_r_v: bool = False) -> dict:
     if n_ga == 0:
         return {"n_ga": 0, "r_rj": None, "r_dw": None, "r_dc": None,
                 "r_v": None, "counts": counts}
-    if whole_window_r_v:
-        r_v = video_rejected / n_ga
-    else:
-        r_v = gf_rejected / gf_arrivals if gf_arrivals else None
     return {
         "n_ga": n_ga,
         "r_rj": video_rejected / n_ga,
         "r_dw": downgraded / n_ga,
         "r_dc": discarded / n_ga,
-        "r_v": r_v,
+        "r_v": gf_rejected / gf_arrivals if gf_arrivals else None,
         "counts": counts,
     }
 
@@ -243,18 +238,14 @@ def empirical_blocking(traj: TrajectoryRecord) -> dict[int, tuple[int, int]]:
     }
 
 
-def summarize(
-    traj: TrajectoryRecord,
-    grid_ms: float = 10.0,
-    whole_window_r_v: bool = False,
-) -> ReplicationSummary:
+def summarize(traj: TrajectoryRecord, grid_ms: float = 10.0) -> ReplicationSummary:
     grid = make_grid(traj.horizon_ms, grid_ms)
     times, states = _path(traj)
     mean_counts = _time_average(times, states, traj.end_ms)
     m_t = _curves(times, states, grid)
     rho_t, rho_avg = _rho(traj, mean_counts, m_t)
     period, duration = burst_period(traj)
-    r = ratios(traj, whole_window_r_v=whole_window_r_v)
+    r = ratios(traj)
     return ReplicationSummary(
         replication=traj.replication,
         seed=traj.seed,
@@ -297,7 +288,6 @@ class ExperimentSummary:
     mean_m_t: np.ndarray
     var_m_t: np.ndarray
     mean_rho_t: np.ndarray
-    metric_samples: dict[str, list[float]] = field(default_factory=dict)
 
 
 def _mean_var(values: list[float]) -> tuple[float | None, float | None]:
@@ -324,11 +314,10 @@ def aggregate(summaries: list[ReplicationSummary]) -> ExperimentSummary:
 
     mean: dict[str, float | None] = {}
     variance: dict[str, float | None] = {}
-    samples: dict[str, list[float]] = {}
     for name in SCALAR_METRICS:
-        values = [getattr(s, name) for s in summaries if getattr(s, name) is not None]
-        samples[name] = [float(v) for v in values]
-        mean[name], variance[name] = _mean_var(samples[name])
+        values = [float(getattr(s, name)) for s in summaries
+                  if getattr(s, name) is not None]
+        mean[name], variance[name] = _mean_var(values)
 
     m_stack = np.stack([s.m_t for s in summaries])  # reps x dims x grid
     rho_stack = np.stack([s.rho_t for s in summaries])
@@ -341,5 +330,4 @@ def aggregate(summaries: list[ReplicationSummary]) -> ExperimentSummary:
         mean_m_t=m_stack.mean(axis=0),
         var_m_t=m_stack.var(axis=0, ddof=1) if n > 1 else np.full_like(m_stack[0], np.nan),
         mean_rho_t=rho_stack.mean(axis=0),
-        metric_samples=samples,
     )

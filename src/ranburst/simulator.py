@@ -71,6 +71,13 @@ MAX_BATCH_SIZE = 1_000_000
 # bundled scenarios reach at most 6.25e5 (``oracle_nc1_small``).
 MAX_EXPECTED_EVENTS = 10_000_000
 
+# Most events a whole run may expect: ``replications`` times the bound above.
+# ``run_experiment`` keeps every replication's record, about 18 bytes per
+# event, so 1e8 events hold about 1.8 GB; the bundled scenarios reach at most
+# 6.25e5 (``oracle_nc1_small``), and ``table2_nc3_lam20`` with 600
+# replications about 3.8e6.
+MAX_EXPECTED_RUN_EVENTS = 100_000_000
+
 EMPTY_START = "empty_start"
 STATIONARY_VIDEO_START = "stationary_video_start"
 WARMUPS = (EMPTY_START, STATIONARY_VIDEO_START)
@@ -176,9 +183,16 @@ class Scenario:
         rate = sum(d.arrival_rate + self.radio.capacity_blocks * d.service_rate for d in dims)
         if self.injection is not None:
             rate += self.injection.poisson_rate
-        if not rate * self.time_scale / 1000.0 * self.horizon_ms <= MAX_EXPECTED_EVENTS:
+        events = rate * self.time_scale / 1000.0 * self.horizon_ms
+        if not events <= MAX_EXPECTED_EVENTS:
             raise ScenarioError(
                 f"rates over horizon_ms allow more than {MAX_EXPECTED_EVENTS} events")
+        # Divided, not multiplied: a replication count past float range
+        # would overflow the product.
+        if not events <= MAX_EXPECTED_RUN_EVENTS / self.replications:
+            raise ScenarioError(
+                f"replications times the rates over horizon_ms allow more than "
+                f"{MAX_EXPECTED_RUN_EVENTS} events in a run")
         if not (math.isfinite(self.grid_ms) and self.grid_ms > 0):
             raise ScenarioError("grid_ms must be positive and finite")
         steps = self.horizon_ms / self.grid_ms

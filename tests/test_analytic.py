@@ -594,24 +594,23 @@ def test_compiling_the_burst_chain_resolves_no_state_one_at_a_time(monkeypatch):
 
 def per_state_table(policy, dims, capacity, states):
     """The per-state walk the chain compiler replaced: ``transitions`` for
-    each state of ``states`` in order, every arc recorded in slot order."""
+    each state of ``states`` in order, every arc recorded in list order."""
     index = {s: i for i, s in enumerate(states)}
-    columns = ([], [], [], [], [])
+    columns = ([], [], [], [])
     for i, state in enumerate(states):
-        for k, tr in enumerate(transitions(policy, state, dims, capacity)):
+        for tr in transitions(policy, state, dims, capacity):
             rejected = tr.kind == ARRIVAL_REJECTED
             arc = (i, i if rejected else index[tr.target], tr.rate,
-                   tr.dim if rejected else -1, k)
+                   tr.dim if rejected else -1)
             for column, value in zip(columns, arc):
                 column.append(value)
-    source, target, rate, rejected, slot = columns
+    source, target, rate, rejected = columns
     return {
         "counts": np.array(states, dtype=np.int64).reshape(len(states), len(dims)),
         "source": np.array(source, dtype=np.intp),
         "target": np.array(target, dtype=np.intp),
         "rate": np.array(rate, dtype=float),
         "rejected": np.array(rejected, dtype=np.intp),
-        "slot": np.array(slot, dtype=np.intp),
     }
 
 
@@ -655,10 +654,12 @@ def test_the_simulator_compiles_the_analytic_burst_chain(policy):
         here = keys // block_keys == b
         r = block.row[keys[here] - b * block_keys]
         assert (r >= 0).all()
-        for k in range(len(arriving)):
-            assert (table.slot[first[here] + k] == k).all()
-            assert np.array_equal(block.target[r, sim_slot[k]],
-                                  keys[table.target[first[here] + k]])
+        for k, i in enumerate(arriving):
+            # The k-th arc of each state is its k-th arrival.
+            arc = first[here] + k
+            assert (table.rate[arc] == dims[i].arrival_rate).all()
+            assert np.isin(table.rejected[arc], [-1, i]).all()
+            assert np.array_equal(block.target[r, sim_slot[k]], keys[table.target[arc]])
 
 
 def test_state_keys_stay_exact_beyond_int64():

@@ -29,6 +29,7 @@ from ranburst.cli import (
 from ranburst.simulator import (
     MAX_BATCH_SIZE,
     MAX_EXPECTED_EVENTS,
+    MAX_EXPECTED_RUN_EVENTS,
     MAX_GRID_POINTS,
     Event,
     TrajectoryRecord,
@@ -285,17 +286,32 @@ def test_main_rejects_a_negative_seed(tmp_path, capsys):
     assert err["error"] == "validation" and "base_seed" in err["message"]
 
 
-@pytest.mark.parametrize("path, value", [(("time_scale",), 1.0e308),
-                                         (("classes", 1, "arrival_rate"), 1.0e300)],
-                         ids=["time_scale", "arrival_rate"])
-def test_rates_too_high_for_the_horizon_are_validation_errors(tmp_path, capsys, path, value):
-    # Holding times this short stop the clock, or overflow the start law.
+@pytest.mark.parametrize("path, value, bound", [
+    (("time_scale",), 1.0e308, MAX_EXPECTED_EVENTS),
+    (("classes", 1, "arrival_rate"), 1.0e300, MAX_EXPECTED_EVENTS),
+    # demo_nc3_small expects about 67 events a replication: 1.3e8 in all.
+    (("replications",), 2_000_000, MAX_EXPECTED_RUN_EVENTS),
+], ids=["time_scale", "arrival_rate", "replications"])
+def test_rates_too_high_for_the_horizon_are_validation_errors(tmp_path, capsys, path, value,
+                                                              bound):
+    # Holding times this short stop the clock, or overflow the start law; a
+    # run this long would hold gigabytes of records.
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(_set(demo_dict(), path, value)))
     code = main(["--scenario", str(bad), "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "validation" and f"{MAX_EXPECTED_EVENTS} events" in err["message"]
+    assert err["error"] == "validation" and f"{bound} events" in err["message"]
+
+
+def test_a_replications_override_past_the_run_bound_is_a_validation_error(tmp_path, capsys):
+    path = bundled_scenario_path("table2_nc3_lam20")  # about 6.3e3 events a replication
+    code = main(["--scenario", str(path), "--out", str(tmp_path), "--replications", "20000"])
+    assert code == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert f"{MAX_EXPECTED_RUN_EVENTS} events" in err["message"]
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("literal", [".nan", ".inf", "1.0e+400", "'1e400'"])

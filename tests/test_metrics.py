@@ -180,8 +180,6 @@ def test_r_v_counts_only_priority_free_window():
     assert r["counts"]["goose_free_rejected"] == 1
     assert r["r_v"] == pytest.approx(0.5)
     assert r["r_rj"] == pytest.approx(2 / 4)
-    whole = ratios(traj, whole_window_r_v=True)
-    assert whole["r_v"] == pytest.approx(2 / 4)
 
 
 def test_downgrade_bookkeeping_feeds_r_dw_and_r_dc():
@@ -407,7 +405,7 @@ LOOP_ARRIVAL_KINDS = (
 )
 
 
-def loop_ratios(traj, whole_window_r_v=False):
+def loop_ratios(traj):
     video_arrivals = video_rejected = downgraded = discarded = 0
     gf_arrivals = gf_rejected = goose_arrivals = goose_rejected = pre = 0
     t_inject = traj.t_inject_ms
@@ -447,10 +445,7 @@ def loop_ratios(traj, whole_window_r_v=False):
     if n_ga == 0:
         return {"n_ga": 0, "r_rj": None, "r_dw": None, "r_dc": None,
                 "r_v": None, "counts": counts}
-    if whole_window_r_v:
-        r_v = video_rejected / n_ga
-    else:
-        r_v = gf_rejected / gf_arrivals if gf_arrivals else None
+    r_v = gf_rejected / gf_arrivals if gf_arrivals else None
     return {"n_ga": n_ga, "r_rj": video_rejected / n_ga, "r_dw": downgraded / n_ga,
             "r_dc": discarded / n_ga, "r_v": r_v, "counts": counts}
 
@@ -524,8 +519,7 @@ def random_event_path(seed):
 def assert_readers_equal_the_loops(traj):
     assert goose_presence_window(traj) == loop_goose_presence_window(traj)
     assert burst_period(traj) == loop_burst_period(traj)
-    for whole in (False, True):
-        assert ratios(traj, whole_window_r_v=whole) == loop_ratios(traj, whole)
+    assert ratios(traj) == loop_ratios(traj)
     expected = loop_empirical_blocking(traj)
     got = empirical_blocking(traj)
     assert got == expected and list(got) == list(expected)
