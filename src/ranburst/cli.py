@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -53,6 +54,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_STATE_SPACE = 4
+EXIT_OUTPUT = 5  # an output directory or file cannot be written
 
 _SCENARIO_KEYS = {
     "label", "description", "figure", "policy", "radio", "classes",
@@ -416,6 +418,17 @@ def write_trajectory_csv(path: Path, traj: TrajectoryRecord, shash: str) -> None
     path.write_text("\n".join(lines) + "\n")
 
 
+def _trajectory_name(replication: int) -> str:
+    return f"rep_{replication:03d}.csv"
+
+
+def _write_trajectory_file(traj_dir: Path, shash: str, traj: TrajectoryRecord) -> None:
+    """Write one record's ``rep_NNN.csv`` into ``traj_dir``. ``run`` binds
+    the first two arguments with ``functools.partial``, which pickles into
+    a pool worker, where the record is written as soon as it is made."""
+    write_trajectory_csv(traj_dir / _trajectory_name(traj.replication), traj, shash)
+
+
 def _analytic_report(scenario: Scenario) -> list[list]:
     """Steady-state rows: per-dimension blocking and mean occupancy."""
     dims = scenario.dimensions()
@@ -473,7 +486,15 @@ def run(
     sim_blocking: dict[int, tuple[int, int]] = {}
     sim_means = None
     if mode in ("simulate", "both"):
-        records = run_experiment(scenario, workers=workers)
+        on_record = None
+        if emit_trajectories:
+            traj_dir = out / "trajectories"
+            traj_dir.mkdir(exist_ok=True)
+            on_record = partial(_write_trajectory_file, traj_dir, shash)
+            bundle.trajectory_paths = [
+                traj_dir / _trajectory_name(r) for r in range(scenario.replications)
+            ]
+        records = run_experiment(scenario, workers=workers, on_record=on_record)
         summaries = [summarize(r, grid_ms=scenario.grid_ms) for r in records]
         experiment = aggregate(summaries)
         bundle.records = records
@@ -484,14 +505,6 @@ def run(
         write_summary_csv(bundle.summary_path, summaries, experiment, shash)
         bundle.curves_path = out / "curves.csv"
         write_curves_csv(bundle.curves_path, experiment, records[0].dim_labels, shash)
-        if emit_trajectories:
-            traj_dir = out / "trajectories"
-            traj_dir.mkdir(exist_ok=True)
-            bundle.trajectory_paths = []
-            for r in records:
-                p = traj_dir / f"rep_{r.replication:03d}.csv"
-                write_trajectory_csv(p, r, shash)
-                bundle.trajectory_paths.append(p)
 
         if mode == "both":
             for r in records:
@@ -588,6 +601,11 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         _emit_error("numerical_failure", exc)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # Reading the scenario file raises ScenarioError, not OSError; what
+        # reaches here failed to write, in this process or a pool worker.
+        _emit_error("output", exc)
+        return EXIT_OUTPUT
 
     written = [
         str(p)

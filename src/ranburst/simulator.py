@@ -30,6 +30,7 @@ import heapq
 import itertools
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -77,6 +78,12 @@ MAX_EXPECTED_EVENTS = 10_000_000
 # 6.25e5 (``oracle_nc1_small``), and ``table2_nc3_lam20`` with 600
 # replications about 3.8e6.
 MAX_EXPECTED_RUN_EVENTS = 100_000_000
+
+# Most replications a run may have. A run keeps every replication's record and
+# summary even when it expects no events: about 1.3 KB and 1.2 KB for an empty
+# path on a one-point grid, so 400,000 replications hold about 1 GB. The
+# bundled scenarios use at most 30.
+MAX_REPLICATIONS = 400_000
 
 EMPTY_START = "empty_start"
 STATIONARY_VIDEO_START = "stationary_video_start"
@@ -193,6 +200,8 @@ class Scenario:
             raise ScenarioError(
                 f"replications times the rates over horizon_ms allow more than "
                 f"{MAX_EXPECTED_RUN_EVENTS} events in a run")
+        if self.replications > MAX_REPLICATIONS:
+            raise ScenarioError(f"replications must be at most {MAX_REPLICATIONS}")
         if not (math.isfinite(self.grid_ms) and self.grid_ms > 0):
             raise ScenarioError("grid_ms must be positive and finite")
         steps = self.horizon_ms / self.grid_ms
@@ -721,7 +730,10 @@ def pool_size(workers: int | None, replications: int) -> int:
 
 
 def run_experiment(
-    scenario: Scenario, workers: int | None = None, crn: bool = False
+    scenario: Scenario,
+    workers: int | None = None,
+    crn: bool = False,
+    on_record: Callable[[TrajectoryRecord], None] | None = None,
 ) -> list[TrajectoryRecord]:
     """All replications, seeded ``mix_seed(base_seed, r)``.
 
@@ -732,29 +744,41 @@ def run_experiment(
     lives for this call only: it compiles a block of states the first time
     a walk enters it, and each pool worker compiles its own. ``crn=True``
     runs the coupled engine, as in :func:`run_replication`.
+
+    ``on_record``, if given, is called on each record as soon as its
+    replication ends, in the process that simulated it: a pool worker, or
+    this process when the run is serial. In a pool it must pickle, and
+    what it changes on a record does not come back. An exception it raises
+    ends the run and propagates from here once the pool has shut down.
     """
     scenario.validate()
     seeds = [mix_seed(scenario.base_seed, r) for r in range(scenario.replications)]
     n_workers = pool_size(workers, scenario.replications)
     if n_workers == 1:
-        records = _replicate((scenario, seeds, crn))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+        return _replicate((scenario, 0, seeds, crn, on_record))
 
-        # One contiguous chunk of seeds per worker, so that each worker
-        # compiles one chain and sends its records back in one message.
-        bounds = [len(seeds) * k // n_workers for k in range(n_workers + 1)]
-        chunks = [(scenario, seeds[a:b], crn) for a, b in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = [rec for part in pool.map(_replicate, chunks) for rec in part]
-    for r, record in enumerate(records):
-        record.replication = r
-    return records
+    from concurrent.futures import ProcessPoolExecutor
+
+    # One contiguous chunk of seeds per worker, so that each worker
+    # compiles one chain and sends its records back in one message.
+    bounds = [len(seeds) * k // n_workers for k in range(n_workers + 1)]
+    chunks = [(scenario, a, seeds[a:b], crn, on_record) for a, b in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return [rec for part in pool.map(_replicate, chunks) for rec in part]
 
 
 def _replicate(args) -> list[TrajectoryRecord]:
-    """Replications of one scenario for a list of seeds, sharing one compiled chain."""
-    scenario, seeds, crn = args
+    """Replications ``first, first + 1, ...`` of one scenario for a list of
+    seeds, sharing one compiled chain; ``on_record`` runs on each record as
+    it is made."""
+    scenario, first, seeds, crn, on_record = args
     run = _run_coupled if crn else _run_direct
     chain = _Chain(scenario)
-    return [run(scenario, s, chain) for s in seeds]
+    records = []
+    for r, seed in enumerate(seeds, first):
+        record = run(scenario, seed, chain)
+        record.replication = r
+        if on_record is not None:
+            on_record(record)
+        records.append(record)
+    return records

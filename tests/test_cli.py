@@ -12,9 +12,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranburst import ScenarioError, kaufman_roberts, run_experiment
+from ranburst import ScenarioError, kaufman_roberts, run_experiment, simulator
 from ranburst.cli import (
     EXIT_OK,
+    EXIT_OUTPUT,
     EXIT_VALIDATION,
     _write_csv,
     bundled_scenario_path,
@@ -31,6 +32,7 @@ from ranburst.simulator import (
     MAX_EXPECTED_EVENTS,
     MAX_EXPECTED_RUN_EVENTS,
     MAX_GRID_POINTS,
+    MAX_REPLICATIONS,
     Event,
     TrajectoryRecord,
 )
@@ -223,17 +225,24 @@ def test_both_mode_populates_comparison_columns(tmp_path):
     assert video_row[sim_b] != ""
 
 
-def test_byte_identical_reruns_and_parallel_schedule(tmp_path):
+def test_byte_identical_reruns_and_parallel_schedule(tmp_path, monkeypatch):
+    # Three pool processes even on a smaller host: with workers=3 the four
+    # replications run in chunks of 1, 1 and 2.
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
     sc = load_bundled_scenario("demo_nc3_small")
-    b1 = run(sc, mode="simulate", out_dir=tmp_path / "a")
-    b2 = run(sc, mode="simulate", out_dir=tmp_path / "b")
-    b3 = run(sc, mode="simulate", out_dir=tmp_path / "c", workers=2)
-    ref_summary = b1.summary_path.read_bytes()
-    ref_curves = b1.curves_path.read_bytes()
-    assert b2.summary_path.read_bytes() == ref_summary
-    assert b3.summary_path.read_bytes() == ref_summary
-    assert b2.curves_path.read_bytes() == ref_curves
-    assert b3.curves_path.read_bytes() == ref_curves
+    n = sc.replications
+    names = [f"rep_{r:03d}.csv" for r in range(n)]
+    files = ["summary.csv", "curves.csv", *(f"trajectories/{name}" for name in names)]
+    ref = tmp_path / "serial"
+    run(sc, mode="simulate", out_dir=ref, emit_trajectories=True)
+    for label, workers in (("rerun", None), ("pool2", 2), ("pool3", 3)):
+        out = tmp_path / label
+        bundle = run(sc, mode="simulate", out_dir=out, emit_trajectories=True, workers=workers)
+        assert bundle.trajectory_paths == [out / "trajectories" / name for name in names]
+        assert [r.replication for r in bundle.records] == list(range(n))
+        assert sorted(p.name for p in (out / "trajectories").iterdir()) == names
+        for name in files:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), (label, name)
 
 
 def test_trajectory_csv_schema(tmp_path):
@@ -284,6 +293,58 @@ def test_main_rejects_a_negative_seed(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation" and "base_seed" in err["message"]
+
+
+def test_an_unwritable_output_directory_is_an_output_error(tmp_path, capsys):
+    path = bundled_scenario_path("demo_nc3_small")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["--scenario", str(path), "--out", str(blocker / "out")])
+    assert code == EXIT_OUTPUT
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "output" and str(blocker / "out") in err["message"]
+
+
+def test_a_write_failing_in_a_pool_worker_is_an_output_error(tmp_path):
+    # Replications 0 and 1 go to the first of two workers, 2 and 3 to the
+    # second; the first cannot write rep_001.csv. A serial run would stop
+    # there, so rep_003.csv shows that the other worker ran, and the exit
+    # within the timeout that the pool shut down.
+    out = tmp_path / "out"
+    (out / "trajectories" / "rep_001.csv").mkdir(parents=True)
+    code = (
+        "import os, sys; os.cpu_count = lambda: 2; from ranburst.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--scenario", str(bundled_scenario_path("demo_nc3_small")),
+         "--out", str(out), "--emit-trajectories", "--workers", "2"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == EXIT_OUTPUT
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "output" and "rep_001.csv" in err["message"]
+    assert (out / "trajectories" / "rep_000.csv").is_file()
+    assert (out / "trajectories" / "rep_003.csv").is_file()
+    assert not (out / "summary.csv").exists()
+
+
+def test_too_many_replications_are_a_validation_error(tmp_path, capsys):
+    # About 1e-3 expected events a replication: the event bounds let it pass.
+    raw = demo_dict(injection=None, horizon_ms=0.05, replications=1_000_000_000)
+    scenario_from_dict(dict(raw, replications=MAX_REPLICATIONS))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(raw))
+    code = main(["--scenario", str(bad), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert f"at most {MAX_REPLICATIONS}" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("path, value, bound", [
@@ -542,7 +603,8 @@ OUT_OF_RANGE = {
     # over 3 s: these exceed MAX_EXPECTED_EVENTS (1e7) with a wide margin.
     ("time_scale",): st.one_of(non_finite, finite.filter(lambda x: x <= 0),
                                st.floats(min_value=1e6, allow_infinity=False)),
-    ("replications",): st.integers(max_value=0),
+    ("replications",): st.one_of(st.integers(max_value=0),
+                                 st.integers(min_value=MAX_REPLICATIONS + 1)),
     ("base_seed",): st.integers(max_value=-1),
     ("radio", "beta"): st.integers().filter(lambda b: not 0 <= b <= 4),
     ("radio", "block_khz"): st.integers().filter(lambda b: b <= 0 or 360 % b),
