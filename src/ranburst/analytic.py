@@ -75,6 +75,12 @@ class OccupancyDistribution:
     blocking: dict[int, float]  # class id -> blocking probability
 
 
+def cap_binds(cls: TrafficClass, capacity: int) -> bool:
+    """Whether ``cls``'s session cap binds below what ``capacity`` already
+    enforces, which :func:`kaufman_roberts` cannot honor."""
+    return cls.max_sessions < capacity // cls.demand_blocks
+
+
 def kaufman_roberts(classes: list[TrafficClass], capacity: int) -> OccupancyDistribution:
     """Occupancy distribution and blocking of the non-priority block pool.
 
@@ -92,7 +98,7 @@ def kaufman_roberts(classes: list[TrafficClass], capacity: int) -> OccupancyDist
                 f"class {cls.id}: the occupancy recursion applies to "
                 f"non-priority, non-adaptive classes only"
             )
-        if cls.max_sessions < capacity // cls.demand_blocks:
+        if cap_binds(cls, capacity):
             raise ValueError(
                 f"class {cls.id}: session cap {cls.max_sessions} binds below "
                 f"capacity; the recursion cannot honor it"
@@ -204,10 +210,13 @@ class _StateBox:
     """The box ``0 <= c_d < radix[d] = min(max_sessions, C // demand) + 1``,
     which holds every feasible state. A state's key is its mixed-radix number
     in the box, so keys sort as the counts do lexicographically; they are
-    int64, or exact Python ints in object arrays past int64."""
+    int64, or exact Python ints in object arrays past int64. ``arriving``
+    lists the dimensions with a positive arrival rate, in order: the arrival
+    slots of every compiled state."""
 
     def __init__(self, dims: list[Dimension], capacity: int):
         self.dims, self.capacity = list(dims), capacity
+        self.arriving = [d.index for d in dims if d.arrival_rate > 0]
         self.demand = np.array([d.demand_blocks for d in dims], dtype=np.int64)
         radix = [min(d.max_sessions, capacity // d.demand_blocks) + 1 for d in dims]
         self.radix = np.array(radix, dtype=np.int64)
@@ -324,7 +333,7 @@ def _table_for(space: StateSpace, policy: str, dims, capacity: int) -> ChainTabl
     box = _StateBox(dims, capacity)
     counts = space.counts
     m, n = counts.shape
-    arriving = [d.index for d in box.dims if d.arrival_rate > 0]
+    arriving = box.arriving
     a = len(arriving)
     target_rows, _, _, _, rejected = _resolve_slots(policy, box, counts, arriving)
     rate = np.empty((m, a + n))
@@ -430,13 +439,12 @@ def reachable_states(
     start = np.array(start, dtype=np.int64).reshape(len(dims))
     first = np.concatenate((start[None, :], _departure_rays(start, limit)))
     box = _StateBox(dims, capacity)
-    arriving = [d.index for d in dims if d.arrival_rate > 0]
     seen = set(box.keys(first).tolist())
     found = [first]  # blocks of states in the order they were found
     for block in found:  # grows while it is walked
         for lo in range(0, len(block), FRONTIER_CHUNK):
             frontier = block[lo:lo + FRONTIER_CHUNK]
-            target = _resolve_slots(policy, box, frontier, arriving)[0]
+            target = _resolve_slots(policy, box, frontier, box.arriving)[0]
             target = np.concatenate((target[(target != frontier).any(axis=-1)],
                                      _admission_rays(dims, capacity, frontier, limit)))
             keys, at = np.unique(box.keys(target), return_index=True)

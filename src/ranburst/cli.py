@@ -27,6 +27,7 @@ from . import __version__
 from .analytic import (
     blocking_from_generator,
     build_generator,
+    cap_binds,
     kaufman_roberts,
     mean_counts,
     reachable_states,
@@ -430,16 +431,16 @@ def _write_trajectory_file(traj_dir: Path, shash: str, traj: TrajectoryRecord) -
 
 
 def _analytic_report(scenario: Scenario) -> list[list]:
-    """Steady-state rows: per-dimension blocking and mean occupancy."""
+    """Steady-state rows: per-dimension blocking and mean occupancy.
+
+    NC1 takes the occupancy recursion unless a session cap binds below
+    capacity; every other case solves the generator of
+    :meth:`~ranburst.simulator.Scenario.chain`.
+    """
     dims = scenario.dimensions()
     capacity = scenario.radio.capacity_blocks
-    scaled = [
-        replace(d, arrival_rate=d.arrival_rate * scenario.time_scale,
-                service_rate=d.service_rate * scenario.time_scale)
-        for d in dims
-    ]
     rows = []
-    if scenario.policy == "NC1":
+    if scenario.policy == "NC1" and not any(cap_binds(c, capacity) for c in scenario.classes):
         dist = kaufman_roberts(list(scenario.classes), capacity)
         method = "kaufman_roberts"
         means = []
@@ -450,10 +451,11 @@ def _analytic_report(scenario: Scenario) -> list[list]:
             means.append(mean_n)
             rows.append([d.index, d.label, method, a, b, mean_n, None])
     else:
-        space = reachable_states(scenario.policy, scaled, capacity)
-        space, q = build_generator(scenario.policy, scaled, capacity, space=space)
+        policy, scaled, _ = scenario.chain()
+        space = reachable_states(policy, scaled, capacity)
+        space, q = build_generator(policy, scaled, capacity, space=space)
         pi = steady_state(q)
-        blocking = blocking_from_generator(scenario.policy, space, pi)
+        blocking = blocking_from_generator(policy, space, pi)
         means = mean_counts(space, pi)
         method = "generator"
         for d in dims:

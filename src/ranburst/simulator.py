@@ -31,13 +31,13 @@ import itertools
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import FRONTIER_CHUNK, _resolve_slots, _StateBox, kaufman_roberts
+from .analytic import FRONTIER_CHUNK, _resolve_slots, _StateBox, cap_binds, kaufman_roberts
 from .errors import ScenarioError
 from .numerology import RadioConfig
 from .traffic import (  # noqa: F401  (``arrival_outcome``: see the module docstring)
@@ -144,7 +144,8 @@ class Scenario:
     service rates and the injection rate); wall-clock keys such as the
     horizon and injection instant are untouched. It exists because nominal
     parameter sets may use a time unit far slower than the transient window
-    of interest.
+    of interest. :meth:`chain` applies it to the class rates, for the
+    simulator and the analytic report alike.
     """
 
     policy: str
@@ -166,6 +167,27 @@ class Scenario:
     def dimensions(self) -> list[Dimension]:
         return build_dimensions(self.policy, list(self.classes), self.radio.capacity_blocks)
 
+    def chain(self, burst: bool = False, per_ms: bool = False
+              ) -> tuple[str, list[Dimension], int]:
+        """``(policy, dims, capacity)`` of the scenario's chain, with every
+        arrival and service rate multiplied by ``time_scale``: per scaled
+        second, or with ``per_ms`` by ``time_scale / 1000.0``.
+
+        With ``burst`` and an injection that has a stream, dimension 0 (the
+        priority class) also arrives at the stream's ``poisson_rate``, which
+        makes the burst states reachable; a batch alone adds no rate. Each
+        rate is one product with the scale, which the simulator's and the
+        report's floats depend on.
+        """
+        scale = self.time_scale / 1000.0 if per_ms else self.time_scale
+        dims = self.dimensions()
+        inj = self.injection
+        if burst and inj is not None and inj.has_stream:
+            dims[0] = replace(dims[0], arrival_rate=dims[0].arrival_rate + inj.poisson_rate)
+        dims = [replace(d, arrival_rate=d.arrival_rate * scale,
+                        service_rate=d.service_rate * scale) for d in dims]
+        return self.policy, dims, self.radio.capacity_blocks
+
     def validate(self) -> None:
         try:
             dims = self.dimensions()
@@ -181,8 +203,14 @@ class Scenario:
             raise ScenarioError("replications must be >= 1")
         if self.warmup not in WARMUPS:
             raise ScenarioError(f"unknown warmup {self.warmup!r}")
-        if self.warmup == STATIONARY_VIDEO_START and len(self.classes) < 2:
-            raise ScenarioError("stationary_video_start needs a second (video) class")
+        if self.warmup == STATIONARY_VIDEO_START:
+            if len(self.classes) < 2:
+                raise ScenarioError("stationary_video_start needs a second (video) class")
+            video = self.classes[1]
+            if cap_binds(video, self.radio.capacity_blocks):
+                raise ScenarioError(
+                    f"stationary_video_start: video session cap {video.max_sessions} binds "
+                    f"below capacity; the occupancy recursion cannot honor it")
         if not (math.isfinite(self.time_scale) and self.time_scale > 0):
             raise ScenarioError("time_scale must be positive and finite")
         if self.base_seed < 0:
@@ -364,7 +392,10 @@ class _Chain:
     """A scenario's chain, compiled one block of states at a time; shared by
     its replications in one process and by both engines.
 
-    A state is keyed by ``box``, the analytic layer's
+    ``policy``, ``dims`` and ``capacity`` are those of
+    :meth:`Scenario.chain` with ``per_ms``, so every class rate is per ms;
+    ``scale`` turns the injection's rate into per ms, the one rate the
+    engines scale themselves. A state is keyed by ``box``, the analytic layer's
     :class:`~ranburst.analytic._StateBox`, whose key ranks are the analytic
     state numbers. A block is a fixed range of at most ``FRONTIER_CHUNK``
     keys: ``per`` consecutive values of the leading digits, each with every
@@ -391,17 +422,16 @@ class _Chain:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.dims = dims = scenario.dimensions()
-        self.capacity = scenario.radio.capacity_blocks
-        self.policy = scenario.policy
-        self.scale = scenario.time_scale / 1000.0  # configured per-second rates -> per ms
-        self.arr_rates = [d.arrival_rate * self.scale for d in dims]
-        self.dep_rates = [d.service_rate * self.scale for d in dims]
+        self.policy, dims, self.capacity = scenario.chain(per_ms=True)
+        self.dims = dims
+        self.scale = scenario.time_scale / 1000.0  # the injection rate per second -> per ms
+        self.arr_rates = [d.arrival_rate for d in dims]
+        self.dep_rates = [d.service_rate for d in dims]
         self.classes = list(dict.fromkeys(d.source_class for d in dims))
         self.class_of = [self.classes.index(d.source_class) for d in dims]
-        self.arriving = [i for i, rate in enumerate(self.arr_rates) if rate > 0.0]
-        self.slots = len(self.arriving) + 1 + len(dims)
         self.box = box = _StateBox(dims, self.capacity)
+        self.arriving = box.arriving
+        self.slots = len(self.arriving) + 1 + len(dims)
         # The trailing digits are the longest run at the end whose values
         # fit in a block. Their rows and occupancy are decoded once here, so
         # a compile decodes only its ``per`` leading values.

@@ -243,22 +243,8 @@ def nc3_chain():
 
 
 def table2_burst_dims(name="table2_nc3_lam20"):
-    """Policy, dimensions and capacity of a bundled scenario's burst chain.
-
-    The priority class gets the rate at which the burst offers sessions (it
-    has no arrival stream of its own), and rates are scaled by
-    ``time_scale`` as the analytic report scales them.
-    """
-    scenario = load_bundled_scenario(name)
-    classes = list(scenario.classes)
-    classes[0] = replace(classes[0], arrival_rate=scenario.injection.poisson_rate)
-    capacity = scenario.radio.capacity_blocks
-    k = scenario.time_scale
-    dims = [
-        replace(d, arrival_rate=d.arrival_rate * k, service_rate=d.service_rate * k)
-        for d in build_dimensions(scenario.policy, classes, capacity)
-    ]
-    return scenario.policy, dims, capacity
+    """Policy, dimensions and capacity of a bundled scenario's burst chain."""
+    return load_bundled_scenario(name).chain(burst=True)
 
 
 def table2_nc3_burst_chain():
@@ -363,15 +349,10 @@ def burst_generator(name):
 
 
 def report_generator(name):
-    """The chain of a bundled NC2/NC3 scenario's steady-state report: no
-    burst, rates scaled by ``time_scale``, as ``cli`` builds it."""
-    scenario = load_bundled_scenario(name)
-    capacity = scenario.radio.capacity_blocks
-    k = scenario.time_scale
-    dims = [replace(d, arrival_rate=d.arrival_rate * k, service_rate=d.service_rate * k)
-            for d in scenario.dimensions()]
-    space = reachable_states(scenario.policy, dims, capacity)
-    return build_generator(scenario.policy, dims, capacity, space=space)
+    """The chain of a bundled NC2/NC3 scenario's steady-state report."""
+    policy, dims, capacity = load_bundled_scenario(name).chain()
+    space = reachable_states(policy, dims, capacity)
+    return build_generator(policy, dims, capacity, space=space)
 
 
 def light_load_nc1_generator():
@@ -638,13 +619,14 @@ def test_the_simulator_compiles_the_analytic_burst_chain(policy):
     # Both layers key a state by its box number: the analytic numbering is
     # the keys' rank, and the simulator's offer is the analytic chain's
     # priority arrival.
-    name = f"table2_{policy.lower()}_lam20"
-    _, dims, capacity = table2_burst_dims(name)
+    scenario = load_bundled_scenario(f"table2_{policy.lower()}_lam20")
+    _, dims, capacity = scenario.chain(burst=True)
     table = reachable_states(policy, dims, capacity).table
-    keys = analytic._StateBox(dims, capacity).keys(table.counts)
+    box = analytic._StateBox(dims, capacity)
+    keys = box.keys(table.counts)
     assert (np.diff(keys) > 0).all()
-    chain = simulator._Chain(load_bundled_scenario(name))
-    arriving = [d.index for d in dims if d.arrival_rate > 0]
+    chain = simulator._Chain(scenario)
+    arriving = box.arriving
     assert arriving == [0, 1] and chain.arriving == [1]
     sim_slot = [len(chain.arriving), 0]  # the offer, then the video arrival
     first = np.searchsorted(table.source, np.arange(len(table.counts)))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -213,6 +214,24 @@ def test_analytic_output_matches_occupancy_recursion(tmp_path):
     assert by_dim["0"][2] == "kaufman_roberts"
     assert float(by_dim["0"][4]) == pytest.approx(dist.blocking[1], abs=1e-12)
     assert float(by_dim["1"][4]) == pytest.approx(dist.blocking[2], abs=1e-12)
+
+
+def test_nc1_with_a_binding_cap_reports_the_generator(tmp_path, capsys):
+    # One class of demand 1 capped at 3 sessions in 10 blocks: the
+    # truncated Erlang loss system, beyond the occupancy recursion.
+    raw = yaml.safe_load(bundled_scenario_path("oracle_nc1_small").read_text())
+    raw["classes"] = [dict(raw["classes"][0], max_sessions=3)]
+    path = tmp_path / "capped.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code = main(["--scenario", str(path), "--mode", "analytic", "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (tmp_path / "out" / "analytic.csv").read_text().splitlines()[1:]
+    by_dim = {r.split(",")[0]: r.split(",") for r in rows}
+    a = raw["classes"][0]["arrival_rate"] / raw["classes"][0]["service_rate"]
+    erlang = [a**k / math.factorial(k) for k in range(4)]
+    assert by_dim["0"][2] == "generator"
+    assert float(by_dim["0"][4]) == pytest.approx(erlang[3] / sum(erlang), abs=1e-10)
 
 
 def test_both_mode_populates_comparison_columns(tmp_path):

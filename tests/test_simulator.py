@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ranburst import (
 )
 from ranburst import analytic, simulator, traffic
 from ranburst.analytic import build_generator, mean_counts, reachable_states, steady_state
+from ranburst.cli import bundled_scenario_path, load_bundled_scenario
 from ranburst.metrics import empirical_blocking
 from ranburst.simulator import MAX_BATCH_SIZE, MAX_GRID_POINTS, pool_size
 from ranburst.traffic import (
@@ -323,6 +325,44 @@ def test_the_start_law_is_computed_once_per_experiment(monkeypatch):
     assert len({rec.initial_counts for rec in records}) > 1
 
 
+BUNDLED = sorted(p.stem for p in bundled_scenario_path("demo_nc3_small").parent.glob("*.yaml"))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_the_per_ms_chain_has_the_rates_the_simulator_walks(name):
+    # Each rate is one product with time_scale / 1000: (a * 200) / 1000 and
+    # a * (200 / 1000) differ in the last bit for the video rates 1/10,
+    # 1/20 and 1/40, and every trajectory with them.
+    sc = load_bundled_scenario(name)
+    policy, dims, capacity = sc.chain(per_ms=True)
+    assert (policy, capacity) == (sc.policy, sc.radio.capacity_blocks)
+    scale = sc.time_scale / 1000.0
+    plain = sc.dimensions()
+    assert [(d.arrival_rate, d.service_rate) for d in dims] == [
+        (p.arrival_rate * scale, p.service_rate * scale) for p in plain]
+    assert [replace(d, arrival_rate=p.arrival_rate, service_rate=p.service_rate)
+            for d, p in zip(dims, plain)] == plain
+    chain = simulator._Chain(sc)
+    assert chain.arr_rates == [d.arrival_rate for d in dims]
+    assert chain.dep_rates == [d.service_rate for d in dims]
+
+
+def test_a_batch_burst_leaves_the_priority_class_at_its_own_rate():
+    sc = load_bundled_scenario("demo_nc3_small")
+    assert sc.injection.mode == "batch" and sc.classes[0].arrival_rate == 0.2
+    assert sc.chain(burst=True) == sc.chain()
+
+
+def test_a_stream_burst_adds_its_rate_to_the_priority_class():
+    sc = load_bundled_scenario("table2_nc3_lam20")
+    sc = replace(sc, classes=(replace(sc.classes[0], arrival_rate=1.5), *sc.classes[1:]))
+    _, dims, _ = sc.chain(burst=True)
+    _, plain, _ = sc.chain()
+    assert dims[0].arrival_rate == (1.5 + sc.injection.poisson_rate) * sc.time_scale
+    assert dims[1:] == plain[1:]
+    assert dims[0].service_rate == plain[0].service_rate
+
+
 # ---------------------------------------------------------------------------
 # Basic sampling behavior
 # ---------------------------------------------------------------------------
@@ -584,6 +624,11 @@ def test_scenario_validation_errors():
         two_class_scenario(initial_counts=(11, 0)).validate()
     with pytest.raises(ScenarioError, match="time_scale"):
         burst_scenario(time_scale=0.0).validate()
+    # The start law is the occupancy recursion, which no binding cap fits.
+    capped = (goose_class(), video_class(max_sessions=20))
+    with pytest.raises(ScenarioError, match="stationary_video_start: video session cap 20"):
+        burst_scenario("NC2", classes=capped).validate()
+    burst_scenario("NC2", classes=capped, warmup="empty_start").validate()
 
 
 @pytest.mark.parametrize("field, value", [
