@@ -1,33 +1,42 @@
 """Event-driven Monte-Carlo simulation of the policy chains.
 
-Two engines walk the same chain, with a burst-injection schedule layered on
-top and deterministic per-replication seeding; identical (scenario, seed)
-pairs reproduce trajectories bit for bit. Both walk one compiled chain
-(:class:`_Chain`) by integer state key; it lives for one ``run_experiment``
-or ``run_replication`` call. A key is the state's number in the analytic
-layer's box (:class:`~ranburst.analytic._StateBox`). The chain is compiled
-one block of keys at a time, when a walk first enters the block, by the
-analytic layer's slot compiler (:func:`~ranburst.analytic._resolve_slots`),
-which proves every arrival target feasible. The scalar
+One walk (:func:`_walk`) samples a chain, with a burst-injection schedule
+layered on top and deterministic per-replication seeding; identical
+(scenario, seed, crn) reproduce trajectories bit for bit. It walks a
+compiled chain (:class:`_Chain`) by integer state key; the chain lives for
+one ``run_experiment`` or ``run_replication`` call. A key is the state's
+number in the analytic layer's box (:class:`~ranburst.analytic._StateBox`).
+The chain is compiled one block of keys at a time, when a walk first
+enters the block, by the analytic layer's slot compiler
+(:func:`~ranburst.analytic._resolve_slots`), which proves every arrival
+target feasible. The scalar
 :func:`~ranburst.traffic.arrival_outcome` is not called here; it is still
 imported under its name, with ``feasible`` and ``kaufman_roberts``, which
 the benchmark's tracer (``perfbench/tracer.py``) wraps to count calls.
 
-* The direct engine (the default) samples the continuous-time chain: an
-  exponential holding time at the total outgoing rate, then an arc picked
-  proportionally to its rate.
-* The coupled engine (``crn=True``) thins policy-independent candidate
-  streams: arrival instants, injected offers, and per-class departure
-  candidates with their marks. Two scenarios that differ only in policy
-  share all of these, so their difference has a small variance (common
-  random numbers). They do not share per-session service times: the
-  engine tracks counts, not sessions.
+The walk draws a holding time, exponential at the state's total rate, and
+a uniform mark in ``[0, total)`` that picks an arc by its rate. The two
+engines differ only in the departure rates the chain compiles:
+
+* The direct engine (the default) samples the continuous-time chain: a
+  dimension departs at ``n_i μ_i``, so every draw is an event.
+* The coupled engine (``crn=True``) runs a uniformized clock (Jensen
+  1953): each traffic class departs within a band of ``C · max μ`` over
+  its dimensions, and the rest of the band is a null tick that records
+  nothing. A session holds at least one block, so ``n_i ≤ C`` and the band
+  holds the class's departures. The clock's rate is then the arrival
+  rates, the offer rate while offers are live, and the bands, none of which
+  depend on the state. Two scenarios that differ only in policy draw the
+  same ticks and marks while their clock rates agree, so their difference
+  has a small variance (common random numbers). Their clocks part when one
+  stops offering (its ``poisson`` burst delivered) before the other, or
+  when their bands differ (a downgraded service rate above the full one
+  raises NC3's video band over NC2's). They do not share per-session
+  service times: the walk tracks counts, not sessions.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import os
 from collections.abc import Callable
@@ -66,10 +75,10 @@ MAX_GRID_POINTS = 10_000_000
 # scenarios use at most 52.
 MAX_BATCH_SIZE = 1_000_000
 
-# Most events a replication may expect: the horizon times the event-rate bound
-# both engines respect, sum_d (arrival_rate + C * service_rate) plus the offer
-# rate. A walk peaks near 106 bytes per event, so 1e7 events near 1 GB; the
-# bundled scenarios reach at most 6.25e5 (``oracle_nc1_small``).
+# Most events a replication may expect: the horizon times the rate bound both
+# engines' clocks respect, sum_d (arrival_rate + C * service_rate) plus the
+# offer rate. A walk peaks near 106 bytes per event, so 1e7 events near 1 GB;
+# the bundled scenarios reach at most 6.25e5 (``oracle_nc1_small``).
 MAX_EXPECTED_EVENTS = 10_000_000
 
 # Most events a whole run may expect: ``replications`` times the bound above.
@@ -362,18 +371,18 @@ def _initial_state(scenario: Scenario, chain: _Chain, rng) -> tuple[int, ...]:
 
 
 def run_replication(scenario: Scenario, seed: int, crn: bool = False) -> TrajectoryRecord:
-    """Simulate one replication; bit-for-bit reproducible from (scenario, seed).
+    """Simulate one replication; bit-for-bit reproducible from (scenario, seed, crn).
 
-    ``crn=True`` runs the coupled engine (see :func:`_run_coupled`): two
-    scenarios that differ only in policy then share their arrival instants,
-    injected offers and departure candidates with their marks.
+    ``crn=True`` runs the coupled engine, the same walk on a uniformized
+    clock (see the module docstring). Two scenarios that differ only in
+    policy then share their ticks and marks while their clock rates agree:
+    their bands are equal, and their offers are live at the same ticks.
     """
     scenario.validate()
-    run = _run_coupled if crn else _run_direct
-    return run(scenario, seed, _Chain(scenario))
+    return _walk(scenario, seed, _Chain(scenario, crn))
 
 
-# An arc as the engines follow it: (arc id, key of the target state). An
+# An arc as the walk follows it: (arc id, key of the target state). An
 # injected offer's arc carries a third entry, 1 if it admits the session.
 Arc = tuple[int, int]
 
@@ -390,12 +399,13 @@ class _Block(NamedTuple):
 
 class _Chain:
     """A scenario's chain, compiled one block of states at a time; shared by
-    its replications in one process and by both engines.
+    its replications in one process. ``crn`` picks the coupled engine's
+    departure bands (see the module docstring).
 
     ``policy``, ``dims`` and ``capacity`` are those of
     :meth:`Scenario.chain` with ``per_ms``, so every class rate is per ms;
     ``scale`` turns the injection's rate into per ms, the one rate the
-    engines scale themselves. A state is keyed by ``box``, the analytic layer's
+    walk scales itself. A state is keyed by ``box``, the analytic layer's
     :class:`~ranburst.analytic._StateBox`, whose key ranks are the analytic
     state numbers. A block is a fixed range of at most ``FRONTIER_CHUNK``
     keys: ``per`` consecutive values of the leading digits, each with every
@@ -410,25 +420,37 @@ class _Chain:
     kept as a list of arc ids and turned into record columns by
     :meth:`columns`.
 
-    ``by_state`` maps the key of each visited state to what the engines
-    walk, built by :meth:`visit` from its block's arrays: ``(arrivals,
+    ``by_state`` maps the key of each visited state to what the walk
+    follows, built by :meth:`visit` from its block's arrays: ``(arrivals,
     departures, departure_total, offer, n0)``. ``arrivals`` pairs each
     positive arrival rate with its arc, in dimension order; ``departures``
-    holds ``(rate, arc, class)`` for each positive departure rate, with
-    ``class`` the dimension's index in ``classes``; ``departure_total`` is
-    the sum of those rates; ``offer`` is the injected offer's arc; ``n0`` is
-    the count of dimension 0.
+    pairs each positive departure rate with its arc, walked group by group
+    in the order of ``departing``; ``departure_total`` is the sum of those
+    rates; ``offer`` is the injected offer's arc; ``n0`` is the count of
+    dimension 0.
+
+    ``departing`` lists ``(dimensions, band)`` groups. Without ``crn`` it is
+    one group of every dimension, in dimension order, with no band (0.0).
+    With ``crn`` it is one group per traffic class, whose band is ``C``
+    times the largest service rate of its dimensions; the group's
+    departures are followed by the rest of its band, a null tick with arc
+    ``None``, and ``departure_total`` is the sum of the bands.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, crn: bool = False):
         self.scenario = scenario
         self.policy, dims, self.capacity = scenario.chain(per_ms=True)
         self.dims = dims
         self.scale = scenario.time_scale / 1000.0  # the injection rate per second -> per ms
         self.arr_rates = [d.arrival_rate for d in dims]
         self.dep_rates = [d.service_rate for d in dims]
-        self.classes = list(dict.fromkeys(d.source_class for d in dims))
-        self.class_of = [self.classes.index(d.source_class) for d in dims]
+        if crn:
+            groups = [[i for i, d in enumerate(dims) if d.source_class == c]
+                      for c in dict.fromkeys(d.source_class for d in dims)]
+            self.departing = [(g, self.capacity * max(self.dep_rates[i] for i in g))
+                              for g in groups]
+        else:
+            self.departing = [(range(len(dims)), 0.0)]
         self.box = box = _StateBox(dims, self.capacity)
         self.arriving = box.arriving
         self.slots = len(self.arriving) + 1 + len(dims)
@@ -489,7 +511,7 @@ class _Chain:
         return block
 
     def visit(self, key: int) -> tuple:
-        """What the engines walk out of the state keyed ``key``, on its first visit."""
+        """What the walk follows out of the state keyed ``key``, on its first visit."""
         b, at = divmod(key, self.per * self.span)
         block = self.blocks.get(b) or self.compile(b)
         r = int(block.row[at])
@@ -505,13 +527,18 @@ class _Chain:
         # A rejected offer is a self-loop; an admitted one adds a session.
         offer = (first + a, targets[a], int(targets[a] != key))
         departures = []
-        departure_total = 0.0  # summed in dimension order, zeros included
-        for i, rate in enumerate(self.dep_rates):
-            out = counts[i] * rate
-            departure_total += out
-            if out > 0.0:
-                s = a + 1 + i
-                departures.append((out, (first + s, targets[s]), self.class_of[i]))
+        departure_total = 0.0
+        for group, band in self.departing:
+            taken = 0.0  # summed in dimension order, zeros included
+            for i in group:
+                out = counts[i] * self.dep_rates[i]
+                taken += out
+                if out > 0.0:
+                    s = a + 1 + i
+                    departures.append((out, (first + s, targets[s])))
+            if band:
+                departures.append((max(band - taken, 0.0), None))
+            departure_total += band or taken
         state = (arrivals, tuple(departures), departure_total, offer, counts[0])
         self.by_state[key] = state
         return state
@@ -557,16 +584,16 @@ class _Chain:
         )
 
 
-def _run_direct(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
-    """The direct engine, a walk over ``chain``, which may be shared by
-    replications of the same scenario."""
+def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
+    """One replication walked over ``chain``, which may be shared by
+    replications of the same scenario; every draw comes from
+    ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
     initial = _initial_state(scenario, chain, rng)
 
     arr_total = sum(chain.arr_rates)
     inj = scenario.injection
-    has_stream = inj is not None and inj.has_stream
-    inj_rate = inj.poisson_rate * chain.scale if has_stream else 0.0
+    offer_rate = 0.0  # the injected offers' rate, while they are live
     inj_cap = inj.batch_size if inj is not None and inj.mode == POISSON else 0
     early_stop = scenario.early_stop_at_goose_cap
     goose_cap = chain.dims[0].max_sessions
@@ -588,6 +615,8 @@ def _run_direct(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecor
         if not injected and t >= t_break:
             injected = True
             t_break = horizon
+            if inj.has_stream:
+                offer_rate = inj.poisson_rate * chain.scale
             if inj.has_batch:
                 for _ in range(inj.batch_size):
                     times.append(t)
@@ -601,8 +630,7 @@ def _run_direct(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecor
                 if stopped:
                     break
 
-        stream_on = has_stream and injected and (inj_cap == 0 or delivered < inj_cap)
-        total = arr_total + (inj_rate if stream_on else 0.0)
+        total = arr_total + offer_rate
         total += departure_total
 
         if total == 0.0:
@@ -626,125 +654,27 @@ def _run_direct(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecor
                 a = arrival
                 break
             u -= rate
-        if a is None and stream_on:
-            if u < inj_rate:
+        if a is None:
+            if u < offer_rate:
                 a = offer
                 delivered += offer[2]
+                if inj_cap and delivered == inj_cap:
+                    offer_rate = 0.0  # the burst is delivered
             else:
-                u -= inj_rate
+                u -= offer_rate
         if a is None:
-            for out, departure, _ in departures:
+            for out, departure in departures:
                 if u < out:
                     a = departure
                     break
                 u -= out
         if a is None:
-            continue  # floating-point edge at the top of the rate sum
+            continue  # a null tick, or the floating-point edge at the top of the rate sum
 
         times.append(t)
         path.append(a[0])
         key = a[1]
         arrivals, departures, departure_total, offer, n0 = lookup(key) or visit(key)
-        if early_stop and n0 >= goose_cap:
-            stopped = True
-            break
-
-    return chain.record(scenario, seed, initial, times, path,
-                        t if stopped else horizon, stopped)
-
-
-# Sources of the coupled engine's candidate events.
-_ARRIVAL, _OFFER, _DEPARTURE = range(3)
-
-
-def _candidates(rng: np.random.Generator, rate: float, start: float, stop: float,
-                source: int, k: int, marked: bool = False):
-    """Events ``(t, source, k, mark)`` at the points of a Poisson process of
-    ``rate`` per ms on ``(start, stop)``; with ``marked`` each carries a
-    uniform mark in ``[0, rate)``, else 0."""
-    t = start + rng.exponential(1.0 / rate)
-    while t < stop:
-        yield t, source, k, rng.random() * rate if marked else 0.0
-        t += rng.exponential(1.0 / rate)
-
-
-def _run_coupled(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
-    """The coupled engine, a walk over the same ``chain`` as the direct one.
-
-    Every random number comes from a stream spawned from ``seed`` that does
-    not depend on the policy: the initial state; one Poisson arrival stream
-    per dimension with a positive arrival rate; the injected offers (the
-    batch at ``t_inject_ms``, then the Poisson offers); and one stream of
-    departure candidates per traffic class. Class ``c``'s candidates come at
-    ``Λ_c = C · max μ`` over its dimensions, each with a uniform mark ``v``
-    in ``[0, Λ_c)``; a candidate removes a session from the first of the
-    class's dimensions, in order, whose running sum of ``n_i μ_i`` exceeds
-    ``v``, and is a null event otherwise. A session holds at least one
-    block, so ``n_i ≤ C`` and the thinned candidates are the departures of
-    the chain (Lewis & Shedler 1979). The streams are merged lazily in time
-    order; the walk itself draws nothing.
-    """
-    dims = chain.dims
-    horizon = scenario.horizon_ms
-    init_ss, arr_ss, inj_ss, dep_ss = np.random.SeedSequence(seed).spawn(4)
-    initial = _initial_state(scenario, chain, np.random.default_rng(init_ss))
-
-    streams = []
-    # The k-th positive arrival rate is the k-th entry of a state's arrivals.
-    positive = [(child, rate) for child, rate in zip(arr_ss.spawn(len(dims)), chain.arr_rates)
-                if rate > 0.0]
-    for k, (child, rate) in enumerate(positive):
-        streams.append(_candidates(np.random.default_rng(child), rate, 0.0, horizon,
-                                   _ARRIVAL, k))
-
-    inj = scenario.injection
-    delivered = 0  # injected sessions admitted so far
-    if inj is not None:
-        offers = itertools.repeat((inj.t_inject_ms, _OFFER, 0, 0.0),
-                                  inj.batch_size if inj.has_batch else 0)
-        if inj.has_stream:
-            offers = itertools.chain(offers, _candidates(
-                np.random.default_rng(inj_ss), inj.poisson_rate * chain.scale,
-                inj.t_inject_ms, horizon, _OFFER, 0))
-        if inj.mode == POISSON and inj.batch_size:
-            # Offers lapse once the burst is delivered. ``heapq.merge`` asks
-            # for the next offer only after the walk has handled this one.
-            offers = itertools.takewhile(lambda _: delivered < inj.batch_size, offers)
-        streams.append(offers)
-
-    for c, child in enumerate(dep_ss.spawn(len(chain.classes))):
-        lam = chain.capacity * max(r for r, j in zip(chain.dep_rates, chain.class_of) if j == c)
-        streams.append(_candidates(np.random.default_rng(child), lam, 0.0, horizon,
-                                   _DEPARTURE, c, marked=True))
-
-    early_stop = scenario.early_stop_at_goose_cap
-    goose_cap = dims[0].max_sessions
-    lookup = chain.by_state.get
-    visit = chain.visit
-
-    key = int(chain.box.keys(initial))
-    arrivals, departures, _, offer, n0 = lookup(key) or visit(key)
-    times: list[float] = []
-    path: list[int] = []
-    stopped = False
-    for t, source, k, v in heapq.merge(*streams):
-        if source == _ARRIVAL:
-            a = arrivals[k][1]
-        elif source == _OFFER:
-            a = offer
-            delivered += offer[2]
-        else:
-            for out, a, c in departures:
-                if c == k:
-                    if v < out:
-                        break
-                    v -= out
-            else:
-                continue  # null candidate
-        times.append(t)
-        path.append(a[0])
-        key = a[1]
-        arrivals, departures, _, offer, n0 = lookup(key) or visit(key)
         if early_stop and n0 >= goose_cap:
             stopped = True
             break
@@ -773,7 +703,10 @@ def run_experiment(
     The replications share one compiled chain (:class:`_Chain`), which
     lives for this call only: it compiles a block of states the first time
     a walk enters it, and each pool worker compiles its own. ``crn=True``
-    runs the coupled engine, as in :func:`run_replication`.
+    runs the coupled engine, as in :func:`run_replication`: every
+    replication walks a uniformized clock, and a scenario that differs only
+    in policy, run with the same ``base_seed``, shares its ticks and marks
+    while the two clock rates agree.
 
     ``on_record``, if given, is called on each record as soon as its
     replication ends, in the process that simulated it: a pool worker, or
@@ -802,11 +735,10 @@ def _replicate(args) -> list[TrajectoryRecord]:
     seeds, sharing one compiled chain; ``on_record`` runs on each record as
     it is made."""
     scenario, first, seeds, crn, on_record = args
-    run = _run_coupled if crn else _run_direct
-    chain = _Chain(scenario)
+    chain = _Chain(scenario, crn)
     records = []
     for r, seed in enumerate(seeds, first):
-        record = run(scenario, seed, chain)
+        record = _walk(scenario, seed, chain)
         record.replication = r
         if on_record is not None:
             on_record(record)
