@@ -94,6 +94,14 @@ MAX_EXPECTED_RUN_EVENTS = 100_000_000
 # bundled scenarios use at most 30.
 MAX_REPLICATIONS = 400_000
 
+# Largest pool, in blocks. The occupancy recursion (``kaufman_roberts``, run
+# for the ``stationary_video_start`` law and the NC1 analytic report) holds
+# two float arrays of capacity + 1 entries and loops over every block in
+# Python: at this bound 16 MB, and 0.7 s for one class or 1.2 s for two on a
+# 2-core x86-64 host. The largest pool in the tests has 10,000 blocks, the
+# bundled scenarios 62.
+MAX_CAPACITY_BLOCKS = 1_000_000
+
 EMPTY_START = "empty_start"
 STATIONARY_VIDEO_START = "stationary_video_start"
 WARMUPS = (EMPTY_START, STATIONARY_VIDEO_START)
@@ -198,6 +206,10 @@ class Scenario:
         return self.policy, dims, self.radio.capacity_blocks
 
     def validate(self) -> None:
+        if not 1 <= self.radio.capacity_blocks <= MAX_CAPACITY_BLOCKS:
+            raise ScenarioError(
+                f"the pool must hold 1 to {MAX_CAPACITY_BLOCKS} blocks, "
+                f"got {self.radio.capacity_blocks}")
         try:
             dims = self.dimensions()
         except ValueError as exc:
@@ -416,9 +428,9 @@ class _Chain:
     with a positive rate, in dimension order, the injected offer (an arrival
     of dimension 0), then the departure of each dimension. Arc ``id`` is row
     ``id`` of the columns ``target`` (a state
-    key), ``kind``, ``dim``, ``downgraded`` and ``discarded``; a path is
-    kept as a list of arc ids and turned into record columns by
-    :meth:`columns`.
+    key), ``kind``, ``dim``, ``downgraded`` and ``discarded``. A path is
+    kept as a list of arc ids, which the walk's one event site appends to,
+    and :meth:`record` turns it into record columns.
 
     ``by_state`` maps the key of each visited state to what the walk
     follows, built by :meth:`visit` from its block's arrays: ``(arrivals,
@@ -543,9 +555,12 @@ class _Chain:
         self.by_state[key] = state
         return state
 
-    def columns(self, path: list[int]) -> dict[str, np.ndarray]:
-        """Event columns of a path of arc ids, gathered in one fancy-index
-        each; its states are numbered in order of first entry."""
+    def record(self, scenario: Scenario, seed: int, initial: tuple[int, ...],
+               times: list[float], path: list[int], end: float,
+               stopped: bool) -> TrajectoryRecord:
+        """The record of a path of arc ids entered at ``times``: each event
+        column is gathered in one fancy-index, and the states are numbered
+        in order of first entry."""
         if len(self._parts) > 1:
             self._parts = [tuple(np.concatenate(c) for c in zip(*self._parts))]
         target, kind, dim, downgraded, discarded = (
@@ -554,19 +569,6 @@ class _Chain:
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        return dict(
-            kind=kind,
-            dim=dim,
-            downgraded=downgraded,
-            discarded=discarded,
-            state=rank[inverse].astype(_int_dtype(len(order))),
-            states=self.box.decode(target[first[order]]).astype(self.small),
-        )
-
-    def record(self, scenario: Scenario, seed: int, initial: tuple[int, ...],
-               times: list[float], path: list[int], end: float,
-               stopped: bool) -> TrajectoryRecord:
-        """The record of a path of arc ids entered at ``times``."""
         inj = scenario.injection
         return TrajectoryRecord(
             policy=self.policy,
@@ -575,7 +577,12 @@ class _Chain:
             demands=tuple(d.demand_blocks for d in self.dims),
             initial_counts=initial,
             t_ms=np.array(times, dtype=np.float64),
-            **self.columns(path),
+            kind=kind,
+            dim=dim,
+            downgraded=downgraded,
+            discarded=discarded,
+            state=rank[inverse].astype(_int_dtype(len(order))),
+            states=self.box.decode(target[first[order]]).astype(self.small),
             end_ms=end,
             horizon_ms=scenario.horizon_ms,
             t_inject_ms=inj.t_inject_ms if inj is not None else None,
@@ -587,7 +594,16 @@ class _Chain:
 def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
     """One replication walked over ``chain``, which may be shared by
     replications of the same scenario; every draw comes from
-    ``default_rng(seed)``."""
+    ``default_rng(seed)``.
+
+    The rates are constant up to ``t_break``, the next schedule instant: the
+    injection, then the horizon. One branch moves the walk there when a draw
+    would pass it, no rate is live or ``t`` stands on it (an injection at 0):
+    it turns the stream on and sets ``pending`` batch offers, or ends the walk
+    at the horizon, and the holding time is drawn anew (it is memoryless).
+    Each event, a pending offer taken without a draw or a drawn arc, is
+    recorded in one block, which also checks the early stop.
+    """
     rng = np.random.default_rng(seed)
     initial = _initial_state(scenario, chain, rng)
 
@@ -606,70 +622,50 @@ def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
     times: list[float] = []
     path: list[int] = []  # arc id of each event
     t = 0.0
+    t_break = horizon if inj is None else inj.t_inject_ms
+    pending = 0  # batch offers still to make at ``t``
     delivered = 0
-    injected = inj is None
     stopped = False
 
     while True:
-        t_break = inj.t_inject_ms if not injected else horizon
-        if not injected and t >= t_break:
-            injected = True
-            t_break = horizon
-            if inj.has_stream:
-                offer_rate = inj.poisson_rate * chain.scale
-            if inj.has_batch:
-                for _ in range(inj.batch_size):
-                    times.append(t)
-                    path.append(offer[0])
-                    key = offer[1]
-                    arrivals, departures, departure_total, offer, n0 = (
-                        lookup(key) or visit(key))
-                    if early_stop and n0 >= goose_cap:
-                        stopped = True
+        if pending:
+            pending -= 1
+            a = offer
+        else:
+            total = arr_total + offer_rate + departure_total
+            dt = rng.exponential(1.0 / total) if total and t < t_break else math.inf
+            if t + dt >= t_break:
+                if t_break >= horizon:
+                    break
+                t, t_break = t_break, horizon
+                offer_rate = inj.poisson_rate * chain.scale if inj.has_stream else 0.0
+                pending = inj.batch_size if inj.has_batch else 0
+                continue
+            t += dt
+
+            u = rng.random() * total
+            a: Arc | None = None
+            for rate, arrival in arrivals:
+                if u < rate:
+                    a = arrival
+                    break
+                u -= rate
+            if a is None:
+                if u < offer_rate:
+                    a = offer
+                    delivered += offer[2]
+                    if inj_cap and delivered == inj_cap:
+                        offer_rate = 0.0  # the burst is delivered
+                else:
+                    u -= offer_rate
+            if a is None:
+                for out, departure in departures:
+                    if u < out:
+                        a = departure
                         break
-                if stopped:
-                    break
-
-        total = arr_total + offer_rate
-        total += departure_total
-
-        if total == 0.0:
-            if t_break >= horizon:
-                break
-            t = t_break
-            continue
-
-        dt = rng.exponential(1.0 / total)
-        if t + dt >= t_break:
-            if t_break >= horizon:
-                break
-            t = t_break
-            continue  # memoryless: re-draw after the schedule changes
-        t += dt
-
-        u = rng.random() * total
-        a: Arc | None = None
-        for rate, arrival in arrivals:
-            if u < rate:
-                a = arrival
-                break
-            u -= rate
-        if a is None:
-            if u < offer_rate:
-                a = offer
-                delivered += offer[2]
-                if inj_cap and delivered == inj_cap:
-                    offer_rate = 0.0  # the burst is delivered
-            else:
-                u -= offer_rate
-        if a is None:
-            for out, departure in departures:
-                if u < out:
-                    a = departure
-                    break
-                u -= out
-        if a is None:
-            continue  # a null tick, or the floating-point edge at the top of the rate sum
+                    u -= out
+            if a is None:
+                continue  # a null tick, or the floating-point edge at the top of the rate sum
 
         times.append(t)
         path.append(a[0])

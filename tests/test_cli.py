@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from ranburst.cli import (
 )
 from ranburst.simulator import (
     MAX_BATCH_SIZE,
+    MAX_CAPACITY_BLOCKS,
     MAX_EXPECTED_EVENTS,
     MAX_EXPECTED_RUN_EVENTS,
     MAX_GRID_POINTS,
@@ -627,6 +629,7 @@ OUT_OF_RANGE = {
     ("base_seed",): st.integers(max_value=-1),
     ("radio", "beta"): st.integers().filter(lambda b: not 0 <= b <= 4),
     ("radio", "block_khz"): st.integers().filter(lambda b: b <= 0 or 360 % b),
+    ("radio", "num_prbs"): st.just(0),
     ("classes", 0, "arrival_rate"): st.one_of(non_finite, negative,
                                               st.floats(min_value=1e10, allow_infinity=False)),
     ("classes", 1, "service_rate"): st.one_of(non_finite, finite.filter(lambda x: x <= 0)),
@@ -706,6 +709,28 @@ def test_malformed_mapping_is_a_validation_error(tmp_path_factory, kind, data):
     code, err = _exit_code(raw, tmp_path_factory.mktemp("fuzz"))
     assert code == EXIT_VALIDATION
     assert json.loads(err)["error"] == "validation"
+
+
+def test_a_pool_past_the_block_bound_exits_2_before_anything_allocates(tmp_path):
+    # 10^9 blocks of 360 kHz. Service rates this slow keep the event bounds
+    # from binding, and the video cap does not bind, so the start law's
+    # occupancy recursion would take 8 GB per array if the run began.
+    raw = full_dict()
+    raw["radio"].update(channel_bandwidth_khz=4e11, num_prbs=5 * 10**8)
+    for cls in raw["classes"]:
+        cls["service_rate"] = 1e-9
+    raw["classes"][1].update(max_sessions=10**9, downgraded_service_rate=1e-9)
+    tracemalloc.start()
+    try:
+        code, err = _exit_code(raw, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_VALIDATION
+    record = json.loads(err)
+    assert record["error"] == "validation"
+    assert f"1 to {MAX_CAPACITY_BLOCKS} blocks, got 1000000000" in record["message"]
+    assert peak < 2**25
 
 
 def _paths(node, prefix=()):

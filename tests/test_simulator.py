@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 from dataclasses import replace
@@ -20,7 +21,7 @@ from ranburst import analytic, simulator, summarize, traffic
 from ranburst.analytic import build_generator, mean_counts, reachable_states, steady_state
 from ranburst.cli import bundled_scenario_path, load_bundled_scenario
 from ranburst.metrics import empirical_blocking
-from ranburst.simulator import MAX_BATCH_SIZE, MAX_GRID_POINTS, pool_size
+from ranburst.simulator import MAX_BATCH_SIZE, MAX_CAPACITY_BLOCKS, MAX_GRID_POINTS, pool_size
 from ranburst.traffic import (
     ARRIVAL_DOWNGRADED,
     ARRIVAL_REJECTED,
@@ -153,6 +154,68 @@ def test_shared_arc_table_matches_fresh_tables(crn):
         fresh = run_replication(sc, mix_seed(sc.base_seed, r), crn=crn)
         assert rec.events == fresh.events
         assert rec.end_ms == fresh.end_ms
+
+
+def injected_at(sc, t_inject_ms):
+    return replace(sc, injection=replace(sc.injection, t_inject_ms=t_inject_ms))
+
+
+# Schedule cases the bundled scenarios do not reach: a burst at t = 0
+# (stream, batch), a pool with no rate before the injection whose capped
+# stream delivers and which then empties, a capped stream on a loaded pool,
+# and early stops inside a batch and on a stream. The bundled batch-plus-stream
+# burst sets the early stop too, though none of its replications reaches it.
+SCHEDULE_CASES = {
+    "poisson-at-0": lambda: injected_at(burst_scenario("NC3", "poisson"), 0.0),
+    "batch-at-0": lambda: injected_at(burst_scenario("NC3", "batch"), 0.0),
+    "idle-until-injection": lambda: burst_scenario(
+        "NC2", "poisson", batch=10, warmup="empty_start",
+        classes=(goose_class(), video_class(arrival_rate=0.0))),
+    "poisson-cap": lambda: burst_scenario("NC1", "poisson", batch=20, warmup="empty_start"),
+    "early-stop-in-batch": lambda: burst_scenario(
+        "NC2", "batch", batch=70, rate=0.0, early_stop_at_goose_cap=True),
+    "early-stop-on-stream": lambda: burst_scenario(
+        "NC3", "batch_plus_poisson", batch=50, rate=20.0, early_stop_at_goose_cap=True),
+    "table2_nc3_lam20_literal": lambda: load_bundled_scenario("table2_nc3_lam20_literal"),
+}
+
+# sha256 of every record column (name, dtype, shape, bytes), the end time and
+# the early stop of 3 replications per case. They pin the walk's draws: a
+# change to any draw, float or record shows here.
+SCHEDULE_DIGESTS = {
+    ("batch-at-0", False): "98a1f3840c9fffe8bad2649c14146e4036d90a79e0fbfa1fb9234b9809bc6dce",
+    ("batch-at-0", True): "4f93c95abd3f5749bc049ccb2f0da4fed2ac4580c36dc3f0802d61fe6c821d9b",
+    ("early-stop-in-batch", False): "f5d7b664c6c7a1d8fd958eeaf9256d93e3435f22dc70885710e6bff64b6368e0",
+    ("early-stop-in-batch", True): "f50df0921ccc52feb05694729501ecc1a9ca952821bf7ab4951a81b9652031c2",
+    ("early-stop-on-stream", False): "a488d43cbb89ec26b30a4c52e293909ad59755a419e39f31eeced8fa2ab8a3d4",
+    ("early-stop-on-stream", True): "d1f552f136660ab5209fc7f9b494c5794d91930d819d690f5ad25f0f07ffb4c5",
+    ("idle-until-injection", False): "d2b09923af182324a2996f20d4c3e33df1394d3a0bf30cc36941e5b1cceb3cd1",
+    ("idle-until-injection", True): "8d370983786ebe9e85ffc48ea58883298bc25dd89c38ff9a101e56bccaf0e3bf",
+    ("poisson-at-0", False): "6fbd7d135cc5060858aa2cf7877a789cb8acf6ba12244258c238368496bffde7",
+    ("poisson-at-0", True): "1565e573c3c891edd7fef8053f187053be0911d1bd349f6aecfffa0566f1b929",
+    ("poisson-cap", False): "8a9f258a32a09d5208b81e9f94c5d78ef0353877686a663e7eaaaf710b55af28",
+    ("poisson-cap", True): "72e53e32d6dca9efbd719f99c22f91d81f462841e18d0bd87c0fdfffead93dc1",
+    ("table2_nc3_lam20_literal", False): "ce51d599a97a0cb7d7b99c271273c4a9bb25b89c0d1de7ecc12fc2fd1bb38b94",
+    ("table2_nc3_lam20_literal", True): "def576ebeb17017cf40dfa1f11ac9746c84c191ad88973fce7a1bc5360612353",
+}
+
+
+def record_digest(records) -> str:
+    h = hashlib.sha256()
+    for rec in records:
+        for name in COLUMNS:
+            col = getattr(rec, name)
+            h.update(f"{name} {col.dtype} {col.shape}".encode())
+            h.update(np.ascontiguousarray(col).tobytes())
+        h.update(repr((rec.end_ms, rec.stopped_early)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("crn", [False, True])
+@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+def test_schedule_cases_keep_their_pinned_draws(case, crn):
+    sc = replace(SCHEDULE_CASES[case](), replications=3)
+    assert record_digest(run_experiment(sc, crn=crn)) == SCHEDULE_DIGESTS[case, crn]
 
 
 @pytest.mark.parametrize("workers, replications, cpus, expected", [
@@ -732,6 +795,16 @@ def test_batch_size_is_bounded():
     for mode in ("batch", "poisson", "batch_plus_poisson"):
         with pytest.raises(ScenarioError, match="batch size"):
             InjectionSchedule(mode, 0.0, MAX_BATCH_SIZE + 1, 1.0).validate()
+
+
+def test_pool_blocks_are_bounded():
+    slow = (TrafficClass(1, 2.0, 1e-6, 1, 10), TrafficClass(2, 3.0, 1e-6, 2, 5))
+    for blocks in (0, MAX_CAPACITY_BLOCKS + 1):
+        radio = replace(RADIO10, capacity_blocks=blocks)
+        with pytest.raises(ScenarioError, match=f"blocks, got {blocks}"):
+            two_class_scenario(radio=radio, classes=slow).validate()
+    radio = replace(RADIO10, capacity_blocks=MAX_CAPACITY_BLOCKS)
+    two_class_scenario(radio=radio, classes=slow).validate()
 
 
 def test_injection_validation_errors():
