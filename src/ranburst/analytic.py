@@ -65,6 +65,13 @@ GMRES_RTOL = 1e-14
 # Uniformization: the share of the error budget that dropping negligible
 # mass may spend (see :func:`transient`); the rest is left to the cut.
 DROP_SHARE = 0.25
+# Occupancy recursion: once an unnormalised g(c) passes 2**900, every entry
+# so far is multiplied by 2**-900. A power-of-two scale is exact (an entry
+# pushed below the normal range loses bits, but it is then below 2**-1000 of
+# the largest), so g stays finite at heavy loads, and q is unchanged on any
+# pool whose g never passes the threshold, such as every bundled scenario's.
+_G_RESCALE_ABOVE = 2.0**900
+_G_RESCALE = 2.0**-900
 
 
 @dataclass(frozen=True)
@@ -107,13 +114,22 @@ def kaufman_roberts(classes: list[TrafficClass], capacity: int) -> OccupancyDist
     loads = [(c.arrival_rate / c.service_rate, c.demand_blocks) for c in classes]
     g = np.zeros(capacity + 1)
     g[0] = 1.0
-    for c in range(1, capacity + 1):
-        acc = 0.0
-        for a, d in loads:
-            if d <= c:
-                acc += a * d * g[c - d]
-        g[c] = acc / c
-    q = g / g.sum()
+    # A load too large for one step to stay finite is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(1, capacity + 1):
+            acc = 0.0
+            for a, d in loads:
+                if d <= c:
+                    acc += a * d * g[c - d]
+            g[c] = acc = acc / c
+            if acc > _G_RESCALE_ABOVE:
+                # The recursion is linear in g, so scaling every entry so far
+                # by a power of two changes no ratio of them, and so not q.
+                g[:c + 1] *= _G_RESCALE
+        q = g / g.sum()
+    if not np.isfinite(q).all():
+        raise NumericalError(
+            "the occupancy recursion overflowed: a class's offered load is too large")
 
     blocking = {
         cls.id: float(q[capacity - cls.demand_blocks + 1:].sum()) for cls in classes

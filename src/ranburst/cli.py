@@ -307,17 +307,15 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, float):
         value = float(value)  # collapse numpy scalars to the builtin repr
-        if math.isnan(value):
-            return "nan"
-        if value == int(value) and abs(value) < 1e15:
-            return str(int(value))
-        return repr(value)
+        if value.is_integer():  # neither nan nor infinite
+            return str(int(value)) if abs(value) < 1e15 else repr(value)
+        return "nan" if value != value else repr(value)
     return str(value)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -371,15 +369,10 @@ def write_curves_csv(path: Path, experiment: ExperimentSummary, labels, shash: s
         + [f"var_m_{i + 1}" for i in range(n)]
         + ["mean_rho", "scenario_hash"]
     )
-    rows = []
-    for g, t in enumerate(experiment.grid):
-        rows.append(
-            [float(t)]
-            + [float(experiment.mean_m_t[i, g]) for i in range(n)]
-            + [float(experiment.var_m_t[i, g]) for i in range(n)]
-            + [float(experiment.mean_rho_t[g]), shash]
-        )
-    _write_csv(path, header, rows)
+    columns = (experiment.grid, *experiment.mean_m_t[:n], *experiment.var_m_t[:n],
+               experiment.mean_rho_t)
+    cells = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    _write_csv(path, header, [[*row, shash] for row in cells])
 
 
 def write_trajectory_csv(path: Path, traj: TrajectoryRecord, shash: str) -> None:

@@ -7,6 +7,7 @@ the reporting grid only affects the exported curves, never the averages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,15 @@ def make_grid(horizon_ms: float, grid_ms: float) -> np.ndarray:
     return np.arange(n + 1) * grid_ms
 
 
+@lru_cache(maxsize=8)
+def _shared_grid(horizon_ms: float, grid_ms: float) -> np.ndarray:
+    """:func:`make_grid`, made once per (horizon, step) and read-only, so
+    that the summaries of a run share one grid."""
+    grid = make_grid(horizon_ms, grid_ms)
+    grid.flags.writeable = False
+    return grid
+
+
 def _path(traj: TrajectoryRecord) -> tuple[np.ndarray, np.ndarray]:
     """Event times and the ``(n+1) x n_dims`` counts after each of them; row 0
     holds the initial counts."""
@@ -55,6 +65,16 @@ def _window(traj: TrajectoryRecord) -> int:
     return int(late[0]) if len(late) else traj.n_events
 
 
+def _goose(traj: TrajectoryRecord) -> tuple[int, np.ndarray]:
+    """``(m, goose)``: the events in the window (:func:`_window`), and the
+    priority count before the first event and after each of those ``m``."""
+    m = _window(traj)
+    goose = np.concatenate((
+        [traj.initial_counts[GOOSE_DIM]], traj.states[traj.state[:m], GOOSE_DIM],
+    ))
+    return m, goose
+
+
 def _curves(times: np.ndarray, states: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Right-continuous counts on ``grid``: the state after the last event at
     or before each grid point."""
@@ -65,17 +85,16 @@ def _time_average(times: np.ndarray, states: np.ndarray, end: float) -> np.ndarr
     """Exact time average of the path over [0, end].
 
     Events from the first one at or after ``end`` onward do not count. The
-    ``counts * dt`` terms of the positive-length segments are added in path
-    order, one after another, so the result does not depend on how numpy
-    would pair them up.
+    ``counts * dt`` terms of the segments are added in path order, one after
+    another, so the result does not depend on how numpy would pair them up.
+    A zero-length segment adds an exact 0.0, which leaves the sum as it is,
+    so the segments are not filtered first.
     """
     m = int(np.searchsorted(times, end, side="left"))
     if m < len(times):
         m += 1  # the event at or after ``end`` closes the last segment
     dt = np.diff(np.concatenate(([0.0], np.minimum(times[:m], end), [end])))
-    keep = dt > 0.0
-    terms = states[:m + 1][keep] * dt[keep][:, None]
-    acc = np.cumsum(terms, axis=0)[-1] if len(terms) else np.zeros(states.shape[1])
+    acc = np.cumsum(states[:m + 1] * dt[:, None], axis=0)[-1]
     return acc / end if end > 0 else acc
 
 
@@ -117,14 +136,15 @@ def goose_presence_window(traj: TrajectoryRecord) -> tuple[float, float] | None:
     Returns None when no priority session was ever present. The upper end is
     the observation end when sessions are still present there.
     """
-    m = _window(traj)
-    # present[i]: a priority session is present after the first i events
-    present = np.concatenate((
-        [traj.initial_counts[GOOSE_DIM] > 0], traj.states[traj.state[:m], GOOSE_DIM] > 0,
-    ))
+    return _presence_window(traj, *_goose(traj))
+
+
+def _presence_window(traj: TrajectoryRecord, m: int, goose: np.ndarray):
+    present = goose > 0  # present[i]: a priority session is present after the first i events
     if not present.any():
         return None
-    first = float(np.concatenate(([0.0], traj.t_ms[:m]))[np.argmax(present)])
+    i = int(np.argmax(present))
+    first = float(traj.t_ms[i - 1]) if i else 0.0
     if present[-1]:
         return first, traj.end_ms
     left = np.flatnonzero(present[:-1] & ~present[1:])  # events after which none is
@@ -138,7 +158,10 @@ def burst_period(traj: TrajectoryRecord) -> tuple[float | None, float | None]:
     priority session is present; the burst duration from the first priority
     entry to that same instant.
     """
-    window = goose_presence_window(traj)
+    return _burst_period(traj, goose_presence_window(traj))
+
+
+def _burst_period(traj: TrajectoryRecord, window: tuple[float, float] | None):
     if window is None:
         return None, None
     first, last = window
@@ -179,14 +202,16 @@ def ratios(traj: TrajectoryRecord) -> dict:
     priority session present, over video arrivals in that same condition
     (whole-window rejections over all arrivals are ``r_rj``).
     """
-    m = _window(traj)
+    return _ratios(traj, *_goose(traj))
+
+
+def _ratios(traj: TrajectoryRecord, m: int, goose_count: np.ndarray) -> dict:
     kind = traj.kind[:m]
     arrival = _IS_ARRIVAL[kind]
     rejected = kind == _REJECTED
     video = arrival & (traj.dim[:m] == VIDEO_DIM)
     goose = arrival & (traj.dim[:m] == GOOSE_DIM)
-    goose_after = traj.states[traj.state[:m], GOOSE_DIM]
-    goose_free = np.concatenate(([traj.initial_counts[GOOSE_DIM]], goose_after[:-1])) == 0
+    goose_free = goose_count[:m] == 0  # no priority session just before each event
     video_arrivals = int(np.count_nonzero(video))
     video_rejected = int(np.count_nonzero(video & rejected))
     pre = 0
@@ -239,13 +264,19 @@ def empirical_blocking(traj: TrajectoryRecord) -> dict[int, tuple[int, int]]:
 
 
 def summarize(traj: TrajectoryRecord, grid_ms: float = 10.0) -> ReplicationSummary:
-    grid = make_grid(traj.horizon_ms, grid_ms)
+    """One replication's metrics. The path's states, its window and its
+    priority-count column are taken once and shared by every metric, and
+    the grid is made once per (horizon, step) and shared, read-only, by
+    every summary on it."""
+    grid = _shared_grid(traj.horizon_ms, grid_ms)
     times, states = _path(traj)
     mean_counts = _time_average(times, states, traj.end_ms)
     m_t = _curves(times, states, grid)
     rho_t, rho_avg = _rho(traj, mean_counts, m_t)
-    period, duration = burst_period(traj)
-    r = ratios(traj)
+    m = _window(traj)
+    goose = states[:m + 1, GOOSE_DIM]
+    period, duration = _burst_period(traj, _presence_window(traj, m, goose))
+    r = _ratios(traj, m, goose)
     return ReplicationSummary(
         replication=traj.replication,
         seed=traj.seed,
@@ -309,7 +340,7 @@ def aggregate(summaries: list[ReplicationSummary]) -> ExperimentSummary:
         raise ValueError("need at least one replication summary")
     grid = summaries[0].grid
     for s in summaries[1:]:
-        if len(s.grid) != len(grid) or not np.array_equal(s.grid, grid):
+        if s.grid is not grid and not np.array_equal(s.grid, grid):
             raise ValueError("replication summaries use different grids")
 
     mean: dict[str, float | None] = {}

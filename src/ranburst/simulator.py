@@ -15,8 +15,17 @@ imported under its name, with ``feasible`` and ``kaufman_roberts``, which
 the benchmark's tracer (``perfbench/tracer.py``) wraps to count calls.
 
 The walk draws a holding time, exponential at the state's total rate, and
-a uniform mark in ``[0, total)`` that picks an arc by its rate. The two
-engines differ only in the departure rates the chain compiles:
+a uniform mark in ``[0, total)`` that picks an arc by its rate. It draws
+them from one ``numpy.random.default_rng(seed)`` per walk, made by the walk
+and never shared across threads, through numpy's own C functions behind
+``Generator.exponential(scale)`` and ``Generator.random()``
+(``random_exponential`` and ``random_standard_uniform``, exported by the
+shared library of ``numpy.random._generator``). :func:`_draws` binds them
+with ``ctypes`` once per process, on first use, and the walk calls them on
+the generator's ``bitgen_t`` pointer. The stream is the generator's own, so
+a walk takes the same values, in the same order, that the two methods
+would give; only the method call's overhead is gone. The two engines
+differ only in the departure rates the chain compiles:
 
 * The direct engine (the default) samples the continuous-time chain: a
   dimension departs at ``n_i μ_i``, so every draw is an event.
@@ -37,11 +46,12 @@ engines differ only in the departure rates the chain compiles:
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -371,13 +381,41 @@ def mix_seed(base_seed: int, replication: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _initial_state(scenario: Scenario, chain: _Chain, rng) -> tuple[int, ...]:
+@cache
+def _draws() -> tuple:
+    """``(exponential, uniform)``: numpy's ``random_exponential(bitgen,
+    scale)`` and ``random_standard_uniform(bitgen)``, the C functions that
+    ``Generator.exponential(scale)`` and ``Generator.random()`` call.
+
+    They are bound from the shared library of ``numpy.random._generator``,
+    as numpy's own cffi example loads it, once per process and on first
+    use, so importing ranburst does not import ``numpy.random``. The library
+    is opened as a ``PyDLL``, so a call keeps the GIL: a draw is too short
+    to gain from releasing it, and a call that releases it costs more. The
+    calls skip the generator's lock, which is why a walk's generator is
+    never shared across threads.
+    """
+    from numpy.random import _generator
+
+    lib = ctypes.PyDLL(_generator.__file__)
+    exponential = lib.random_exponential
+    exponential.argtypes = (ctypes.c_void_p, ctypes.c_double)
+    exponential.restype = ctypes.c_double
+    uniform = lib.random_standard_uniform
+    uniform.argtypes = (ctypes.c_void_p,)
+    uniform.restype = ctypes.c_double
+    return exponential, uniform
+
+
+def _initial_state(scenario: Scenario, chain: _Chain, uniform, bitgen) -> tuple[int, ...]:
+    """The walk's start. A ``stationary_video_start`` takes one uniform draw
+    and the first block count whose cumulative start law exceeds it, which
+    is how ``Generator.choice(len(q), p=q)`` samples ``q``."""
     if scenario.initial_counts is not None:
         return tuple(scenario.initial_counts)
     counts = [0] * len(chain.dims)
     if scenario.warmup == STATIONARY_VIDEO_START:
-        q = chain.start_law
-        blocks = int(rng.choice(len(q), p=q))
+        blocks = int(chain.start_cdf.searchsorted(uniform(bitgen), side="right"))
         counts[1] = blocks // scenario.classes[1].demand_blocks
     return tuple(counts)
 
@@ -394,19 +432,16 @@ def run_replication(scenario: Scenario, seed: int, crn: bool = False) -> Traject
     return _walk(scenario, seed, _Chain(scenario, crn))
 
 
-# An arc as the walk follows it: (arc id, key of the target state). An
-# injected offer's arc carries a third entry, 1 if it admits the session.
-Arc = tuple[int, int]
-
-
 class _Block(NamedTuple):
     """The feasible states of one block of keys, as :meth:`_Chain.compile`
     leaves them: arc ``offset + r * slots + s`` is slot ``s`` of row ``r``."""
 
     offset: int
     row: np.ndarray  # (keys,) row of each key of the block, -1 if infeasible
-    counts: np.ndarray  # (rows, n_dims)
     target: np.ndarray  # (rows, slots) target key of each arc
+    # (rows, entries + 2): the rate of each departure entry, their sum, and
+    # the count of dimension 0 (exact as a float), read in one row access
+    leaving: np.ndarray
 
 
 class _Chain:
@@ -439,14 +474,21 @@ class _Chain:
     pairs each positive departure rate with its arc, walked group by group
     in the order of ``departing``; ``departure_total`` is the sum of those
     rates; ``offer`` is the injected offer's arc; ``n0`` is the count of
-    dimension 0.
+    dimension 0. An arc, as the walk follows it, is ``(arc id, key of the
+    target state)``; the offer's carries a third entry, 1 if it admits the
+    session.
 
     ``departing`` lists ``(dimensions, band)`` groups. Without ``crn`` it is
     one group of every dimension, in dimension order, with no band (0.0).
     With ``crn`` it is one group per traffic class, whose band is ``C``
     times the largest service rate of its dimensions; the group's
     departures are followed by the rest of its band, a null tick with arc
-    ``None``, and ``departure_total`` is the sum of the bands.
+    ``None``, and ``departure_total`` is the sum of the bands. ``entries``
+    lists the departure entries in that order, each as its slot, or -1 for
+    a band's rest. :meth:`compile` computes every row's entry rates and
+    their sum as a block's ``leaving`` array, in the same order and with
+    the same float operations as a sum in Python, so :meth:`visit` only
+    reads one row of it.
     """
 
     def __init__(self, scenario: Scenario, crn: bool = False):
@@ -466,6 +508,12 @@ class _Chain:
         self.box = box = _StateBox(dims, self.capacity)
         self.arriving = box.arriving
         self.slots = len(self.arriving) + 1 + len(dims)
+        self.entries: list[int] = []
+        for group, band in self.departing:
+            self.entries += [len(self.arriving) + 1 + i for i in group]
+            if band:
+                self.entries.append(-1)
+        self._arrival_rates = [self.arr_rates[i] for i in self.arriving]
         # The trailing digits are the longest run at the end whose values
         # fit in a block. Their rows and occupancy are decoded once here, so
         # a compile decodes only its ``per`` leading values.
@@ -496,6 +544,14 @@ class _Chain:
         )
         return kaufman_roberts([solo], self.capacity).q
 
+    @cached_property
+    def start_cdf(self) -> np.ndarray:
+        """The cumulative start law over its own last entry, as
+        ``Generator.choice`` normalises it."""
+        cdf = self.start_law.cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
     def compile(self, b: int) -> _Block:
         """Resolve every arc out of the feasible states of block ``b``."""
         j, box = self._lead, self.box
@@ -517,41 +573,52 @@ class _Chain:
                             discarded.T.astype(self.small).ravel()))
         row = np.full(self.per * self.span, -1, dtype=_int_dtype(FRONTIER_CHUNK))
         row[p * self.span + t] = np.arange(m)
-        block = _Block(self._arcs, row, rows, target)
+        block = _Block(self._arcs, row, target, self._leaving(rows))
         self._arcs += m * self.slots
         self.blocks[b] = block
         return block
+
+    def _leaving(self, rows: np.ndarray) -> np.ndarray:
+        """A block's ``leaving`` columns: each row's departure entry
+        rates, their sum, and its count of dimension 0. The sum adds the
+        same floats in the same order as a Python loop over the entries."""
+        out = rows * np.array(self.dep_rates)  # n_i mu_i
+        columns = []
+        total = np.zeros(len(rows))
+        for group, band in self.departing:
+            taken = np.zeros(len(rows))  # summed in dimension order, zeros included
+            for i in group:
+                taken = taken + out[:, i]
+                columns.append(out[:, i])
+            if band:
+                columns.append(np.maximum(band - taken, 0.0))
+            total = total + (band or taken)
+        return np.column_stack([*columns, total, rows[:, 0]])
 
     def visit(self, key: int) -> tuple:
         """What the walk follows out of the state keyed ``key``, on its first visit."""
         b, at = divmod(key, self.per * self.span)
         block = self.blocks.get(b) or self.compile(b)
-        r = int(block.row[at])
+        r = block.row[at]
         if r < 0:
             state = tuple(self.box.decode(np.array([key]))[0].tolist())
             raise RuntimeError(f"simulation entered infeasible state {state}")
-        counts = block.counts[r].tolist()
+        first = block.offset + int(r) * self.slots  # arc id of slot 0
         targets = block.target[r].tolist()
-        first = block.offset + r * self.slots  # arc id of slot 0
-        a = len(self.arriving)
-        arrivals = tuple([(self.arr_rates[i], (first + s, targets[s]))
-                          for s, i in enumerate(self.arriving)])
-        # A rejected offer is a self-loop; an admitted one adds a session.
-        offer = (first + a, targets[a], int(targets[a] != key))
+        *rates, departure_total, n0 = block.leaving[r].tolist()
+        arrivals = []
+        for s, rate in enumerate(self._arrival_rates):
+            arrivals.append((rate, (first + s, targets[s])))
         departures = []
-        departure_total = 0.0
-        for group, band in self.departing:
-            taken = 0.0  # summed in dimension order, zeros included
-            for i in group:
-                out = counts[i] * self.dep_rates[i]
-                taken += out
-                if out > 0.0:
-                    s = a + 1 + i
-                    departures.append((out, (first + s, targets[s])))
-            if band:
-                departures.append((max(band - taken, 0.0), None))
-            departure_total += band or taken
-        state = (arrivals, tuple(departures), departure_total, offer, counts[0])
+        for rate, s in zip(rates, self.entries):
+            if s < 0:
+                departures.append((rate, None))  # the rest of a band
+            elif rate > 0.0:
+                departures.append((rate, (first + s, targets[s])))
+        # A rejected offer is a self-loop; an admitted one adds a session.
+        a = len(self.arriving)
+        offer = (first + a, targets[a], int(targets[a] != key))
+        state = (tuple(arrivals), tuple(departures), departure_total, offer, n0)
         self.by_state[key] = state
         return state
 
@@ -563,8 +630,8 @@ class _Chain:
         in order of first entry."""
         if len(self._parts) > 1:
             self._parts = [tuple(np.concatenate(c) for c in zip(*self._parts))]
-        target, kind, dim, downgraded, discarded = (
-            c[np.array(path, dtype=np.intp)] for c in self._parts[0])
+        arcs = np.array(path, dtype=np.intp)
+        target, kind, dim, downgraded, discarded = (c[arcs] for c in self._parts[0])
         _, first, inverse = np.unique(target, return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
@@ -594,7 +661,7 @@ class _Chain:
 def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
     """One replication walked over ``chain``, which may be shared by
     replications of the same scenario; every draw comes from
-    ``default_rng(seed)``.
+    ``default_rng(seed)``, taken through :func:`_draws` on its bit generator.
 
     The rates are constant up to ``t_break``, the next schedule instant: the
     injection, then the horizon. One branch moves the walk there when a draw
@@ -605,7 +672,9 @@ def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
     recorded in one block, which also checks the early stop.
     """
     rng = np.random.default_rng(seed)
-    initial = _initial_state(scenario, chain, rng)
+    exponential, uniform = _draws()
+    bitgen = rng.bit_generator.ctypes.bit_generator  # valid while ``rng`` lives
+    initial = _initial_state(scenario, chain, uniform, bitgen)
 
     arr_total = sum(chain.arr_rates)
     inj = scenario.injection
@@ -633,7 +702,7 @@ def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
             a = offer
         else:
             total = arr_total + offer_rate + departure_total
-            dt = rng.exponential(1.0 / total) if total and t < t_break else math.inf
+            dt = exponential(bitgen, 1.0 / total) if total and t < t_break else math.inf
             if t + dt >= t_break:
                 if t_break >= horizon:
                     break
@@ -643,14 +712,14 @@ def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
                 continue
             t += dt
 
-            u = rng.random() * total
-            a: Arc | None = None
-            for rate, arrival in arrivals:
+            # The mark picks the first arc whose rate exceeds what is left of
+            # it: the arrivals, the offer, then the departures.
+            u = uniform(bitgen) * total
+            for rate, a in arrivals:
                 if u < rate:
-                    a = arrival
                     break
                 u -= rate
-            if a is None:
+            else:
                 if u < offer_rate:
                     a = offer
                     delivered += offer[2]
@@ -658,14 +727,14 @@ def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
                         offer_rate = 0.0  # the burst is delivered
                 else:
                     u -= offer_rate
-            if a is None:
-                for out, departure in departures:
-                    if u < out:
-                        a = departure
-                        break
-                    u -= out
-            if a is None:
-                continue  # a null tick, or the floating-point edge at the top of the rate sum
+                    for rate, a in departures:
+                        if u < rate:
+                            break
+                        u -= rate
+                    else:
+                        continue  # the floating-point edge at the top of the rate sum
+                    if a is None:
+                        continue  # a null tick
 
         times.append(t)
         path.append(a[0])

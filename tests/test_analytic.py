@@ -111,6 +111,52 @@ def test_kaufman_roberts_input_validation():
         kaufman_roberts([TrafficClass(1, 1.0, 1.0, 1, 3)], 10)
 
 
+def log_space_occupancy(loads, capacity):
+    """The occupancy law of the Kaufman-Roberts recursion, run on log g."""
+    log_g = [0.0]
+    for c in range(1, capacity + 1):
+        terms = [math.log(a * d) + log_g[c - d] for a, d in loads if d <= c]
+        top = max(terms)
+        log_g.append(top + math.log(sum(math.exp(x - top) for x in terms)) - math.log(c))
+    log_g = np.array(log_g)
+    q = np.exp(log_g - log_g.max())
+    return q / q.sum()
+
+
+@pytest.mark.parametrize("loads", [[(36_000.0, 1)], [(20_000.0, 1), (9_000.0, 2)]],
+                         ids=["one-class", "two-classes"])
+def test_the_occupancy_recursion_stays_finite_at_heavy_load(loads):
+    # Tens of thousands of erlangs on 2,000 blocks: for one class of 36,000,
+    # g(c) = a^c / c! passes the float range near c = 105, where the
+    # unscaled recursion gave an all-NaN q.
+    classes = [TrafficClass(i, a, 1.0, d, 2000 // d) for i, (a, d) in enumerate(loads, 1)]
+    dist = kaufman_roberts(classes, 2000)
+    expected = log_space_occupancy(loads, 2000)
+    assert np.isfinite(dist.q).all()
+    np.testing.assert_allclose(dist.q, expected, rtol=1e-9, atol=1e-300)
+    for cls in classes:
+        tail = expected[2000 - cls.demand_blocks + 1:].sum()
+        assert dist.blocking[cls.id] == pytest.approx(tail, rel=1e-9)
+
+
+def test_rescaling_the_occupancy_recursion_leaves_q_as_it_was(monkeypatch):
+    # 2,000 erlangs on 200 blocks: the largest g is about 2**948, past the
+    # rescaling threshold of 2**900 and still inside the float range, so the
+    # recursion runs both ways; a power-of-two scale gives the same bits.
+    classes = [one_class(2000, 200)]
+    rescaled = kaufman_roberts(classes, 200)
+    monkeypatch.setattr(analytic, "_G_RESCALE_ABOVE", math.inf)
+    plain = kaufman_roberts(classes, 200)
+    assert np.array_equal(rescaled.q, plain.q)
+    assert rescaled.blocking == plain.blocking
+
+
+def test_a_load_too_large_for_the_recursion_is_a_numerical_error():
+    # g(2) = 1e300 * g(1) / 2 overflows even after g(1) is scaled down.
+    with pytest.raises(NumericalError, match="occupancy recursion"):
+        kaufman_roberts([one_class(1e300, 10)], 10)
+
+
 # ---------------------------------------------------------------------------
 # State spaces and generators
 # ---------------------------------------------------------------------------

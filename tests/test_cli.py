@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -190,6 +191,58 @@ def test_scenario_hash_sensitive_to_parameters():
 # ---------------------------------------------------------------------------
 
 
+# sha256 of summary.csv and curves.csv for each table2 scenario at its
+# bundled settings (30 replications, bundled seed). They were taken from the
+# walk that drew through Generator.exponential and Generator.random method
+# calls; every later draw path, metric and formatter must give these bytes.
+TABLE2_CSV_SHA256 = {
+    "table2_nc1_lam10": (
+        "67dea1f0f96853f93ff92bb032ca74eff8f4ea0ae997b38bf3d161ce883a09d9",
+        "6b0cbf844ee9ce0b10617805fa8c1f87eae80c2d0ac302f0d100f17da58318dd",
+    ),
+    "table2_nc1_lam20": (
+        "c40880788c10a9cfffa160afe3103aa906b0b24190195ed11c1983eaa1ef5ed0",
+        "136d75ccba3d114de0884ed63dc413ae11cd19a84caf7a23f9cb7d1fe4ccaee2",
+    ),
+    "table2_nc1_lam40": (
+        "fe8bb236866043dd10a469c32c697d45f29b0df29398921cc3d65f76088aa2d3",
+        "dcaf54ae00c1e98e116cff53e0a6ed3ce478a5cdc29653dc9e35d65fee7f3074",
+    ),
+    "table2_nc2_lam10": (
+        "689be5d71eaaf333031646f42a7f1b386706f82a908fa3878adf22e70fd0bd21",
+        "b57c5b320479b1fd0799970a7a020b2dbc2917706919c77a36ab1d65bc7710f2",
+    ),
+    "table2_nc2_lam20": (
+        "4af1ec32b8dfd168b3496dcc0284191191b50a7014ecd05502cc5facb235d59e",
+        "5220251b20dada087bf3159b2e08f1cd282c39c8c232c846930ddcd976ce2c94",
+    ),
+    "table2_nc2_lam40": (
+        "40f9e151e1497eb94c323ad932ea6a371cbdb591d437d3a3b2f40cdb5e89d60c",
+        "5f6400be794ed1af264e3fe51605393fefe9d164f359671c97f0005b333c840f",
+    ),
+    "table2_nc3_lam10": (
+        "15bdf12c292fade91452ebbcc1e5aeeb84882df6f06c2a91d38d919c51d567ca",
+        "b74cac9643219f84746b41811d942d7d05967bbb6fcd56a5fabb9d64afbb6889",
+    ),
+    "table2_nc3_lam20": (
+        "b53b313f868e736b9cb4e85380897bf697a8d295333fde140764de2f939234f5",
+        "3ccb695cf28e09fe2800e3a13d9ab17b1eb780307fc9e43ee249a905bc82508b",
+    ),
+    "table2_nc3_lam40": (
+        "66dae683962b11fc764eebb88b73d65193c1b9d251c626567e3ffea8302649c0",
+        "62a9877acd850c1f01f8b983071b401036b6c7705a8c60aecef853f2b14a2f31",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_table2_csv_bytes_are_pinned(tmp_path, name):
+    bundle = run(load_bundled_scenario(name), mode="simulate", out_dir=tmp_path)
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (bundle.summary_path, bundle.curves_path))
+    assert digests == TABLE2_CSV_SHA256[name]
+
+
 def test_simulate_outputs(tmp_path):
     sc = load_bundled_scenario("demo_nc3_small")
     bundle = run(sc, mode="simulate", out_dir=tmp_path, emit_trajectories=True)
@@ -294,6 +347,26 @@ def test_main_success_and_exit_codes(tmp_path, capsys):
 
     lines = (tmp_path / "summary.csv").read_text().splitlines()
     assert len(lines) == 1 + 2 + 2  # replications override applied
+
+
+def test_a_heavily_loaded_stationary_start_runs(tmp_path, capsys):
+    # table2_nc2_lam20 on 2,000 blocks with 36,000 video erlangs: its start
+    # law comes from an occupancy recursion that passes the float range, and
+    # used to be all NaN, so drawing the start failed with a traceback.
+    raw = yaml.safe_load(bundled_scenario_path("table2_nc2_lam20").read_text())
+    raw["radio"].update(num_prbs=1000, channel_bandwidth_khz=800000)
+    raw["classes"][0]["max_sessions"] = 2000
+    raw["classes"][1].update(demand_khz=360, arrival_rate=60, max_sessions=2000)
+    scenario = scenario_from_dict(raw)
+    assert scenario.radio.capacity_blocks == 2000
+    path = tmp_path / "heavy.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    code = main(["--scenario", str(path), "--out", str(tmp_path / "out"),
+                 "--replications", "1"])
+    assert code == EXIT_OK, capsys.readouterr().err
+    row = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1].split(",")
+    rho_avg = float(row[2])
+    assert 0.9 < rho_avg <= 1.0  # 36,000 erlangs keep the 2,000 blocks nearly full
 
 
 def test_main_validation_failure(tmp_path, capsys):
@@ -555,6 +628,16 @@ def test_importing_the_cli_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_importing_ranburst_leaves_numpy_random_unloaded():
+    # The simulator binds numpy's C draws on first use, not at import.
+    code = "import ranburst, ranburst.cli, sys; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

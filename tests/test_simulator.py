@@ -218,6 +218,39 @@ def test_schedule_cases_keep_their_pinned_draws(case, crn):
     assert record_digest(run_experiment(sc, crn=crn)) == SCHEDULE_DIGESTS[case, crn]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2024, 20260810, 2**64 - 1])
+def test_bound_draws_are_the_generators_own(seed):
+    # The walk draws through numpy's C functions bound with ctypes. Over
+    # 25,000 interleaved pairs per seed, at scales from 1e-12 to 1e12, they
+    # must give Generator.exponential(scale) and Generator.random() bit for
+    # bit, and leave the generator where the methods leave it.
+    exponential, uniform = simulator._draws()
+    scales = [1e-12, 1e12, *(10.0 ** np.random.default_rng(seed).uniform(-12, 12, 24_998))]
+    bound, methods = np.random.default_rng(seed), np.random.default_rng(seed)
+    bitgen = bound.bit_generator.ctypes.bit_generator
+    got = np.array([(exponential(bitgen, s), uniform(bitgen)) for s in scales])
+    want = np.array([(methods.exponential(s), methods.random()) for s in scales])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert bound.bit_generator.state == methods.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["table2_nc1_lam10", "table2_nc2_lam20", "table2_nc3_lam40"])
+def test_the_stationary_start_is_the_one_generator_choice_draws(name):
+    # The start takes one bound uniform draw against the chain's cumulative
+    # law, which must pick the block count Generator.choice(len(q), p=q)
+    # picks and use up the same draws.
+    sc = load_bundled_scenario(name)
+    chain = simulator._Chain(sc)
+    q = chain.start_law
+    demand = sc.classes[1].demand_blocks
+    uniform = simulator._draws()[1]
+    for seed in range(2000):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        start = simulator._initial_state(sc, chain, uniform, rng.bit_generator.ctypes.bit_generator)
+        assert start == (0, int(ref.choice(len(q), p=q)) // demand) + (0,) * (len(start) - 2)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("workers, replications, cpus, expected", [
     (None, 10, 4, 1),
     (0, 10, 4, 1),
