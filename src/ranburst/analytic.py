@@ -678,6 +678,11 @@ def poisson_weights(k: np.ndarray, mean: float) -> np.ndarray:
     return np.where(k == 0, math.exp(-mean), w)
 
 
+# scipy.sparse._sparsetools, bound by the first band product; csr_matvec is
+# looked up on it at each call.
+_sparsetools = None
+
+
 def _band_product(
     pt: sp.csr_matrix, v: np.ndarray, y: np.ndarray, r0: int, r1: int
 ) -> None:
@@ -689,8 +694,9 @@ def _band_product(
     the same call over every row. The public ``pt[r0:r1] @ v`` copies the
     rows first and costs several times the product on a narrow band.
     """
-    from scipy.sparse import _sparsetools
-
+    global _sparsetools
+    if _sparsetools is None:
+        from scipy.sparse import _sparsetools
     _sparsetools.csr_matvec(r1 - r0, pt.shape[1], pt.indptr[r0:r1 + 1], pt.indices,
                             pt.data, v, y[r0:r1])
 
@@ -712,14 +718,19 @@ def transient(
     * the Poisson tail beyond ``k_max = poisson_isf(eps, lam t) + 1`` is
       dropped; the weights up to it are :func:`poisson_weights`, whose
       missing mass is the tail to rounding;
-    * after each step, every entry of the iterate at or below ``theta`` is
-      set to 0 and its mass added to ``dropped``. ``P`` is non-negative
-      with rows summing to 1, so a drop of ``delta`` moves every later
-      iterate by at most ``delta`` in l1: the iterates summed before the
-      cut, and the exact continuation summed in its place, each lie within
-      ``dropped`` of the exact ones. ``theta = drop_budget / (k_max n)``,
-      where ``drop_budget`` is ``DROP_SHARE`` of what the tail leaves of
-      ``eps``, so no run can drop more than that share;
+    * after each step, the entries of the iterate at or below ``theta``
+      before its first and after its last entry above ``theta`` are set to
+      0 and their mass added to ``dropped``; entries between those two are
+      kept. The drop is there to narrow the band, and dropping less keeps
+      the bound. ``P`` is non-negative with rows summing to at most 1, so a
+      drop of ``delta`` moves every later iterate by at most ``delta`` in
+      l1: the iterates summed before the cut, and the exact continuation
+      summed in its place, each lie within ``dropped`` of the exact ones.
+      ``theta = drop_budget / (k_max n)``, where ``drop_budget`` is
+      ``DROP_SHARE`` of what the tail leaves of ``eps``, so no run can drop
+      more than that share. A step that leaves no entry above ``theta``
+      (only a ``q`` whose rows sum below 0, which loses mass, can) drops
+      the whole iterate and ends the sum, whose later terms are all 0;
     * the sum stops at the first step ``k`` whose iterates provably stop
       moving. ``d_k = |v_{k-1} P - v_{k-1}|_1`` is measured on the computed
       iterates, before the step's drop; the exact continuation
@@ -735,19 +746,27 @@ def transient(
     every nonzero of ``v`` lies in ``[lo, hi)``, every nonzero of ``v P``
     lies in ``[lo - down, hi + up)``, where ``up`` and ``down`` are the
     largest upward and downward index shifts (target - source) of an arc of
-    ``q``; the difference, the sum and the drop also run over that band.
-    The cost is the steps taken times the band's nonzeros. States numbered
-    so that arcs stay near the diagonal (:func:`reachable_states`,
-    :func:`enumerate_states`) keep the band narrow; a scattered numbering
-    widens it to every row, which gives the same answer at the cost of a
-    full product a step. No stationary distribution is needed, and the
-    number of steps follows the chain's mixing time rather than ``lam t``.
+    ``q``. A step is one call of the CSR kernel over that band
+    (:func:`_band_product`) and six passes over it: the difference to the
+    last iterate, its l1 norm (BLAS ``dasum``), the compare with ``theta``
+    (the first and last entry above it are then found by ``memchr`` from
+    each end), a multiply and an add of the weighted iterate into the
+    result, and clearing the last iterate. The cost is the steps taken
+    times the band's nonzeros. States numbered so that arcs stay near the
+    diagonal (:func:`reachable_states`, :func:`enumerate_states`) keep the
+    band narrow; a scattered numbering widens it to every row, which gives
+    the same answer at the cost of a full product a step. No stationary
+    distribution is needed, and the number of steps follows the chain's
+    mixing time rather than ``lam t``.
     """
     import scipy.sparse as sp
+    from scipy.linalg.blas import dasum
 
     t = float(t)
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and >= 0, got {t}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     n = q.shape[0]
     pi0 = np.asarray(pi0, dtype=float)
     if pi0.shape != (n,):
@@ -755,7 +774,8 @@ def transient(
     if not np.isfinite(pi0).all() or (pi0 < 0).any():
         raise ValueError("pi0 must be finite and non-negative")
     rate = float(-q.diagonal().min())
-    if t == 0 or rate == 0:
+    support = np.flatnonzero(pi0)
+    if t == 0 or rate == 0 or not len(support):
         return pi0.copy()
 
     lam = rate * 1.02  # small margin keeps the jump matrix strictly substochastic
@@ -778,30 +798,37 @@ def transient(
     dropped = 0.0
     out = weights[0] * pi0
     # v holds the iterate, nonzero only in [lo, hi); y, the next iterate's
-    # buffer, is all zeros at the start of each step.
+    # buffer, is all zeros at the start of each step. above marks the
+    # entries over theta in the bytes of marks, whose find and rfind
+    # (memchr from either end) give the first and last mark.
     v, y, scratch = pi0.copy(), np.zeros(n), np.empty(n)
-    mask = np.empty(n, dtype=bool)
-    support = np.flatnonzero(v)
-    lo, hi = (int(support[0]), int(support[-1]) + 1) if len(support) else (0, 0)
+    marks = bytearray(n)
+    above = np.frombuffer(marks, dtype=bool)
+    lo, hi = int(support[0]), int(support[-1]) + 1
     for k in range(1, k_max + 1):
         r0, r1 = max(lo - down, 0), min(hi + up, n)
         _band_product(pt, v, y, r0, r1)
-        new, diff, small = y[r0:r1], scratch[r0:r1], mask[r0:r1]
+        new, diff = y[r0:r1], scratch[r0:r1]
         np.subtract(new, v[r0:r1], out=diff)
-        # An empty band has d_k = 0 and always stops here.
-        if float(np.abs(diff, out=diff).sum()) * reach[k] + 2.0 * dropped <= budget:
+        if dasum(diff) * reach[k] + 2.0 * dropped <= budget:
             np.multiply(new, tail[k], out=diff)
             out[r0:r1] += diff
             return out
-        np.less_equal(new, theta, out=small)  # with theta = 0, the zeros only
-        dropped += float(np.dot(new, small))
-        np.putmask(new, small, 0.0)
-        np.multiply(new, weights[k], out=diff)
-        out[r0:r1] += diff
+        np.greater(new, theta, out=above[r0:r1])  # with theta = 0, the nonzeros
         v[lo:hi] = 0.0
         v, y = y, v
-        first, last = int(np.argmin(small)), len(small) - int(np.argmin(small[::-1]))
-        lo, hi = (r0, r0) if small[first] else (r0 + first, r0 + last)
+        lo, hi = marks.find(1, r0, r1), marks.rfind(1, r0, r1) + 1
+        if lo < 0:  # nothing above theta: the whole iterate is dropped
+            return out
+        # Drop the runs at or below theta at either end of the band.
+        for a, b in ((r0, lo), (hi, r1)):
+            if a < b:
+                dropped += dasum(v[a:b])
+                v[a:b] = 0.0
+        # Not BLAS daxpy: OpenBLAS hands one of more than 10,000 entries to a
+        # worker thread, whose spin after each call slows the next steps.
+        np.multiply(v[lo:hi], weights[k], out=scratch[lo:hi])
+        out[lo:hi] += scratch[lo:hi]
     return out
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -874,6 +876,17 @@ def test_transient_rejects_a_malformed_initial_vector(pi0):
         transient(q, np.array(pi0), 1.0)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, 1.0, -1e-9, 1.5, float("inf")])
+def test_transient_rejects_an_eps_outside_the_unit_interval(eps):
+    # At t = 0 and on a chain with no rate the sum is never taken, so the
+    # truncation point never checks eps either.
+    _, death = pure_death_generator()
+    pi0 = np.array([0.0, 1.0])
+    for q, t in ((death, 0.0), (death, 1.0), (sp.csr_matrix((2, 2)), 1.0)):
+        with pytest.raises(ValueError, match="eps"):
+            transient(q, pi0, t, eps=eps)
+
+
 # ---------------------------------------------------------------------------
 # Stationarity cut of uniformization against the full Poisson sum
 # ---------------------------------------------------------------------------
@@ -943,6 +956,20 @@ def test_cut_follows_mixing_time_not_the_horizon(burst_chain, monkeypatch):
     # The full sum would take about 1.03e5 steps to reach t = 100 s.
     assert 0 < len(calls) < 1000
     assert np.abs(got - pi).sum() <= 2e-9
+
+
+# Mat-vecs of the eight calls when every entry at or below theta was dropped,
+# not only the runs at the band's ends.
+MATVECS_DROPPING_EVERY_SMALL_ENTRY = (213, 219, 222, 222, 224, 225, 227, 227)
+
+
+def test_dropping_only_at_the_band_ends_takes_no_more_steps(burst_chain, monkeypatch):
+    q, _, pi0 = burst_chain
+    calls = count_matvecs(monkeypatch)
+    for t, most in zip(BENCHMARK_TIMES, MATVECS_DROPPING_EVERY_SMALL_ENTRY):
+        before = len(calls)
+        transient(q, pi0, t, eps=1e-9)
+        assert 0 < len(calls) - before <= most, t
 
 
 def test_iterates_that_stop_moving_exactly_cut_without_a_budget(monkeypatch):
@@ -1096,6 +1123,59 @@ def test_support_touching_the_first_and_last_state(eps):
         got = transient(q, pi0, t, eps=eps)
         assert np.abs(got - pi0 @ expm(q.toarray() * t)).sum() <= eps
         assert got.min() >= 0.0
+
+
+def test_an_iterate_with_no_entry_above_theta_is_dropped_whole():
+    # One state that leaves the chain at rate 1 (a sub-generator): each step
+    # keeps 1/51 of the mass, and at t = 50 the iterate falls to theta
+    # before its steps stop moving. Nothing is left above theta, so the
+    # whole band is dropped and the sum ends there, below the exact value;
+    # a stop by the cut would end above it, since it puts the remaining
+    # Poisson mass on an iterate larger than every later one.
+    q = sp.csr_matrix([[-1.0]])
+    pi0 = np.array([1.0])
+    eps = 1e-9
+    got = transient(q, pi0, 50.0, eps=eps)
+    exact = math.exp(-50.0)
+    assert 0.0 < got[0] < exact * (1 - 1e-6)
+    assert exact - got[0] <= eps
+
+
+@st.composite
+def small_chains(draw):
+    """A generator of at most 40 states with some absorbing states, whose
+    arcs span at most ``width`` indices so that the band and the drop come
+    into play; a start that is a single state, split between both ends or
+    sub-stochastic; and a horizon."""
+    n = draw(st.integers(1, 40))
+    width = draw(st.integers(1, max(n - 1, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = np.indices((n, n))
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    arcs = (i != j) & (np.abs(i - j) <= width) & (rng.random((n, n)) < density)
+    rates = np.where(arcs, 10.0 ** rng.uniform(-2.0, 1.5, (n, n)), 0.0)
+    rates[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = 0.0
+    q = sp.csr_matrix(rates - np.diag(rates.sum(axis=1)))
+    start = draw(st.sampled_from(["single", "both ends", "sub-stochastic"]))
+    pi0 = np.zeros(n)
+    if start == "single":
+        pi0[draw(st.integers(0, n - 1))] = 1.0
+    elif start == "both ends":
+        pi0[[0, n - 1]] = 0.5
+    else:
+        pi0 = rng.random(n) * (rng.random(n) < 0.5)
+        pi0[rng.integers(n)] += 0.1
+        pi0 *= draw(st.floats(1e-3, 0.99)) / pi0.sum()
+    return q, pi0, draw(st.floats(0.01, 3.0))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(chain=small_chains(), eps=st.sampled_from([1e-9, 1e-4]))
+def test_transient_stays_within_eps_of_the_exponential_on_small_chains(chain, eps):
+    q, pi0, t = chain
+    got = transient(q, pi0, t, eps=eps)
+    assert np.abs(got - pi0 @ expm(q.toarray() * t)).sum() <= eps * pi0.sum()
+    assert got.min() >= 0.0
 
 
 def test_permuted_numbering_gives_the_permuted_answer():
