@@ -2,7 +2,7 @@
 
 One walk (:func:`_walk`) samples a chain, with a burst-injection schedule
 layered on top and deterministic per-replication seeding; identical
-(scenario, seed, crn) reproduce trajectories bit for bit. It walks a
+(scenario, seed) reproduce trajectories bit for bit. It walks a
 compiled chain (:class:`_Chain`) by integer state key; the chain lives for
 one ``run_experiment`` or ``run_replication`` call. A key is the state's
 number in the analytic layer's box (:class:`~ranburst.analytic._StateBox`).
@@ -24,24 +24,9 @@ shared library of ``numpy.random._generator``). :func:`_draws` binds them
 with ``ctypes`` once per process, on first use, and the walk calls them on
 the generator's ``bitgen_t`` pointer. The stream is the generator's own, so
 a walk takes the same values, in the same order, that the two methods
-would give; only the method call's overhead is gone. The two engines
-differ only in the departure rates the chain compiles:
-
-* The direct engine (the default) samples the continuous-time chain: a
-  dimension departs at ``n_i μ_i``, so every draw is an event.
-* The coupled engine (``crn=True``) runs a uniformized clock (Jensen
-  1953): each traffic class departs within a band of ``C · max μ`` over
-  its dimensions, and the rest of the band is a null tick that records
-  nothing. A session holds at least one block, so ``n_i ≤ C`` and the band
-  holds the class's departures. The clock's rate is then the arrival
-  rates, the offer rate while offers are live, and the bands, none of which
-  depend on the state. Two scenarios that differ only in policy draw the
-  same ticks and marks while their clock rates agree, so their difference
-  has a small variance (common random numbers). Their clocks part when one
-  stops offering (its ``poisson`` burst delivered) before the other, or
-  when their bands differ (a downgraded service rate above the full one
-  raises NC3's video band over NC2's). They do not share per-session
-  service times: the walk tracks counts, not sessions.
+would give; only the method call's overhead is gone. The walk samples the
+continuous-time chain: a dimension departs at ``n_i μ_i``, so every draw is
+an event.
 """
 
 from __future__ import annotations
@@ -85,10 +70,11 @@ MAX_GRID_POINTS = 10_000_000
 # scenarios use at most 52.
 MAX_BATCH_SIZE = 1_000_000
 
-# Most events a replication may expect: the horizon times the rate bound both
-# engines' clocks respect, sum_d (arrival_rate + C * service_rate) plus the
-# offer rate. A walk peaks near 106 bytes per event, so 1e7 events near 1 GB;
-# the bundled scenarios reach at most 6.25e5 (``oracle_nc1_small``).
+# Most events a replication may expect: the horizon times a bound on the
+# walk's total rate, sum_d (arrival_rate + C * service_rate) plus the offer
+# rate, since a session holds at least one block and so n_i <= C. A walk
+# peaks near 106 bytes per event, so 1e7 events near 1 GB; the bundled
+# scenarios reach at most 6.25e5 (``oracle_nc1_small``).
 MAX_EXPECTED_EVENTS = 10_000_000
 
 # Most events a whole run may expect: ``replications`` times the bound above.
@@ -420,16 +406,10 @@ def _initial_state(scenario: Scenario, chain: _Chain, uniform, bitgen) -> tuple[
     return tuple(counts)
 
 
-def run_replication(scenario: Scenario, seed: int, crn: bool = False) -> TrajectoryRecord:
-    """Simulate one replication; bit-for-bit reproducible from (scenario, seed, crn).
-
-    ``crn=True`` runs the coupled engine, the same walk on a uniformized
-    clock (see the module docstring). Two scenarios that differ only in
-    policy then share their ticks and marks while their clock rates agree:
-    their bands are equal, and their offers are live at the same ticks.
-    """
+def run_replication(scenario: Scenario, seed: int) -> TrajectoryRecord:
+    """Simulate one replication; bit-for-bit reproducible from (scenario, seed)."""
     scenario.validate()
-    return _walk(scenario, seed, _Chain(scenario, crn))
+    return _walk(scenario, seed, _Chain(scenario))
 
 
 class _Block(NamedTuple):
@@ -439,15 +419,14 @@ class _Block(NamedTuple):
     offset: int
     row: np.ndarray  # (keys,) row of each key of the block, -1 if infeasible
     target: np.ndarray  # (rows, slots) target key of each arc
-    # (rows, entries + 2): the rate of each departure entry, their sum, and
-    # the count of dimension 0 (exact as a float), read in one row access
+    # (rows, dims + 2): each dimension's departure rate, their sum, and the
+    # count of dimension 0 (exact as a float), read in one row access
     leaving: np.ndarray
 
 
 class _Chain:
     """A scenario's chain, compiled one block of states at a time; shared by
-    its replications in one process. ``crn`` picks the coupled engine's
-    departure bands (see the module docstring).
+    its replications in one process.
 
     ``policy``, ``dims`` and ``capacity`` are those of
     :meth:`Scenario.chain` with ``per_ms``, so every class rate is per ms;
@@ -471,48 +450,27 @@ class _Chain:
     follows, built by :meth:`visit` from its block's arrays: ``(arrivals,
     departures, departure_total, offer, n0)``. ``arrivals`` pairs each
     positive arrival rate with its arc, in dimension order; ``departures``
-    pairs each positive departure rate with its arc, walked group by group
-    in the order of ``departing``; ``departure_total`` is the sum of those
-    rates; ``offer`` is the injected offer's arc; ``n0`` is the count of
-    dimension 0. An arc, as the walk follows it, is ``(arc id, key of the
-    target state)``; the offer's carries a third entry, 1 if it admits the
-    session.
-
-    ``departing`` lists ``(dimensions, band)`` groups. Without ``crn`` it is
-    one group of every dimension, in dimension order, with no band (0.0).
-    With ``crn`` it is one group per traffic class, whose band is ``C``
-    times the largest service rate of its dimensions; the group's
-    departures are followed by the rest of its band, a null tick with arc
-    ``None``, and ``departure_total`` is the sum of the bands. ``entries``
-    lists the departure entries in that order, each as its slot, or -1 for
-    a band's rest. :meth:`compile` computes every row's entry rates and
-    their sum as a block's ``leaving`` array, in the same order and with
-    the same float operations as a sum in Python, so :meth:`visit` only
-    reads one row of it.
+    pairs each positive departure rate ``n_i μ_i`` with its arc, in
+    dimension order; ``departure_total`` is the sum of those rates;
+    ``offer`` is the injected offer's arc; ``n0`` is the count of dimension
+    0. An arc, as the walk follows it, is ``(arc id, key of the target
+    state)``; the offer's carries a third entry, 1 if it admits the session.
+    :meth:`compile` computes every row's departure rates and their sum as a
+    block's ``leaving`` array, in the same order and with the same float
+    operations as a sum in Python, so :meth:`visit` only reads one row of
+    it.
     """
 
-    def __init__(self, scenario: Scenario, crn: bool = False):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.policy, dims, self.capacity = scenario.chain(per_ms=True)
         self.dims = dims
         self.scale = scenario.time_scale / 1000.0  # the injection rate per second -> per ms
         self.arr_rates = [d.arrival_rate for d in dims]
         self.dep_rates = [d.service_rate for d in dims]
-        if crn:
-            groups = [[i for i, d in enumerate(dims) if d.source_class == c]
-                      for c in dict.fromkeys(d.source_class for d in dims)]
-            self.departing = [(g, self.capacity * max(self.dep_rates[i] for i in g))
-                              for g in groups]
-        else:
-            self.departing = [(range(len(dims)), 0.0)]
         self.box = box = _StateBox(dims, self.capacity)
         self.arriving = box.arriving
         self.slots = len(self.arriving) + 1 + len(dims)
-        self.entries: list[int] = []
-        for group, band in self.departing:
-            self.entries += [len(self.arriving) + 1 + i for i in group]
-            if band:
-                self.entries.append(-1)
         self._arrival_rates = [self.arr_rates[i] for i in self.arriving]
         # The trailing digits are the longest run at the end whose values
         # fit in a block. Their rows and occupancy are decoded once here, so
@@ -579,21 +537,14 @@ class _Chain:
         return block
 
     def _leaving(self, rows: np.ndarray) -> np.ndarray:
-        """A block's ``leaving`` columns: each row's departure entry
-        rates, their sum, and its count of dimension 0. The sum adds the
-        same floats in the same order as a Python loop over the entries."""
+        """A block's ``leaving`` columns: each row's departure rates, their
+        sum, and its count of dimension 0. The sum adds the same floats in
+        the same order as a Python loop over the dimensions."""
         out = rows * np.array(self.dep_rates)  # n_i mu_i
-        columns = []
         total = np.zeros(len(rows))
-        for group, band in self.departing:
-            taken = np.zeros(len(rows))  # summed in dimension order, zeros included
-            for i in group:
-                taken = taken + out[:, i]
-                columns.append(out[:, i])
-            if band:
-                columns.append(np.maximum(band - taken, 0.0))
-            total = total + (band or taken)
-        return np.column_stack([*columns, total, rows[:, 0]])
+        for i in range(len(self.dims)):  # summed in dimension order, zeros included
+            total = total + out[:, i]
+        return np.column_stack([out, total, rows[:, 0]])
 
     def visit(self, key: int) -> tuple:
         """What the walk follows out of the state keyed ``key``, on its first visit."""
@@ -609,14 +560,12 @@ class _Chain:
         arrivals = []
         for s, rate in enumerate(self._arrival_rates):
             arrivals.append((rate, (first + s, targets[s])))
+        a = len(self.arriving)  # the offer's slot; the departure slots follow it
         departures = []
-        for rate, s in zip(rates, self.entries):
-            if s < 0:
-                departures.append((rate, None))  # the rest of a band
-            elif rate > 0.0:
+        for s, rate in enumerate(rates, a + 1):
+            if rate > 0.0:
                 departures.append((rate, (first + s, targets[s])))
         # A rejected offer is a self-loop; an admitted one adds a session.
-        a = len(self.arriving)
         offer = (first + a, targets[a], int(targets[a] != key))
         state = (tuple(arrivals), tuple(departures), departure_total, offer, n0)
         self.by_state[key] = state
@@ -733,8 +682,6 @@ def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
                         u -= rate
                     else:
                         continue  # the floating-point edge at the top of the rate sum
-                    if a is None:
-                        continue  # a null tick
 
         times.append(t)
         path.append(a[0])
@@ -757,7 +704,6 @@ def pool_size(workers: int | None, replications: int) -> int:
 def run_experiment(
     scenario: Scenario,
     workers: int | None = None,
-    crn: bool = False,
     on_record: Callable[[TrajectoryRecord], None] | None = None,
 ) -> list[TrajectoryRecord]:
     """All replications, seeded ``mix_seed(base_seed, r)``.
@@ -767,11 +713,7 @@ def run_experiment(
     serial run because every replication owns a deterministic seed stream.
     The replications share one compiled chain (:class:`_Chain`), which
     lives for this call only: it compiles a block of states the first time
-    a walk enters it, and each pool worker compiles its own. ``crn=True``
-    runs the coupled engine, as in :func:`run_replication`: every
-    replication walks a uniformized clock, and a scenario that differs only
-    in policy, run with the same ``base_seed``, shares its ticks and marks
-    while the two clock rates agree.
+    a walk enters it, and each pool worker compiles its own.
 
     ``on_record``, if given, is called on each record as soon as its
     replication ends, in the process that simulated it: a pool worker, or
@@ -783,14 +725,14 @@ def run_experiment(
     seeds = [mix_seed(scenario.base_seed, r) for r in range(scenario.replications)]
     n_workers = pool_size(workers, scenario.replications)
     if n_workers == 1:
-        return _replicate((scenario, 0, seeds, crn, on_record))
+        return _replicate((scenario, 0, seeds, on_record))
 
     from concurrent.futures import ProcessPoolExecutor
 
     # One contiguous chunk of seeds per worker, so that each worker
     # compiles one chain and sends its records back in one message.
     bounds = [len(seeds) * k // n_workers for k in range(n_workers + 1)]
-    chunks = [(scenario, a, seeds[a:b], crn, on_record) for a, b in zip(bounds, bounds[1:])]
+    chunks = [(scenario, a, seeds[a:b], on_record) for a, b in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return [rec for part in pool.map(_replicate, chunks) for rec in part]
 
@@ -799,8 +741,8 @@ def _replicate(args) -> list[TrajectoryRecord]:
     """Replications ``first, first + 1, ...`` of one scenario for a list of
     seeds, sharing one compiled chain; ``on_record`` runs on each record as
     it is made."""
-    scenario, first, seeds, crn, on_record = args
-    chain = _Chain(scenario, crn)
+    scenario, first, seeds, on_record = args
+    chain = _Chain(scenario)
     records = []
     for r, seed in enumerate(seeds, first):
         record = _walk(scenario, seed, chain)

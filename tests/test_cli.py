@@ -914,8 +914,7 @@ def test_trajectory_csv_equals_the_event_writer_on_hand_paths(tmp_path, name):
 @pytest.mark.parametrize("name", ["demo_nc3_small", "table2_nc2_lam40", "table2_nc3_lam20"])
 def test_trajectory_csv_equals_the_event_writer_on_simulated_runs(tmp_path, name):
     sc = replace(load_bundled_scenario(name), replications=4)
-    for crn in (False, True):
-        for traj in run_experiment(sc, crn=crn):
-            write_trajectory_csv(tmp_path / "cols.csv", traj, "h")
-            event_writer(tmp_path / "events.csv", traj, "h")
-            assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "events.csv").read_bytes()
+    for traj in run_experiment(sc):
+        write_trajectory_csv(tmp_path / "cols.csv", traj, "h")
+        event_writer(tmp_path / "events.csv", traj, "h")
+        assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "events.csv").read_bytes()

@@ -225,13 +225,18 @@ def test_count_conservation_on_real_run():
             assert e.counts[2] + discards <= admitted_so_far
 
 
-def test_nc3_discards_never_exceed_nc2_under_common_randomness():
-    for rep in range(8):
-        seed = 7_000 + rep
-        nc2 = run_replication(burst_scenario("NC2"), seed, crn=True)
-        nc3 = run_replication(burst_scenario("NC3"), seed, crn=True)
-        r2, r3 = ratios(nc2), ratios(nc3)
-        assert r3["r_dc"] <= r2["r_dc"]
+def test_nc3_discards_fewer_video_sessions_than_nc2():
+    # NC3 downgrades running video sessions before it discards one; NC2
+    # discards at once. 200 independent replications per policy, from
+    # distinct base seeds: the mean r_dc of NC2 sits about 19 standard
+    # errors above that of NC3.
+    samples = []
+    for policy, seed in (("NC2", 1), ("NC3", 2)):
+        records = run_experiment(burst_scenario(policy, seed=seed, reps=200), workers=2)
+        samples.append(np.array([ratios(rec)["r_dc"] for rec in records]))
+    nc2, nc3 = samples
+    se = np.sqrt((nc2.var(ddof=1) + nc3.var(ddof=1)) / 200)
+    assert nc2.mean() - nc3.mean() > 4 * se, (nc2.mean(), nc3.mean(), se)
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +543,9 @@ def test_column_readers_equal_the_event_loops_exactly(name):
     assert_readers_equal_the_loops(traj)
 
 
-@pytest.mark.parametrize("crn", [False, True])
 @pytest.mark.parametrize("policy", ["NC1", "NC2", "NC3"])
-def test_column_readers_equal_the_event_loops_on_simulated_runs(policy, crn):
-    for rec in run_experiment(burst_scenario(policy, reps=3), crn=crn):
+def test_column_readers_equal_the_event_loops_on_simulated_runs(policy):
+    for rec in run_experiment(burst_scenario(policy, reps=3)):
         assert_readers_equal_the_loops(rec)
     batch = Scenario(
         policy=policy, radio=RADIO62, classes=tuple(table2_classes(policy)),
@@ -549,5 +553,5 @@ def test_column_readers_equal_the_event_loops_on_simulated_runs(policy, crn):
         horizon_ms=6000.0, warmup="stationary_video_start", time_scale=200.0,
         early_stop_at_goose_cap=policy == "NC2", replications=3,
     )
-    for rec in run_experiment(batch, crn=crn):
+    for rec in run_experiment(batch):
         assert_readers_equal_the_loops(rec)

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import pickle
 from dataclasses import replace
 
@@ -17,7 +16,7 @@ from ranburst import (
     run_experiment,
     run_replication,
 )
-from ranburst import analytic, simulator, summarize, traffic
+from ranburst import analytic, simulator, traffic
 from ranburst.analytic import build_generator, mean_counts, reachable_states, steady_state
 from ranburst.cli import bundled_scenario_path, load_bundled_scenario
 from ranburst.metrics import empirical_blocking
@@ -73,11 +72,10 @@ def burst_scenario(policy="NC3", mode="poisson", batch=52, rate=4.0, **kw):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("crn", [False, True])
-def test_identical_seed_gives_identical_trajectory(crn):
+def test_identical_seed_gives_identical_trajectory():
     sc = burst_scenario()
-    a = run_replication(sc, 1234, crn=crn)
-    b = run_replication(sc, 1234, crn=crn)
+    a = run_replication(sc, 1234)
+    b = run_replication(sc, 1234)
     assert a.initial_counts == b.initial_counts
     assert a.events == b.events
     assert a.end_ms == b.end_ms
@@ -129,9 +127,8 @@ def test_pool_records_equal_serial_records_column_by_column():
     assert sum(r.n_events for r in serial) > 7 * 100
 
 
-@pytest.mark.parametrize("crn", [False, True])
-def test_record_survives_a_pickle_round_trip(crn):
-    rec = run_replication(burst_scenario(), 77, crn=crn)
+def test_record_survives_a_pickle_round_trip():
+    rec = run_replication(burst_scenario(), 77)
     assert_same_columns(rec, pickle.loads(pickle.dumps(rec)))
 
 
@@ -146,12 +143,11 @@ def test_records_of_both_constructors_hold_the_same_columns():
     assert rec.events is not rec.events  # rebuilt on access, never cached
 
 
-@pytest.mark.parametrize("crn", [False, True])
-def test_shared_arc_table_matches_fresh_tables(crn):
+def test_shared_arc_table_matches_fresh_tables():
     sc = burst_scenario(replications=6)
-    shared = run_experiment(sc, crn=crn)
+    shared = run_experiment(sc)
     for r, rec in enumerate(shared):
-        fresh = run_replication(sc, mix_seed(sc.base_seed, r), crn=crn)
+        fresh = run_replication(sc, mix_seed(sc.base_seed, r))
         assert rec.events == fresh.events
         assert rec.end_ms == fresh.end_ms
 
@@ -183,20 +179,13 @@ SCHEDULE_CASES = {
 # the early stop of 3 replications per case. They pin the walk's draws: a
 # change to any draw, float or record shows here.
 SCHEDULE_DIGESTS = {
-    ("batch-at-0", False): "98a1f3840c9fffe8bad2649c14146e4036d90a79e0fbfa1fb9234b9809bc6dce",
-    ("batch-at-0", True): "4f93c95abd3f5749bc049ccb2f0da4fed2ac4580c36dc3f0802d61fe6c821d9b",
-    ("early-stop-in-batch", False): "f5d7b664c6c7a1d8fd958eeaf9256d93e3435f22dc70885710e6bff64b6368e0",
-    ("early-stop-in-batch", True): "f50df0921ccc52feb05694729501ecc1a9ca952821bf7ab4951a81b9652031c2",
-    ("early-stop-on-stream", False): "a488d43cbb89ec26b30a4c52e293909ad59755a419e39f31eeced8fa2ab8a3d4",
-    ("early-stop-on-stream", True): "d1f552f136660ab5209fc7f9b494c5794d91930d819d690f5ad25f0f07ffb4c5",
-    ("idle-until-injection", False): "d2b09923af182324a2996f20d4c3e33df1394d3a0bf30cc36941e5b1cceb3cd1",
-    ("idle-until-injection", True): "8d370983786ebe9e85ffc48ea58883298bc25dd89c38ff9a101e56bccaf0e3bf",
-    ("poisson-at-0", False): "6fbd7d135cc5060858aa2cf7877a789cb8acf6ba12244258c238368496bffde7",
-    ("poisson-at-0", True): "1565e573c3c891edd7fef8053f187053be0911d1bd349f6aecfffa0566f1b929",
-    ("poisson-cap", False): "8a9f258a32a09d5208b81e9f94c5d78ef0353877686a663e7eaaaf710b55af28",
-    ("poisson-cap", True): "72e53e32d6dca9efbd719f99c22f91d81f462841e18d0bd87c0fdfffead93dc1",
-    ("table2_nc3_lam20_literal", False): "ce51d599a97a0cb7d7b99c271273c4a9bb25b89c0d1de7ecc12fc2fd1bb38b94",
-    ("table2_nc3_lam20_literal", True): "def576ebeb17017cf40dfa1f11ac9746c84c191ad88973fce7a1bc5360612353",
+    "batch-at-0": "98a1f3840c9fffe8bad2649c14146e4036d90a79e0fbfa1fb9234b9809bc6dce",
+    "early-stop-in-batch": "f5d7b664c6c7a1d8fd958eeaf9256d93e3435f22dc70885710e6bff64b6368e0",
+    "early-stop-on-stream": "a488d43cbb89ec26b30a4c52e293909ad59755a419e39f31eeced8fa2ab8a3d4",
+    "idle-until-injection": "d2b09923af182324a2996f20d4c3e33df1394d3a0bf30cc36941e5b1cceb3cd1",
+    "poisson-at-0": "6fbd7d135cc5060858aa2cf7877a789cb8acf6ba12244258c238368496bffde7",
+    "poisson-cap": "8a9f258a32a09d5208b81e9f94c5d78ef0353877686a663e7eaaaf710b55af28",
+    "table2_nc3_lam20_literal": "ce51d599a97a0cb7d7b99c271273c4a9bb25b89c0d1de7ecc12fc2fd1bb38b94",
 }
 
 
@@ -211,11 +200,10 @@ def record_digest(records) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("crn", [False, True])
 @pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
-def test_schedule_cases_keep_their_pinned_draws(case, crn):
+def test_schedule_cases_keep_their_pinned_draws(case):
     sc = replace(SCHEDULE_CASES[case](), replications=3)
-    assert record_digest(run_experiment(sc, crn=crn)) == SCHEDULE_DIGESTS[case, crn]
+    assert record_digest(run_experiment(sc)) == SCHEDULE_DIGESTS[case]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024, 20260810, 2**64 - 1])
@@ -311,24 +299,20 @@ REPLAY_CASES = [
 # The NC3 "batch" case starts one block short of a full pool, with one
 # downgraded video session. A replication makes a downgraded admission with
 # probability about 0.1-0.13 from a stationary video start, and about 0.82
-# from this state in either engine (300 seeds each), so four replications
-# miss one with probability about 1e-3.
+# from this state (300 seeds), so four replications miss one with
+# probability about 1e-3.
 ODD_FREE_START = {("NC3", "batch"): (0, 30, 1)}
 
 
-# The coupled cases get a "-crn" suffix, so the direct ones keep their ids.
-@pytest.mark.parametrize("policy, mode, batch, rate, early_stop, crn", [
-    pytest.param(*case, False, id="-".join(map(str, case))) for case in REPLAY_CASES
-] + [
-    pytest.param(*case, True, id="-".join(map(str, case)) + "-crn")
-    for case in REPLAY_CASES
+@pytest.mark.parametrize("policy, mode, batch, rate, early_stop", [
+    pytest.param(*case, id="-".join(map(str, case))) for case in REPLAY_CASES
 ])
-def test_recorded_events_replay_as_chain_arcs(policy, mode, batch, rate, early_stop, crn):
+def test_recorded_events_replay_as_chain_arcs(policy, mode, batch, rate, early_stop):
     sc = burst_scenario(policy, mode, batch=batch, rate=rate, replications=4,
                         early_stop_at_goose_cap=early_stop,
                         initial_counts=ODD_FREE_START.get((policy, mode)))
     kinds = set()
-    for rec in run_experiment(sc, crn=crn):
+    for rec in run_experiment(sc):
         assert replay_problems(sc, rec) == []
         kinds.update(e.kind for e in rec.events)
         if early_stop:
@@ -344,8 +328,7 @@ def test_recorded_events_replay_as_chain_arcs(policy, mode, batch, rate, early_s
         assert ARRIVAL_DOWNGRADED in kinds
 
 
-@pytest.mark.parametrize("crn", [False, True])
-def test_infeasible_state_raises_when_first_visited(monkeypatch, crn):
+def test_infeasible_state_raises_when_first_visited(monkeypatch):
     # The rule sends an offer to a 20th priority session over the pool. The
     # walk first enters a state with 19 of them when the batch arrives, and
     # compiling that state's block proves the bad target infeasible.
@@ -360,18 +343,17 @@ def test_infeasible_state_raises_when_first_visited(monkeypatch, crn):
 
     monkeypatch.setattr(analytic, "arrival_outcomes", over_the_pool)
     with pytest.raises(RuntimeError, match=r"infeasible state \(20, "):
-        run_replication(sc, 5, crn=crn)
+        run_replication(sc, 5)
 
 
-@pytest.mark.parametrize("crn", [False, True])
-def test_walking_the_burst_chain_resolves_no_state_one_at_a_time(monkeypatch, crn):
+def test_walking_the_burst_chain_resolves_no_state_one_at_a_time(monkeypatch):
     def per_state(*args, **kwargs):
         raise AssertionError("the simulator resolved one state at a time")
 
     for module in (traffic, simulator):
         monkeypatch.setattr(module, "arrival_outcome", per_state)
     sc = burst_scenario("NC3", "batch_plus_poisson", batch=30, replications=3)
-    records = run_experiment(sc, crn=crn)
+    records = run_experiment(sc)
     assert sum(rec.n_events for rec in records) > 0
 
 
@@ -548,15 +530,6 @@ def test_poisson_injection_stops_after_delivering_batch():
     assert all(o.t_ms <= t_done for o in offers)
 
 
-@pytest.mark.parametrize("policy", ["NC2", "NC3"])
-def test_coupled_offers_lapse_once_the_burst_is_delivered(policy):
-    rec = run_replication(burst_scenario(policy, batch=20, rate=4.0), 31, crn=True)
-    offers = [e for e in rec.events if e.dim == 0 and e.kind != DEPARTURE]
-    admitted = [e for e in offers if e.kind != ARRIVAL_REJECTED]
-    assert len(admitted) == 20
-    assert all(o.t_ms <= admitted[-1].t_ms for o in offers)
-
-
 def test_early_stop_at_goose_cap():
     classes = (
         TrafficClass(1, 0.0, 0.001, 1, 62, "high"),
@@ -597,8 +570,7 @@ def test_stationary_video_start_matches_loss_distribution():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("crn", [False, True])
-def test_blocking_converges_to_erlang_b(crn):
+def test_blocking_converges_to_erlang_b():
     capacity, load = 5, 4.0
     sc = Scenario(
         policy="NC1",
@@ -608,7 +580,7 @@ def test_blocking_converges_to_erlang_b(crn):
         horizon_ms=27_000_000.0,
         base_seed=1,
     )
-    rec = run_replication(sc, 2024, crn=crn)
+    rec = run_replication(sc, 2024)
     arrivals, rejected = empirical_blocking(rec)[0]
     assert arrivals > 100_000
     b = kaufman_roberts(list(sc.classes), capacity).blocking[1]
@@ -660,30 +632,6 @@ def test_long_run_occupancy_distribution_matches_recursion():
     assert np.all(np.abs(mean - dist.q) <= 3 * se + 1e-4)
 
 
-@pytest.mark.parametrize("seed", [555, 0, 1, 2, 3, 4])
-def test_crn_couples_arrival_streams_across_policies(seed):
-    nc2 = burst_scenario(policy="NC2")
-    nc3 = burst_scenario(policy="NC3")
-    r2 = run_replication(nc2, seed, crn=True)
-    r3 = run_replication(nc3, seed, crn=True)
-    video_arrivals_2 = [e.t_ms for e in r2.events if e.dim == 1 and e.kind != DEPARTURE]
-    video_arrivals_3 = [e.t_ms for e in r3.events if e.dim == 1 and e.kind != DEPARTURE]
-    assert video_arrivals_2 == video_arrivals_3
-    assert r2.initial_counts[1] == r3.initial_counts[1]
-
-
-def test_crn_pairs_share_every_event_before_the_burst():
-    departures = 0
-    for seed in range(20):
-        r1 = run_replication(burst_scenario("NC1"), seed, crn=True)
-        r2 = run_replication(burst_scenario("NC2"), seed, crn=True)
-        assert r1.initial_counts == r2.initial_counts
-        before = [[e for e in r.events if e.t_ms < 2000.0] for r in (r1, r2)]
-        assert before[0] == before[1]
-        departures += sum(e.kind == DEPARTURE for e in before[0])
-    assert departures > 0
-
-
 def batch_means(rec, n_batches):
     """Time average of each dimension's count over ``n_batches`` equal
     windows of ``[0, end_ms]``, one row per window."""
@@ -696,7 +644,7 @@ def batch_means(rec, n_batches):
     return np.diff(integral, axis=0) / np.diff(edges)[:, None]
 
 
-def unequal_rates_pool(horizon_ms=4_000_000.0):
+def unequal_rates_pool():
     """An NC3 pool whose downgraded video dimension departs 4x faster than
     the full-rate one."""
     return Scenario(
@@ -708,71 +656,19 @@ def unequal_rates_pool(horizon_ms=4_000_000.0):
                          downgraded_demand_blocks=1, downgraded_service_rate=2.0),
         ),
         injection=None,
-        horizon_ms=horizon_ms,
+        horizon_ms=4_000_000.0,
     )
 
 
-def test_coupled_engine_thins_to_the_chain_law_with_unequal_service_rates():
-    # The video class's band, C times the larger rate, must be thinned by
-    # each dimension's own rate.
+def test_time_averages_match_the_chain_law_with_unequal_service_rates():
+    # Each video dimension departs at its own rate, n_i mu_i: the downgraded
+    # one 4x faster than the full-rate one.
     sc = unequal_rates_pool()
     dims = sc.dimensions()
     space, q = build_generator("NC3", dims, 10, space=reachable_states("NC3", dims, 10))
     expected = mean_counts(space, steady_state(q))
-    means = batch_means(run_replication(sc, 8080, crn=True), 20)
+    means = batch_means(run_replication(sc, 8080), 20)
     z = (means.mean(axis=0) - expected) / (means.std(axis=0, ddof=1) / np.sqrt(20))
-    assert np.all(np.abs(z) <= 4), z
-
-
-@pytest.mark.parametrize("sc", [
-    pytest.param(load_bundled_scenario("table2_nc3_lam20"), id="table2_nc3_lam20"),
-    pytest.param(unequal_rates_pool(horizon_ms=400_000.0), id="unequal_rates_pool"),
-])
-def test_coupled_departures_fill_a_band_of_c_times_the_largest_service_rate(sc):
-    # Each departure entry is one product n_i mu_i and the null rest one
-    # subtraction from the band, so entries and rest sum to the band within
-    # a few ulps: the allowance is 1e-12 relative. A band without the factor
-    # C falls short of the departures of any state with two sessions.
-    chain = simulator._Chain(sc, crn=True)
-    for r in range(sc.replications):
-        simulator._walk(sc, mix_seed(sc.base_seed, r), chain)
-    _, dims, capacity = sc.chain(per_ms=True)
-    groups = [[i for i, d in enumerate(dims) if d.source_class == c]
-              for c in dict.fromkeys(d.source_class for d in dims)]
-    bands = [capacity * max(dims[i].service_rate for i in g) for g in groups]
-    assert len(chain.by_state) > 20
-    for key, (_, departures, total, _, _) in chain.by_state.items():
-        counts = chain.box.decode(np.array([key]))[0].tolist()
-        nulls = [k for k, (_, arc) in enumerate(departures) if arc is None]
-        assert len(nulls) == len(groups)
-        assert math.isclose(total, sum(bands), rel_tol=1e-12)
-        start = 0
-        for g, band, stop in zip(groups, bands, nulls):
-            entries, rest = departures[start:stop], departures[stop][0]
-            start = stop + 1
-            assert [rate for rate, _ in entries] == [
-                counts[i] * dims[i].service_rate for i in g if counts[i]]
-            leaving = chain.box.decode(np.array([arc[1] for _, arc in entries], dtype=np.int64))
-            assert [np.nonzero(counts - row)[0].tolist() for row in leaving] == [
-                [i] for i in g if counts[i]]
-            assert rest >= 0.0
-            assert math.isclose(sum(rate for rate, _ in entries) + rest, band, rel_tol=1e-12)
-
-
-@pytest.mark.parametrize("mode", ["poisson", "batch"])
-def test_coupled_and_direct_walks_agree_in_law_on_a_burst(mode):
-    # The offers' rate lapses once the poisson burst's 52 sessions are
-    # admitted, on the coupled walk's uniformized clock as on the direct
-    # walk. 200 replications per engine, from different base seeds; |z| <= 4
-    # on the means of rho_avg and r_dw failed on none of 40 base seeds.
-    sc = burst_scenario("NC3", mode, replications=200)
-    samples = []
-    for crn, base_seed in ((False, 4040), (True, 4041)):
-        records = run_experiment(replace(sc, base_seed=base_seed), crn=crn)
-        samples.append(np.array([[s.rho_avg, s.r_dw] for s in map(summarize, records)]))
-    direct, coupled = samples
-    se = np.sqrt((direct.var(axis=0, ddof=1) + coupled.var(axis=0, ddof=1)) / 200)
-    z = (coupled.mean(axis=0) - direct.mean(axis=0)) / se
     assert np.all(np.abs(z) <= 4), z
 
 
