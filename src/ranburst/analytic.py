@@ -10,8 +10,9 @@ is the Poisson tail plus twice the dropped mass plus the stationarity cut,
 within ``eps``, and its cost is the steps taken times the band.
 
 This module and the simulator share one state key, a state's number in the
-box of session counts (:class:`_StateBox`), whose rank numbers states here,
-and one slot compiler (:func:`_resolve_slots`), which resolves every slot of
+box of session counts (:class:`_StateBox`), whose rank numbers states here;
+one enumerator of feasible states (:meth:`_StateBox.rows`); and one slot
+compiler (:func:`_resolve_slots`), which resolves every slot of
 an array of states with the array rule
 (:func:`ranburst.traffic.arrival_outcomes`). ``transitions`` stays the
 per-state specification and is not called here; it is still imported under
@@ -226,9 +227,9 @@ class _StateBox:
     """The box ``0 <= c_d < radix[d] = min(max_sessions, C // demand) + 1``,
     which holds every feasible state. A state's key is its mixed-radix number
     in the box, so keys sort as the counts do lexicographically; they are
-    int64, or exact Python ints in object arrays past int64. ``arriving``
-    lists the dimensions with a positive arrival rate, in order: the arrival
-    slots of every compiled state."""
+    int64, or exact Python ints in object arrays past int64. ``size`` is the
+    number of keys. ``arriving`` lists the dimensions with a positive arrival
+    rate, in order: the arrival slots of every compiled state."""
 
     def __init__(self, dims: list[Dimension], capacity: int):
         self.dims, self.capacity = list(dims), capacity
@@ -236,7 +237,8 @@ class _StateBox:
         self.demand = np.array([d.demand_blocks for d in dims], dtype=np.int64)
         radix = [min(d.max_sessions, capacity // d.demand_blocks) + 1 for d in dims]
         self.radix = np.array(radix, dtype=np.int64)
-        wide = math.prod(radix) > np.iinfo(np.int64).max
+        self.size = math.prod(radix)
+        wide = self.size > np.iinfo(np.int64).max
         self.weights = np.array([math.prod(radix[i + 1:]) for i in range(len(radix))],
                                 dtype=object if wide else np.int64)
 
@@ -247,6 +249,31 @@ class _StateBox:
     def decode(self, keys: np.ndarray) -> np.ndarray:
         """The counts of each key, as rows."""
         return (keys[..., None] // self.weights % self.radix).astype(np.int64)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The feasible states whose keys lie in ``[lo, hi)``, as rows in key
+        order.
+
+        The rows are built one dimension at a time. The keys of a prefix of
+        counts form one range, so each step keeps the prefixes that fit in
+        the capacity and whose range meets ``[lo, hi)``. Each kept prefix but
+        the one holding ``lo`` completes with zeros to a returned row, so the
+        cost follows the rows returned.
+        """
+        lo, hi = max(lo, 0), min(hi, self.size)  # int64 keys stay in range
+        rows = np.zeros((1, 0), dtype=np.int64)
+        base = np.zeros(1, dtype=self.weights.dtype)  # the least key of each prefix
+        free = np.full(1, self.capacity, dtype=np.int64)
+        for d, r, w in zip(self.demand.tolist(), self.radix.tolist(), self.weights.tolist()):
+            first = np.maximum((lo - base) // w, 0).astype(np.int64)
+            last = np.minimum((hi - 1 - base) // w, np.minimum(free // d, r - 1))
+            length = np.maximum(last.astype(np.int64) - first + 1, 0)
+            parent = np.repeat(np.arange(len(rows)), length)
+            count = np.arange(len(parent)) - np.repeat(np.cumsum(length) - length - first, length)
+            rows = np.column_stack((rows[parent], count))
+            base = base[parent] + count.astype(base.dtype) * w
+            free = free[parent] - count * d
+        return rows
 
 
 def _admission_rays(
@@ -396,28 +423,15 @@ def enumerate_states(
 
     States are numbered in lexicographic order of their counts, as
     :func:`reachable_states` numbers them; :func:`steady_state` relies on
-    that order for a banded generator.
+    that order for a banded generator. The states are the rows of the whole
+    box (:meth:`_StateBox.rows`), listed only once their number, counted in
+    exact integers, is known to be within ``limit``.
     """
     size = _count_feasible(dims, capacity)
     if size > limit:
         raise StateSpaceLimitError(size, limit)
-
-    states: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], i: int, free: int) -> None:
-        if i == len(dims):
-            states.append(tuple(prefix))
-            return
-        d = dims[i]
-        top = min(d.max_sessions, free // d.demand_blocks)
-        for k in range(top + 1):
-            prefix.append(k)
-            rec(prefix, i + 1, free - k * d.demand_blocks)
-            prefix.pop()
-
-    rec([], 0, capacity)
-    counts = np.array(states, dtype=np.int64).reshape(len(states), len(dims))
-    return StateSpace(counts=counts, dims=tuple(dims), capacity=capacity)
+    box = _StateBox(dims, capacity)
+    return StateSpace(counts=box.rows(0, box.size), dims=tuple(dims), capacity=capacity)
 
 
 def reachable_states(

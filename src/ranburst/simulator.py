@@ -129,6 +129,8 @@ class InjectionSchedule:
             raise ScenarioError(f"unknown injection mode {self.mode!r}")
         if not (math.isfinite(self.t_inject_ms) and self.t_inject_ms >= 0):
             raise ScenarioError("injection time must be finite and >= 0")
+        if not math.isfinite(self.poisson_rate):
+            raise ScenarioError(f"injection poisson_rate must be finite, got {self.poisson_rate}")
         if self.batch_size < 0 or self.poisson_rate < 0:
             raise ScenarioError("injection batch size and rate must be >= 0")
         if self.batch_size > MAX_BATCH_SIZE:
@@ -223,11 +225,20 @@ class Scenario:
         if self.warmup == STATIONARY_VIDEO_START:
             if len(self.classes) < 2:
                 raise ScenarioError("stationary_video_start needs a second (video) class")
-            video = self.classes[1]
-            if cap_binds(video, self.radio.capacity_blocks):
+            video, capacity = self.classes[1], self.radio.capacity_blocks
+            if cap_binds(video, capacity):
                 raise ScenarioError(
                     f"stationary_video_start: video session cap {video.max_sessions} binds "
                     f"below capacity; the occupancy recursion cannot honor it")
+            # The recursion's law has no downgraded sessions, but NC3 admits,
+            # at the downgraded rate, a video arrival that finds no room at
+            # full rate when the ``C % demand`` blocks left over fit it.
+            if (self.policy == "NC3"
+                    and capacity % video.demand_blocks >= video.downgraded_demand_blocks):
+                raise ScenarioError(
+                    f"stationary_video_start: at capacity {capacity}, NC3 admits downgraded "
+                    f"a video arrival with no room at full rate; the occupancy recursion "
+                    f"cannot honor it")
         if not (math.isfinite(self.time_scale) and self.time_scale > 0):
             raise ScenarioError("time_scale must be positive and finite")
         if self.base_seed < 0:
@@ -433,11 +444,11 @@ class _Chain:
     ``scale`` turns the injection's rate into per ms, the one rate the
     walk scales itself. A state is keyed by ``box``, the analytic layer's
     :class:`~ranburst.analytic._StateBox`, whose key ranks are the analytic
-    state numbers. A block is a fixed range of at most ``FRONTIER_CHUNK``
-    keys: ``per`` consecutive values of the leading digits, each with every
-    value of the trailing digits, which span ``span`` keys. The first time a
-    walk enters a state of a block, :meth:`compile` resolves every slot of
-    the block's feasible states with
+    state numbers. Block ``b`` is the range of ``FRONTIER_CHUNK`` keys from
+    ``b * FRONTIER_CHUNK``. The first time a walk enters a state of a block,
+    :meth:`compile` takes the block's feasible states from
+    :meth:`~ranburst.analytic._StateBox.rows` and resolves every slot of them
+    with
     :func:`~ranburst.analytic._resolve_slots`: the arrival of each dimension
     with a positive rate, in dimension order, the injected offer (an arrival
     of dimension 0), then the departure of each dimension. Arc ``id`` is row
@@ -472,17 +483,6 @@ class _Chain:
         self.arriving = box.arriving
         self.slots = len(self.arriving) + 1 + len(dims)
         self._arrival_rates = [self.arr_rates[i] for i in self.arriving]
-        # The trailing digits are the longest run at the end whose values
-        # fit in a block. Their rows and occupancy are decoded once here, so
-        # a compile decodes only its ``per`` leading values.
-        radix = box.radix.tolist()
-        j = next(i for i in range(len(radix) + 1) if math.prod(radix[i:]) <= FRONTIER_CHUNK)
-        self._lead = j
-        self._leads = math.prod(radix[:j])  # values of the leading digits
-        self.span = math.prod(radix[j:])
-        self.per = FRONTIER_CHUNK // self.span
-        self._trail = box.decode(np.arange(self.span))[:, j:]
-        self._trail_occ = self._trail @ box.demand[j:]
         self.small = _int_dtype(max(self.capacity, len(dims)))
         self.blocks: dict[int, _Block] = {}
         self.by_state: dict[int, tuple] = {}
@@ -512,14 +512,8 @@ class _Chain:
 
     def compile(self, b: int) -> _Block:
         """Resolve every arc out of the feasible states of block ``b``."""
-        j, box = self._lead, self.box
-        first, stop = b * self.per, min((b + 1) * self.per, self._leads)
-        leads = np.arange(stop - first).astype(box.weights.dtype) + first
-        lead = box.decode(leads * self.span)[:, :j]
-        free = self.capacity - lead @ box.demand[:j]
-        # The box holds the session caps, so a row is feasible when it fits.
-        p, t = np.nonzero(self._trail_occ <= free[:, None])
-        rows = np.concatenate((lead[p], self._trail[t]), axis=1)
+        box, lo = self.box, b * FRONTIER_CHUNK
+        rows = box.rows(lo, lo + FRONTIER_CHUNK)
         m = len(rows)
         arrivals = [*self.arriving, 0]  # the offer is an arrival of dimension 0
         target_rows, kind, downgraded, discarded, _ = _resolve_slots(
@@ -529,8 +523,8 @@ class _Chain:
         self._parts.append((target.ravel(), kind.T.ravel(), dim,
                             downgraded.T.astype(self.small).ravel(),
                             discarded.T.astype(self.small).ravel()))
-        row = np.full(self.per * self.span, -1, dtype=_int_dtype(FRONTIER_CHUNK))
-        row[p * self.span + t] = np.arange(m)
+        row = np.full(FRONTIER_CHUNK, -1, dtype=_int_dtype(FRONTIER_CHUNK))
+        row[(box.keys(rows) - lo).astype(np.intp)] = np.arange(m)
         block = _Block(self._arcs, row, target, self._leaving(rows))
         self._arcs += m * self.slots
         self.blocks[b] = block
@@ -548,7 +542,7 @@ class _Chain:
 
     def visit(self, key: int) -> tuple:
         """What the walk follows out of the state keyed ``key``, on its first visit."""
-        b, at = divmod(key, self.per * self.span)
+        b, at = divmod(key, FRONTIER_CHUNK)
         block = self.blocks.get(b) or self.compile(b)
         r = block.row[at]
         if r < 0:

@@ -25,6 +25,7 @@ at once, with the least downgrade and discard counts in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,6 +71,10 @@ class TrafficClass:
     downgraded_service_rate: float | None = None
 
     def validate(self) -> None:
+        for name in ("arrival_rate", "service_rate", "downgraded_service_rate"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"class {self.id}: {name} must be finite, got {value}")
         if self.arrival_rate < 0:
             raise ValueError(f"class {self.id}: arrival rate must be >= 0")
         if self.service_rate <= 0:

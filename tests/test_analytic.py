@@ -678,7 +678,7 @@ def test_the_simulator_compiles_the_analytic_burst_chain(policy):
     assert arriving == [0, 1] and chain.arriving == [1]
     sim_slot = [len(chain.arriving), 0]  # the offer, then the video arrival
     first = np.searchsorted(table.source, np.arange(len(table.counts)))
-    block_keys = chain.per * chain.span
+    block_keys = analytic.FRONTIER_CHUNK
     for b in np.unique(keys // block_keys).tolist():
         block = chain.compile(b)
         here = keys // block_keys == b
@@ -690,6 +690,60 @@ def test_the_simulator_compiles_the_analytic_burst_chain(policy):
             assert (table.rate[arc] == dims[i].arrival_rate).all()
             assert np.isin(table.rejected[arc], [-1, i]).all()
             assert np.array_equal(block.target[r, sim_slot[k]], keys[table.target[arc]])
+
+
+def brute_rows(box, lo, hi):
+    """The feasible rows with keys in ``[lo, hi)``: every key decoded, then
+    filtered by the session caps and the capacity."""
+    keys = np.array(range(max(lo, 0), min(hi, box.size)), dtype=box.weights.dtype)
+    rows = box.decode(keys)
+    caps = np.array([d.max_sessions for d in box.dims])
+    return rows[(rows <= caps).all(axis=1) & (rows @ box.demand <= box.capacity)]
+
+
+@st.composite
+def narrow_boxes(draw):
+    """A box of one to four dimensions and a range that may be empty, cut
+    digits anywhere or run past either end of the box."""
+    capacity = draw(st.integers(1, 12))
+    classes = [TrafficClass(i, 1.0, 1.0, draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+               for i in range(1, draw(st.integers(1, 4)) + 1)]
+    box = analytic._StateBox(build_dimensions("NC1", classes, capacity), capacity)
+    lo = draw(st.integers(-3, box.size + 3))
+    return box, lo, draw(st.integers(lo - 3, box.size + 5))
+
+
+# 20 dimensions of 11 values: 11**20 keys, past int64.
+WIDE_BOX = analytic._StateBox(
+    build_dimensions("NC1", [TrafficClass(i, 1.0, 1.0, 1, 10) for i in range(1, 21)], 10), 10)
+
+
+@st.composite
+def wide_ranges(draw):
+    """A range of the wide box near the key of a feasible state (most keys
+    are not feasible) or near the end of the box."""
+    sessions = draw(st.lists(st.integers(0, 19), max_size=10))
+    near = draw(st.sampled_from([int(WIDE_BOX.keys(np.bincount(sessions, minlength=20))),
+                                 WIDE_BOX.size]))
+    lo = near + draw(st.integers(-2000, 2000))
+    return WIDE_BOX, lo, lo + draw(st.integers(-3, 4000))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=st.one_of(narrow_boxes(), wide_ranges()))
+def test_box_rows_are_the_decoded_keys_that_fit(case):
+    box, lo, hi = case
+    rows = box.rows(lo, hi)
+    assert rows.dtype == np.int64 and rows.shape[1] == len(box.dims)
+    assert np.array_equal(rows, brute_rows(box, lo, hi))
+
+
+def test_box_rows_of_a_range_past_int64():
+    assert WIDE_BOX.weights.dtype == object and WIDE_BOX.size == 11**20
+    lo = 10 * 11**19 - 5  # ten sessions of the first dimension, less five keys
+    rows = WIDE_BOX.rows(lo, WIDE_BOX.size + 10)
+    assert rows.tolist() == [[10] + [0] * 19]
+    assert np.array_equal(rows, brute_rows(WIDE_BOX, lo, lo + 10))
 
 
 def test_state_keys_stay_exact_beyond_int64():

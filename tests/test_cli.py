@@ -166,6 +166,7 @@ def test_downgraded_service_rate_override():
 def test_guard_overhead_key_shrinks_capacity():
     raw = demo_dict()
     raw["radio"]["guard_overhead_khz"] = 360
+    raw["warmup"] = "empty_start"
     sc = scenario_from_dict(raw)
     assert sc.radio.capacity_blocks == 9
 

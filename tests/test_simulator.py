@@ -695,6 +695,46 @@ def test_scenario_validation_errors():
     burst_scenario("NC2", classes=capped, warmup="empty_start").validate()
 
 
+@pytest.mark.parametrize("capacity, honored", [(62, True), (63, False)])
+def test_nc3_stationary_start_needs_a_capacity_the_recursion_honors(capacity, honored):
+    # 31 full-rate video sessions leave 63 % 2 = 1 block, which NC3 fills
+    # with a downgraded admission, so the recursion's law placed on the
+    # states without downgraded sessions is stationary at 62 blocks only.
+    radio = RadioConfig(25000, 360, 360 * capacity, capacity)
+    sc = burst_scenario(radio=radio)
+    policy, dims, _ = sc.chain()
+    space, q = build_generator(policy, dims, capacity,
+                               space=reachable_states(policy, dims, capacity))
+    video = sc.classes[1]
+    law = kaufman_roberts([TrafficClass(video.id, dims[1].arrival_rate, dims[1].service_rate,
+                                        video.demand_blocks, video.max_sessions)], capacity).q
+    pi0 = np.zeros(len(space))
+    for n in range(capacity // 2 + 1):
+        pi0[space.index[(0, n, 0)]] = law[2 * n]
+    residual = np.abs(pi0 @ q).max()
+    if honored:
+        assert residual < 1e-12
+        sc.validate()
+    else:
+        assert residual > 1.0
+        with pytest.raises(ScenarioError, match="at capacity 63, NC3 admits"):
+            sc.validate()
+        replace(sc, warmup="empty_start").validate()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("field", [
+    "arrival_rate", "service_rate", "downgraded_service_rate", "poisson_rate"])
+def test_non_finite_rates_are_rejected(field, value):
+    sc = burst_scenario()
+    if field == "poisson_rate":
+        sc = replace(sc, injection=replace(sc.injection, poisson_rate=value))
+    else:
+        sc = replace(sc, classes=(sc.classes[0], replace(sc.classes[1], **{field: value})))
+    with pytest.raises(ScenarioError, match=field):
+        sc.validate()
+
+
 @pytest.mark.parametrize("field, value", [
     ("horizon_ms", float("inf")),
     ("horizon_ms", float("nan")),
