@@ -1,7 +1,7 @@
 """Exact and numerical solutions used as oracles and for steady-state reports.
 
 Contains the Kaufman-Roberts occupancy recursion (valid for the non-priority
-pool), the chain search, the chain compiler (:func:`_table_for`, which builds
+pool), the chain search, the chain compiler (:func:`_compile`, which builds
 every :class:`ChainTable`), generator-matrix assembly for all three policies
 from that arc table, a preconditioned Krylov steady-state solve, and
 transient probabilities by uniformization. Uniformization drops negligible
@@ -11,9 +11,13 @@ within ``eps``, and its cost is the steps taken times the band.
 
 This module and the simulator share one state key, a state's number in the
 box of session counts (:class:`_StateBox`), whose rank numbers states here;
-one enumerator of feasible states (:meth:`_StateBox.rows`); and one slot
-compiler (:func:`_resolve_slots`), which resolves every slot of
-an array of states with the array rule
+one enumerator of feasible states (:meth:`_StateBox.rows`); and one chain
+compiler (:func:`_compile`). For an array of states it lays out each state's
+arcs, the arrival of each dimension in a given list, in that order, then
+the departure of each occupied dimension ``i`` at ``n_i μ_i``, and fills
+every column of a :class:`ChainTable`: the targets, rates and rejections
+the generator reads, and the event columns the simulator records. The
+arrivals are resolved with the array rule
 (:func:`ranburst.traffic.arrival_outcomes`). ``transitions`` stays the
 per-state specification and is not called here; it is still imported under
 its name, which the benchmark's tracer (``perfbench/tracer.py``) wraps to
@@ -37,8 +41,8 @@ from .traffic import (  # noqa: F401  (``transitions``: see the module docstring
     DEPARTURE,
     Dimension,
     TrafficClass,
+    _reject_duplicate_ids,
     arrival_outcomes,
-    feasible,
     transitions,
 )
 
@@ -111,6 +115,7 @@ def kaufman_roberts(classes: list[TrafficClass], capacity: int) -> OccupancyDist
                 f"class {cls.id}: session cap {cls.max_sessions} binds below "
                 f"capacity; the recursion cannot honor it"
             )
+    _reject_duplicate_ids(classes)
 
     loads = [(c.arrival_rate / c.service_rate, c.demand_blocks) for c in classes]
     g = np.zeros(capacity + 1)
@@ -138,16 +143,33 @@ def kaufman_roberts(classes: list[TrafficClass], capacity: int) -> OccupancyDist
     return OccupancyDistribution(q=q, blocking=blocking)
 
 
+def _int_dtype(bound: int) -> type:
+    """int16 if it holds every integer from 0 to ``bound``, else int32.
+
+    A session holds at least one block, so session counts, downgrade and
+    discard counts are bounded by the capacity, dimension indices by the
+    number of dimensions, and state indices by the number of states.
+    """
+    return np.int16 if bound <= np.iinfo(np.int16).max else np.int32
+
+
 @dataclass(frozen=True)
 class ChainTable:
     """Every arc of a policy's chain over a list of states, as arrays.
 
-    ``counts`` holds the states as rows. Arc ``a`` leaves state
-    ``source[a]`` for state ``target[a]`` at ``rate[a]``; ``rejected[a]`` is
-    the dimension whose arrival it rejects (a self-loop), or -1. Arcs are
-    ordered by source, then in the order of the state's
-    :func:`~ranburst.traffic.transitions` list. :func:`_table_for` builds
-    every table.
+    ``counts`` holds the states as rows. Arcs are ordered by source; a
+    row's arcs are the arrival of each dimension in the compiled arrival
+    list, in that order, then the departure of each occupied dimension
+    ``i`` at ``n_i μ_i``. Arc ``a`` leaves row ``source[a]`` for
+    ``target[a]`` at ``rate[a]``: the target's box key as compiled
+    (:func:`_compile`, which builds every table), its state number in a
+    space's table (:func:`_table_for`). ``rejected[a]`` is the dimension
+    whose arrival it rejects (a self-loop), or -1. ``kind[a]`` indexes
+    :data:`~ranburst.traffic.EVENT_KINDS`, ``dim[a]`` is the arriving or
+    departing dimension, and ``downgraded[a]`` and ``discarded[a]`` count
+    sessions as :class:`~ranburst.traffic.Transition` does. ``kind`` is
+    int8; ``dim``, ``downgraded`` and ``discarded`` are int16 or int32
+    (:func:`_int_dtype` of the capacity and the number of dimensions).
     """
 
     policy: str
@@ -158,6 +180,10 @@ class ChainTable:
     target: np.ndarray
     rate: np.ndarray
     rejected: np.ndarray
+    kind: np.ndarray
+    dim: np.ndarray
+    downgraded: np.ndarray
+    discarded: np.ndarray
 
     def compiled_for(self, policy: str, dims, capacity: int) -> bool:
         return (self.policy, self.dims, self.capacity) == (policy, tuple(dims), capacity)
@@ -306,93 +332,78 @@ def _admission_rays(
     return np.concatenate(rays)
 
 
-def _departure_rays(start: np.ndarray, limit: int) -> np.ndarray:
-    """States reachable from the state ``start`` by repeated departures of
-    one dimension.
+def _compile(policy: str, box: _StateBox, rows: np.ndarray, arrivals: list[int]) -> ChainTable:
+    """Every arc out of each feasible state of ``rows``, compiled at once:
+    the one compiled form of the chain, for the analytic layer
+    (:func:`_table_for`) and the simulator alike.
 
-    For each dimension ``d``, the rows with ``start[d] - 1``, ..., 0
-    sessions of ``d`` and the other counts of ``start``: every occupied
-    dimension has a departure. Like :func:`_admission_rays`, they let a
-    chain search walk a line without arrivals in one step. They are
-    distinct states, none of them ``start``, so more than ``limit - 1`` of
-    them raise :class:`StateSpaceLimitError` before they are built.
+    A row's arcs are the arrival of each dimension in ``arrivals``, in that
+    order, then the departure of each occupied dimension ``i`` at
+    ``n_i μ_i``. Each arrival is resolved by the policy's admission rule
+    (:func:`~ranburst.traffic.arrival_outcomes`, called nowhere else in the
+    package); a rejected one is a self-loop. Targets are keyed by ``box``.
+    Raises ``RuntimeError`` when an arrival target is not a feasible state,
+    whose key would alias another state's.
     """
-    total = int(start.sum())
-    if total + 1 > limit:
-        raise StateSpaceLimitError(total + 1, limit)
-    ray = np.repeat(start[None, :], total, axis=0)
-    starts = np.cumsum(start) - start
-    ray[np.arange(total), np.repeat(np.arange(len(start)), start)] = (
-        np.arange(total) - np.repeat(starts, start))
-    return ray
-
-
-def _resolve_slots(
-    policy: str, box: _StateBox, rows: np.ndarray, arriving: list[int]
-) -> tuple[np.ndarray, ...]:
-    """Every slot of each feasible state in ``rows``: the arrival of each
-    dimension in ``arriving``, then each departure (an empty dimension's
-    keeps the row). Returns ``(target, kind, downgraded, discarded,
-    rejected)`` indexed by slot, then row: the target rows, then the columns
-    of :class:`~ranburst.traffic.ArrivalOutcomes`. Raises ``RuntimeError``
-    when an arrival target is not a feasible state."""
     m, n = rows.shape
-    a = len(arriving)
-    target = np.empty((a + n, m, n), dtype=np.int64)
-    kind = np.full((a + n, m), _KIND_CODE[DEPARTURE], dtype=np.int8)
-    downgraded, discarded = np.zeros((2, a + n, m), dtype=np.int64)
-    rejected = np.zeros((a + n, m), dtype=bool)
-    for s, i in enumerate(arriving):
-        target[s], rejected[s], downgraded[s], discarded[s], kind[s] = arrival_outcomes(
-            policy, rows, i, box.dims, box.capacity)
-    # An out-of-box row would alias another state's key; a negative count
-    # wraps past every radix as uint64.
-    outside = target[:a].view(np.uint64) >= box.radix.view(np.uint64)
-    over = target[:a] @ box.demand > box.capacity
+    a, w = len(arrivals), len(arrivals) + n
+    small = _int_dtype(max(box.capacity, n))
+    # Every column laid out by row, then slot: the arrivals, then one
+    # departure per dimension, of which the occupied ones are kept.
+    arrived = np.empty((m, a, n), dtype=np.int64)
+    rate = np.empty((m, w))
+    rejected = np.full((m, w), -1, dtype=np.intp)
+    kind = np.full((m, w), _KIND_CODE[DEPARTURE], dtype=np.int8)
+    dim = np.empty((m, w), dtype=small)
+    dim[:] = [*arrivals, *range(n)]
+    downgraded, discarded = np.zeros((2, m, w), dtype=small)
+    for s, i in enumerate(arrivals):
+        out = arrival_outcomes(policy, rows, i, box.dims, box.capacity)
+        arrived[:, s], kind[:, s] = out.target, out.kind
+        downgraded[:, s], discarded[:, s] = out.downgraded, out.discarded
+        rejected[out.rejected, s] = i
+        rate[:, s] = box.dims[i].arrival_rate
+    # A negative count wraps past every radix as uint64.
+    outside = arrived.view(np.uint64) >= box.radix.view(np.uint64)
+    over = arrived @ box.demand > box.capacity
     if outside.any() or over.any():
-        s, r = divmod(int(np.argmax(outside.any(axis=-1) | over)), m)
+        r, s = divmod(int(np.argmax(outside.any(axis=-1) | over)), a)
         raise RuntimeError(
-            f"compiling the chain gave infeasible state {tuple(target[s, r].tolist())}, "
+            f"compiling the chain gave infeasible state {tuple(arrived[r, s].tolist())}, "
             f"the target of an arc out of {tuple(rows[r].tolist())}")
-    # A departure takes one session from a feasible row, so its target is feasible.
-    for i in range(n):
-        target[a + i] = rows
-        target[a + i, :, i] -= rows[:, i] > 0
-    return target, kind, downgraded, discarded, rejected
+    rate[:, a:] = rows * np.array([d.service_rate for d in box.dims])
+    # Keys are linear in the counts: a departure's target key is its row's
+    # key less the key of one session of its dimension.
+    target = np.concatenate(
+        (box.keys(arrived), box.keys(rows)[:, None] - box.keys(np.eye(n, dtype=np.int64))),
+        axis=1)
+    present = np.concatenate((np.ones((m, a), dtype=bool), rows > 0), axis=1)
+    return ChainTable(
+        policy=policy, dims=tuple(box.dims), capacity=box.capacity, counts=rows,
+        source=np.flatnonzero(present) // w, target=target[present], rate=rate[present],
+        rejected=rejected[present], kind=kind[present], dim=dim[present],
+        downgraded=downgraded[present], discarded=discarded[present])
 
 
 def _table_for(space: StateSpace, policy: str, dims, capacity: int) -> ChainTable:
     """The space's own table when it was compiled for these arguments, else
-    every arc out of each state of ``space.counts``, compiled at once.
+    every arc out of each state of ``space.counts``: the arrival of each
+    dimension with a positive arrival rate, in dimension order, then the
+    departure of each occupied dimension (:func:`_compile`).
 
-    The arcs of a state follow :func:`~ranburst.traffic.transitions`: the
-    slots of :func:`_resolve_slots` for the dimensions with a positive
-    arrival rate, less the departures of empty dimensions. A target is
-    numbered by the rank of its key among the space's keys; a target outside
-    the space raises ``KeyError``.
+    A target is numbered by the rank of its key among the space's keys; a
+    target outside the space raises ``KeyError``.
     """
     if space.table is not None and space.table.compiled_for(policy, dims, capacity):
         return space.table
     box = _StateBox(dims, capacity)
-    counts = space.counts
-    m, n = counts.shape
-    arriving = box.arriving
-    a = len(arriving)
-    target_rows, _, _, _, rejected = _resolve_slots(policy, box, counts, arriving)
-    rate = np.empty((m, a + n))
-    rate[:, :a] = [box.dims[i].arrival_rate for i in arriving]
-    rate[:, a:] = counts * np.array([d.service_rate for d in box.dims])
-    rejected = np.where(rejected.T, np.array([*arriving, *range(n)], dtype=np.intp), -1)
-    present = np.concatenate((np.ones((m, a), dtype=bool), counts > 0), axis=1)
-    target_rows = target_rows.swapaxes(0, 1)[present]
-    keys, wanted = box.keys(counts), box.keys(target_rows)
-    target = np.searchsorted(keys, wanted)
-    missing = keys[np.minimum(target, len(keys) - 1)] != wanted
+    table = _compile(policy, box, space.counts, box.arriving)
+    keys = box.keys(space.counts)
+    target = np.searchsorted(keys, table.target)
+    missing = keys[np.minimum(target, len(keys) - 1)] != table.target
     if missing.any():
-        raise KeyError(tuple(target_rows[np.argmax(missing)].tolist()))
-    return ChainTable(policy=policy, dims=tuple(dims), capacity=capacity, counts=counts,
-                      source=np.nonzero(present)[0], target=target, rate=rate[present],
-                      rejected=rejected[present])
+        raise KeyError(tuple(box.decode(table.target[[np.argmax(missing)]])[0].tolist()))
+    return replace(table, target=target)
 
 
 def _count_feasible(dims: list[Dimension], capacity: int) -> int:
@@ -438,53 +449,42 @@ def reachable_states(
     policy: str,
     dims: list[Dimension],
     capacity: int,
-    start: tuple[int, ...] | None = None,
+    *,
     limit: int = DEFAULT_STATE_LIMIT,
 ) -> StateSpace:
-    """States reachable from ``start`` (default: the empty system).
+    """States reachable from the empty system.
 
     Needed when some dimension has no arrival stream (its states would be
     transient or unreachable and make the balance system singular). The
-    search is breadth first: it resolves every slot of a whole frontier of
-    states at once (:func:`_resolve_slots`) and keeps the targets it has not
-    seen. Each step also adds the states that repeated direct admissions
-    reach (:func:`_admission_rays`), and the first step the states that
-    repeated departures reach from ``start`` (:func:`_departure_rays`), so a
-    long line of states costs one step. States are numbered in lexicographic
-    order of their counts, whatever order the search found them in, which
-    keeps the generator banded for :func:`steady_state`; the returned
-    space's ``table`` is then compiled over them (:func:`_table_for`). It
-    raises :class:`StateSpaceLimitError` once it has found more than
-    ``limit`` states, and ``ValueError`` when ``start`` does not give one
-    count per dimension or is not feasible.
+    search is breadth first: it compiles every arc of a whole frontier of
+    states at once (:func:`_compile`) and keeps the targets it has not seen.
+    Each step also adds the states that repeated direct admissions reach
+    (:func:`_admission_rays`), so a long line of states costs one step.
+    States are numbered in lexicographic order of their counts, whatever
+    order the search found them in, which keeps the generator banded for
+    :func:`steady_state`; the returned space's ``table`` is then compiled
+    over them (:func:`_table_for`). It raises :class:`StateSpaceLimitError`
+    once it has found more than ``limit`` states.
     """
     dims = list(dims)
-    if start is None:
-        start = tuple(0 for _ in dims)
-    if len(start) != len(dims):
-        raise ValueError(f"start {tuple(start)} has {len(start)} counts for "
-                         f"{len(dims)} dimensions")
-    if not feasible(tuple(start), dims, capacity):
-        raise ValueError(f"start {tuple(start)} is not a feasible state")
-    start = np.array(start, dtype=np.int64).reshape(len(dims))
-    first = np.concatenate((start[None, :], _departure_rays(start, limit)))
     box = _StateBox(dims, capacity)
+    first = np.zeros((1, len(dims)), dtype=np.int64)
     seen = set(box.keys(first).tolist())
     found = [first]  # blocks of states in the order they were found
     for block in found:  # grows while it is walked
         for lo in range(0, len(block), FRONTIER_CHUNK):
             frontier = block[lo:lo + FRONTIER_CHUNK]
-            target = _resolve_slots(policy, box, frontier, box.arriving)[0]
-            target = np.concatenate((target[(target != frontier).any(axis=-1)],
-                                     _admission_rays(dims, capacity, frontier, limit)))
-            keys, at = np.unique(box.keys(target), return_index=True)
+            table = _compile(policy, box, frontier, box.arriving)
+            keys = np.unique(np.concatenate((
+                table.target[table.rejected < 0],
+                box.keys(_admission_rays(dims, capacity, frontier, limit)))))
             new = np.fromiter((k not in seen for k in keys.tolist()), dtype=bool,
                               count=len(keys))
             total = len(seen) + int(np.count_nonzero(new))
             if total > limit:
                 raise StateSpaceLimitError(total, limit)
             seen.update(keys[new].tolist())
-            found.append(target[at[new]])
+            found.append(box.decode(keys[new]))
     counts = np.concatenate(found)
     counts = counts[np.argsort(box.keys(counts))]
     space = StateSpace(counts=counts, dims=tuple(dims), capacity=capacity)
@@ -500,10 +500,12 @@ def build_generator(
 ) -> tuple[StateSpace, sp.csr_matrix]:
     """Materialize the policy's transition system as a sparse rate matrix.
 
-    Rows match :func:`ranburst.traffic.transitions` exactly, except that
-    rejected-arrival self-loops are omitted (they cancel in a generator).
-    Row sums are zero by construction. The arcs come from ``space.table``
-    when it was compiled for these arguments, else from one compile over
+    Row ``i`` holds state ``i``'s arcs: the arrival of each dimension with a
+    positive arrival rate, in dimension order, then the departure of each
+    occupied dimension ``j`` at ``n_j μ_j``, less the rejected arrivals'
+    self-loops (they cancel in a generator); then the diagonal. Row sums are
+    zero by construction. The arcs come from ``space.table`` when it was
+    compiled for these arguments, else from one compile over
     ``space.counts`` (:func:`_table_for`); the returned space carries the
     table used.
     """
@@ -517,12 +519,12 @@ def build_generator(
     n = len(space)
     keep = table.rejected < 0
     source, target, rate = table.source[keep], table.target[keep], table.rate[keep]
-    # Each state's outflow, its arcs added one by one in transitions order
-    # as a per-state loop would add them.
+    # Each state's outflow, its arcs added one by one in their order, as a
+    # per-state loop would add them.
     out = np.bincount(source, weights=rate, minlength=n)
     diagonal = np.arange(n)
     rows = np.concatenate((source, diagonal))
-    # Each row: its arcs in transitions order, then the diagonal.
+    # Each row: its arcs in their order, then the diagonal.
     entries = np.argsort(rows, kind="stable")
     q = sp.csr_matrix(
         (np.concatenate((rate, -out))[entries],

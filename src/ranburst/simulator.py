@@ -7,9 +7,9 @@ compiled chain (:class:`_Chain`) by integer state key; the chain lives for
 one ``run_experiment`` or ``run_replication`` call. A key is the state's
 number in the analytic layer's box (:class:`~ranburst.analytic._StateBox`).
 The chain is compiled one block of keys at a time, when a walk first
-enters the block, by the analytic layer's slot compiler
-(:func:`~ranburst.analytic._resolve_slots`), which proves every arrival
-target feasible. The scalar
+enters the block, by the analytic layer's chain compiler
+(:func:`~ranburst.analytic._compile`), which proves every arrival target
+feasible; the walk reads each state's arcs from it as they are. The scalar
 :func:`~ranburst.traffic.arrival_outcome` is not called here; it is still
 imported under its name, with ``feasible`` and ``kaufman_roberts``, which
 the benchmark's tracer (``perfbench/tracer.py``) wraps to count calls.
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import FRONTIER_CHUNK, _resolve_slots, _StateBox, cap_binds, kaufman_roberts
+from .analytic import FRONTIER_CHUNK, _compile, _int_dtype, _StateBox, cap_binds, kaufman_roberts
 from .errors import ScenarioError
 from .numerology import RadioConfig
 from .traffic import (  # noqa: F401  (``arrival_outcome``: see the module docstring)
@@ -274,16 +274,6 @@ class Scenario:
                 raise ScenarioError("initial_counts is not a feasible state")
 
 
-def _int_dtype(bound: int) -> type:
-    """int16 if it holds every integer from 0 to ``bound``, else int32.
-
-    A session holds at least one block, so session counts, downgrade and
-    discard counts are bounded by the capacity, dimension indices by the
-    number of dimensions, and state indices by the number of states.
-    """
-    return np.int16 if bound <= np.iinfo(np.int16).max else np.int32
-
-
 class Event(NamedTuple):
     """One recorded transition; ``counts`` is the state after it."""
 
@@ -425,14 +415,15 @@ def run_replication(scenario: Scenario, seed: int) -> TrajectoryRecord:
 
 class _Block(NamedTuple):
     """The feasible states of one block of keys, as :meth:`_Chain.compile`
-    leaves them: arc ``offset + r * slots + s`` is slot ``s`` of row ``r``."""
+    leaves them: row ``r``'s arcs are ``start[r]`` to ``start[r + 1]`` of
+    ``target`` and ``rate``, and arc ``i`` of them has id ``offset + i``."""
 
     offset: int
     row: np.ndarray  # (keys,) row of each key of the block, -1 if infeasible
-    target: np.ndarray  # (rows, slots) target key of each arc
-    # (rows, dims + 2): each dimension's departure rate, their sum, and the
-    # count of dimension 0 (exact as a float), read in one row access
-    leaving: np.ndarray
+    start: list[int]  # (rows + 1) each row's first arc
+    target: np.ndarray  # (arcs,) target key of each arc
+    rate: np.ndarray  # (arcs,)
+    n0: list[int]  # (rows) count of dimension 0
 
 
 class _Chain:
@@ -447,29 +438,27 @@ class _Chain:
     state numbers. Block ``b`` is the range of ``FRONTIER_CHUNK`` keys from
     ``b * FRONTIER_CHUNK``. The first time a walk enters a state of a block,
     :meth:`compile` takes the block's feasible states from
-    :meth:`~ranburst.analytic._StateBox.rows` and resolves every slot of them
-    with
-    :func:`~ranburst.analytic._resolve_slots`: the arrival of each dimension
-    with a positive rate, in dimension order, the injected offer (an arrival
-    of dimension 0), then the departure of each dimension. Arc ``id`` is row
-    ``id`` of the columns ``target`` (a state
-    key), ``kind``, ``dim``, ``downgraded`` and ``discarded``. A path is
-    kept as a list of arc ids, which the walk's one event site appends to,
-    and :meth:`record` turns it into record columns.
+    :meth:`~ranburst.analytic._StateBox.rows` and compiles their arcs with
+    the analytic layer's :func:`~ranburst.analytic._compile`: the arrival of
+    each dimension with a positive rate, in dimension order, the injected
+    offer (an arrival of dimension 0, whose rate the walk supplies), then
+    the departure of each occupied dimension. Arc ids number the arcs of
+    the blocks in the order they were compiled; arc ``id`` is row ``id`` of
+    the compiled columns ``target`` (a state key), ``kind``, ``dim``,
+    ``downgraded`` and ``discarded``. A path is kept as a list of arc ids,
+    which the walk's one event site appends to, and :meth:`record` turns it
+    into record columns.
 
     ``by_state`` maps the key of each visited state to what the walk
-    follows, built by :meth:`visit` from its block's arrays: ``(arrivals,
-    departures, departure_total, offer, n0)``. ``arrivals`` pairs each
-    positive arrival rate with its arc, in dimension order; ``departures``
-    pairs each positive departure rate ``n_i μ_i`` with its arc, in
-    dimension order; ``departure_total`` is the sum of those rates;
-    ``offer`` is the injected offer's arc; ``n0`` is the count of dimension
-    0. An arc, as the walk follows it, is ``(arc id, key of the target
-    state)``; the offer's carries a third entry, 1 if it admits the session.
-    :meth:`compile` computes every row's departure rates and their sum as a
-    block's ``leaving`` array, in the same order and with the same float
-    operations as a sum in Python, so :meth:`visit` only reads one row of
-    it.
+    follows, built by :meth:`visit` from one slice of its block's arcs:
+    ``(arrivals, departures, departure_total, offer, n0)``. ``arrivals``
+    pairs each arrival rate with its arc, in dimension order;
+    ``departures`` pairs each departure rate with its arc, in dimension
+    order; ``departure_total`` is the sum of those rates, added in that
+    order; ``offer`` is the injected offer's arc; ``n0`` is the count of
+    dimension 0. An arc, as the walk follows it, is ``(arc id, key of the
+    target state)``; the offer's carries a third entry, 1 if it admits the
+    session.
     """
 
     def __init__(self, scenario: Scenario):
@@ -478,11 +467,8 @@ class _Chain:
         self.dims = dims
         self.scale = scenario.time_scale / 1000.0  # the injection rate per second -> per ms
         self.arr_rates = [d.arrival_rate for d in dims]
-        self.dep_rates = [d.service_rate for d in dims]
         self.box = box = _StateBox(dims, self.capacity)
         self.arriving = box.arriving
-        self.slots = len(self.arriving) + 1 + len(dims)
-        self._arrival_rates = [self.arr_rates[i] for i in self.arriving]
         self.small = _int_dtype(max(self.capacity, len(dims)))
         self.blocks: dict[int, _Block] = {}
         self.by_state: dict[int, tuple] = {}
@@ -511,57 +497,44 @@ class _Chain:
         return cdf
 
     def compile(self, b: int) -> _Block:
-        """Resolve every arc out of the feasible states of block ``b``."""
+        """Compile every arc out of the feasible states of block ``b``."""
         box, lo = self.box, b * FRONTIER_CHUNK
         rows = box.rows(lo, lo + FRONTIER_CHUNK)
-        m = len(rows)
-        arrivals = [*self.arriving, 0]  # the offer is an arrival of dimension 0
-        target_rows, kind, downgraded, discarded, _ = _resolve_slots(
-            self.policy, box, rows, arrivals)
-        target = box.keys(target_rows).T
-        dim = np.tile(np.array([*arrivals, *range(len(self.dims))], dtype=self.small), m)
-        self._parts.append((target.ravel(), kind.T.ravel(), dim,
-                            downgraded.T.astype(self.small).ravel(),
-                            discarded.T.astype(self.small).ravel()))
+        table = _compile(self.policy, box, rows, [*self.arriving, 0])
+        self._parts.append((table.target, table.kind, table.dim, table.downgraded,
+                            table.discarded))
         row = np.full(FRONTIER_CHUNK, -1, dtype=_int_dtype(FRONTIER_CHUNK))
-        row[(box.keys(rows) - lo).astype(np.intp)] = np.arange(m)
-        block = _Block(self._arcs, row, target, self._leaving(rows))
-        self._arcs += m * self.slots
+        row[(box.keys(rows) - lo).astype(np.intp)] = np.arange(len(rows))
+        start = np.searchsorted(table.source, np.arange(len(rows) + 1)).tolist()
+        block = _Block(self._arcs, row, start, table.target, table.rate, rows[:, 0].tolist())
+        self._arcs += len(table.source)
         self.blocks[b] = block
         return block
-
-    def _leaving(self, rows: np.ndarray) -> np.ndarray:
-        """A block's ``leaving`` columns: each row's departure rates, their
-        sum, and its count of dimension 0. The sum adds the same floats in
-        the same order as a Python loop over the dimensions."""
-        out = rows * np.array(self.dep_rates)  # n_i mu_i
-        total = np.zeros(len(rows))
-        for i in range(len(self.dims)):  # summed in dimension order, zeros included
-            total = total + out[:, i]
-        return np.column_stack([out, total, rows[:, 0]])
 
     def visit(self, key: int) -> tuple:
         """What the walk follows out of the state keyed ``key``, on its first visit."""
         b, at = divmod(key, FRONTIER_CHUNK)
         block = self.blocks.get(b) or self.compile(b)
-        r = block.row[at]
+        r = int(block.row[at])
         if r < 0:
             state = tuple(self.box.decode(np.array([key]))[0].tolist())
             raise RuntimeError(f"simulation entered infeasible state {state}")
-        first = block.offset + int(r) * self.slots  # arc id of slot 0
-        targets = block.target[r].tolist()
-        *rates, departure_total, n0 = block.leaving[r].tolist()
+        lo, hi = block.start[r], block.start[r + 1]
+        first = block.offset + lo  # arc id of the state's first arc
+        targets = block.target[lo:hi].tolist()
+        rates = block.rate[lo:hi].tolist()
+        a = len(self.arriving)  # the offer's arc; the departures follow it
         arrivals = []
-        for s, rate in enumerate(self._arrival_rates):
-            arrivals.append((rate, (first + s, targets[s])))
-        a = len(self.arriving)  # the offer's slot; the departure slots follow it
+        for s in range(a):
+            arrivals.append((rates[s], (first + s, targets[s])))
         departures = []
-        for s, rate in enumerate(rates, a + 1):
-            if rate > 0.0:
-                departures.append((rate, (first + s, targets[s])))
+        departure_total = 0.0
+        for s in range(a + 1, hi - lo):  # added in dimension order
+            departures.append((rates[s], (first + s, targets[s])))
+            departure_total += rates[s]
         # A rejected offer is a self-loop; an admitted one adds a session.
         offer = (first + a, targets[a], int(targets[a] != key))
-        state = (tuple(arrivals), tuple(departures), departure_total, offer, n0)
+        state = (tuple(arrivals), tuple(departures), departure_total, offer, block.n0[r])
         self.by_state[key] = state
         return state
 

@@ -123,6 +123,14 @@ class Dimension:
     downgraded: bool = False
 
 
+def _reject_duplicate_ids(classes: list[TrafficClass]) -> None:
+    """Raise ``ValueError`` when two classes share an id, which keys their
+    results and labels."""
+    ids = [c.id for c in classes]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"class ids must be distinct, got {ids}")
+
+
 def build_dimensions(
     policy: str, classes: list[TrafficClass], capacity_blocks: int
 ) -> list[Dimension]:
@@ -131,6 +139,7 @@ def build_dimensions(
         raise ValueError(f"unknown policy {policy!r}")
     for cls in classes:
         cls.validate()
+    _reject_duplicate_ids(classes)
 
     if policy == "NC1":
         if any(c.priority != "none" for c in classes):

@@ -113,6 +113,13 @@ def test_kaufman_roberts_input_validation():
         kaufman_roberts([TrafficClass(1, 1.0, 1.0, 1, 3)], 10)
 
 
+def test_kaufman_roberts_rejects_duplicate_class_ids():
+    # Blocking is keyed by class id: a shared id would keep one class's value.
+    classes = [one_class(2, 10), TrafficClass(1, 3.0, 1.0, 2, 5)]
+    with pytest.raises(ValueError, match="distinct"):
+        kaufman_roberts(classes, 10)
+
+
 def log_space_occupancy(loads, capacity):
     """The occupancy law of the Kaufman-Roberts recursion, run on log g."""
     log_g = [0.0]
@@ -487,9 +494,9 @@ def test_blocking_from_generator_matches_per_dimension_walk():
 # ---------------------------------------------------------------------------
 
 
-def per_state_reachable(policy, dims, capacity, start=None):
+def per_state_reachable(policy, dims, capacity):
     """The state search ``reachable_states`` ran before it compiled a table."""
-    start = tuple(0 for _ in dims) if start is None else start
+    start = tuple(0 for _ in dims)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -625,21 +632,27 @@ def per_state_table(policy, dims, capacity, states):
     """The per-state walk the chain compiler replaced: ``transitions`` for
     each state of ``states`` in order, every arc recorded in list order."""
     index = {s: i for i, s in enumerate(states)}
-    columns = ([], [], [], [])
+    columns = ([], [], [], [], [], [], [], [])
     for i, state in enumerate(states):
         for tr in transitions(policy, state, dims, capacity):
             rejected = tr.kind == ARRIVAL_REJECTED
             arc = (i, i if rejected else index[tr.target], tr.rate,
-                   tr.dim if rejected else -1)
+                   tr.dim if rejected else -1, traffic._KIND_CODE[tr.kind], tr.dim,
+                   tr.downgraded, tr.discarded)
             for column, value in zip(columns, arc):
                 column.append(value)
-    source, target, rate, rejected = columns
+    source, target, rate, rejected, kind, dim, downgraded, discarded = columns
+    small = analytic._int_dtype(max(capacity, len(dims)))
     return {
         "counts": np.array(states, dtype=np.int64).reshape(len(states), len(dims)),
         "source": np.array(source, dtype=np.intp),
         "target": np.array(target, dtype=np.intp),
         "rate": np.array(rate, dtype=float),
         "rejected": np.array(rejected, dtype=np.intp),
+        "kind": np.array(kind, dtype=np.int8),
+        "dim": np.array(dim, dtype=small),
+        "downgraded": np.array(downgraded, dtype=small),
+        "discarded": np.array(discarded, dtype=small),
     }
 
 
@@ -664,32 +677,43 @@ def test_compiled_burst_chain_equals_the_per_state_walk(name):
 
 @pytest.mark.parametrize("policy", ["NC1", "NC2", "NC3"])
 def test_the_simulator_compiles_the_analytic_burst_chain(policy):
-    # Both layers key a state by its box number: the analytic numbering is
-    # the keys' rank, and the simulator's offer is the analytic chain's
-    # priority arrival.
+    # Both layers key a state by its box number, and the analytic numbering
+    # is the keys' rank. Out of every state of the burst chain, the arcs the
+    # walk follows are the analytic table's, one for one and column by
+    # column: the offer is the priority arrival (its rate is the walk's
+    # own), then come the video arrival and the departures, at the same
+    # rates (both chains per ms).
     scenario = load_bundled_scenario(f"table2_{policy.lower()}_lam20")
-    _, dims, capacity = scenario.chain(burst=True)
+    _, dims, capacity = scenario.chain(burst=True, per_ms=True)
     table = reachable_states(policy, dims, capacity).table
     box = analytic._StateBox(dims, capacity)
     keys = box.keys(table.counts)
     assert (np.diff(keys) > 0).all()
     chain = simulator._Chain(scenario)
-    arriving = box.arriving
-    assert arriving == [0, 1] and chain.arriving == [1]
-    sim_slot = [len(chain.arriving), 0]  # the offer, then the video arrival
-    first = np.searchsorted(table.source, np.arange(len(table.counts)))
-    block_keys = analytic.FRONTIER_CHUNK
-    for b in np.unique(keys // block_keys).tolist():
-        block = chain.compile(b)
-        here = keys // block_keys == b
-        r = block.row[keys[here] - b * block_keys]
-        assert (r >= 0).all()
-        for k, i in enumerate(arriving):
-            # The k-th arc of each state is its k-th arrival.
-            arc = first[here] + k
-            assert (table.rate[arc] == dims[i].arrival_rate).all()
-            assert np.isin(table.rejected[arc], [-1, i]).all()
-            assert np.array_equal(block.target[r, sim_slot[k]], keys[table.target[arc]])
+    assert box.arriving == [0, 1] and chain.arriving == [1]
+    arcs, rates, admits, totals, n0 = [], [], [], [], []
+    for key in keys.tolist():
+        arrivals, departures, departure_total, offer, count = chain.visit(key)
+        arcs += [offer[:2], *(arc for _, arc in arrivals + departures)]
+        rates += [dims[0].arrival_rate, *(rate for rate, _ in arrivals + departures)]
+        admits.append(offer[2])
+        totals.append(departure_total)
+        n0.append(count)
+    ids, targets = map(list, zip(*arcs))
+    assert np.array_equal(targets, keys[table.target])
+    assert np.array_equal(rates, table.rate)
+    offers = np.searchsorted(table.source, np.arange(len(keys)))
+    assert np.array_equal(admits, table.rejected[offers] < 0)
+    departing = table.kind == traffic._KIND_CODE[traffic.DEPARTURE]
+    assert np.array_equal(totals, np.bincount(table.source[departing],
+                                              weights=table.rate[departing],
+                                              minlength=len(keys)))
+    assert np.array_equal(n0, table.counts[:, 0])
+    record = chain.record(scenario, 0, (0,) * len(dims), [0.0] * len(ids), ids,
+                          scenario.horizon_ms, False)
+    for name in ("kind", "dim", "downgraded", "discarded"):
+        assert np.array_equal(getattr(record, name), getattr(table, name)), name
+    assert np.array_equal(record.states[record.state], table.counts[table.target])
 
 
 def brute_rows(box, lo, hi):
@@ -771,38 +795,6 @@ def test_a_frontier_larger_than_a_search_step_is_expanded_in_parts():
     space = reachable_states("NC1", dims, capacity)
     assert space.states == [(k,) for k in range(capacity + 1)]
     assert_same_table(space.table, per_state_table("NC1", dims, capacity, space.states))
-
-
-def test_reachable_states_rejects_a_bad_start():
-    dims = build_dimensions("NC3", table2_classes("NC3"), 62)
-    for start, match in (((0, 0), "3 dimensions"), ((0, 0, 0, 0), "3 dimensions"),
-                         ((100, 0, 0), "not a feasible"), ((-1, 0, 0), "not a feasible"),
-                         ((0, 32, 0), "not a feasible")):
-        with pytest.raises(ValueError, match=match):
-            reachable_states("NC3", dims, 62, start=start)
-    space = reachable_states("NC3", dims, 62, start=(3, 5, 2))
-    assert (3, 5, 2) in space.index
-    assert all(s[0] <= 3 for s in space.states)  # no priority arrivals
-
-
-def test_a_pure_death_line_is_walked_in_one_step():
-    # No arrivals: from a full pool only departures move, one state at a time.
-    dims = build_dimensions("NC1", [TrafficClass(1, 0.0, 1.0, 1, 5000)], 5000)
-    t0 = time.perf_counter()
-    space = reachable_states("NC1", dims, 5000, start=(5000,))
-    assert time.perf_counter() - t0 < 0.1
-    assert space.states == [(k,) for k in range(5001)]
-    assert_same_table(space.table, per_state_table("NC1", dims, 5000, space.states))
-
-
-def test_departure_rays_leave_the_search_unchanged_from_an_occupied_start():
-    policy, dims, capacity = "NC3", build_dimensions("NC3", table2_classes("NC3"), 62), 62
-    start = (3, 5, 2)
-    space = reachable_states(policy, dims, capacity, start=start)
-    assert space.states == per_state_reachable(policy, dims, capacity, start)
-    assert_same_table(space.table, per_state_table(policy, dims, capacity, space.states))
-    with pytest.raises(StateSpaceLimitError):
-        reachable_states(policy, dims, capacity, start=start, limit=10)
 
 
 def test_reachable_states_stops_at_its_limit():

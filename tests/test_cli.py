@@ -290,6 +290,22 @@ def test_nc1_with_a_binding_cap_reports_the_generator(tmp_path, capsys):
     assert float(by_dim["0"][4]) == pytest.approx(erlang[3] / sum(erlang), abs=1e-10)
 
 
+def test_duplicate_class_ids_exit_2_with_one_record(tmp_path, capsys):
+    # Results are keyed by class id: a shared id would report the second
+    # class's blocking, and its label, for the first.
+    raw = yaml.safe_load(bundled_scenario_path("oracle_nc1_small").read_text())
+    raw["classes"][1]["id"] = raw["classes"][0]["id"]
+    path = tmp_path / "dup.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code = main(["--scenario", str(path), "--mode", "analytic", "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "validation" and "distinct" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_both_mode_populates_comparison_columns(tmp_path):
     sc = load_bundled_scenario("demo_nc3_small")
     bundle = run(sc, mode="both", out_dir=tmp_path)

@@ -424,7 +424,7 @@ def test_the_per_ms_chain_has_the_rates_the_simulator_walks(name):
             for d, p in zip(dims, plain)] == plain
     chain = simulator._Chain(sc)
     assert chain.arr_rates == [d.arrival_rate for d in dims]
-    assert chain.dep_rates == [d.service_rate for d in dims]
+    assert chain.box.dims == dims  # what its compiled arcs' rates are read from
 
 
 def test_a_batch_burst_leaves_the_priority_class_at_its_own_rate():
