@@ -41,10 +41,12 @@ def make_grid(horizon_ms: float, grid_ms: float) -> np.ndarray:
     return np.arange(n + 1) * grid_ms
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _shared_grid(horizon_ms: float, grid_ms: float) -> np.ndarray:
     """:func:`make_grid`, made once per (horizon, step) and read-only, so
-    that the summaries of a run share one grid."""
+    that the summaries of a run share one grid. Only the last grid is kept,
+    since only one run's summaries share a grid and a kept grid may hold up
+    to ``MAX_GRID_POINTS`` floats (80 MB)."""
     grid = make_grid(horizon_ms, grid_ms)
     grid.flags.writeable = False
     return grid
@@ -173,7 +175,12 @@ def _burst_period(traj: TrajectoryRecord, window: tuple[float, float] | None):
 
 @dataclass
 class ReplicationSummary:
-    """Scalar metrics plus gridded curves for one replication."""
+    """Scalar metrics plus gridded curves for one replication.
+
+    ``m_t`` holds session counts, so it keeps the record's integer dtype
+    (``TrajectoryRecord.states.dtype``, int16 on the bundled scenarios);
+    ``rho_t`` is float64.
+    """
 
     replication: int
     seed: int
@@ -271,8 +278,8 @@ def summarize(traj: TrajectoryRecord, grid_ms: float = 10.0) -> ReplicationSumma
     grid = _shared_grid(traj.horizon_ms, grid_ms)
     times, states = _path(traj)
     mean_counts = _time_average(times, states, traj.end_ms)
-    m_t = _curves(times, states, grid)
-    rho_t, rho_avg = _rho(traj, mean_counts, m_t)
+    curves = _curves(times, states, grid)
+    rho_t, rho_avg = _rho(traj, mean_counts, curves)
     m = _window(traj)
     goose = states[:m + 1, GOOSE_DIM]
     period, duration = _burst_period(traj, _presence_window(traj, m, goose))
@@ -291,7 +298,7 @@ def summarize(traj: TrajectoryRecord, grid_ms: float = 10.0) -> ReplicationSumma
         counts=r["counts"],
         grid=grid,
         rho_t=rho_t,
-        m_t=m_t,
+        m_t=curves.astype(traj.states.dtype),
         mean_counts=mean_counts,
     )
 
@@ -350,15 +357,36 @@ def aggregate(summaries: list[ReplicationSummary]) -> ExperimentSummary:
                   if getattr(s, name) is not None]
         mean[name], variance[name] = _mean_var(values)
 
-    m_stack = np.stack([s.m_t for s in summaries])  # reps x dims x grid
-    rho_stack = np.stack([s.rho_t for s in summaries])
+    # Per grid point, the floats of np.stack(...).mean(axis=0) and
+    # .var(axis=0, ddof=1). numpy reduces such a stack over its first axis one
+    # replication after another, so two passes over the summaries, in their
+    # order, with float64 accumulators give them without the stack. A
+    # one-point grid is the exception: numpy sums a single column pairwise,
+    # so that column is stacked, at n floats a dimension.
     n = len(summaries)
+    if len(grid) > 1:
+        sum_m = np.zeros(summaries[0].m_t.shape)
+        sum_rho = np.zeros(len(grid))
+        for s in summaries:
+            sum_m += s.m_t
+            sum_rho += s.rho_t
+        mean_m_t, mean_rho_t = sum_m / n, sum_rho / n
+        sum_sq = np.zeros_like(mean_m_t)
+        for s in summaries:
+            dev = s.m_t - mean_m_t
+            sum_sq += dev * dev
+        var_m_t = sum_sq / (n - 1) if n > 1 else np.full_like(mean_m_t, np.nan)
+    else:
+        m_stack = np.stack([s.m_t for s in summaries])  # reps x dims x 1
+        mean_m_t = m_stack.mean(axis=0)
+        var_m_t = m_stack.var(axis=0, ddof=1) if n > 1 else np.full_like(mean_m_t, np.nan)
+        mean_rho_t = np.stack([s.rho_t for s in summaries]).mean(axis=0)
     return ExperimentSummary(
         n_replications=n,
         mean=mean,
         variance=variance,
         grid=grid,
-        mean_m_t=m_stack.mean(axis=0),
-        var_m_t=m_stack.var(axis=0, ddof=1) if n > 1 else np.full_like(m_stack[0], np.nan),
-        mean_rho_t=rho_stack.mean(axis=0),
+        mean_m_t=mean_m_t,
+        var_m_t=var_m_t,
+        mean_rho_t=mean_rho_t,
     )

@@ -59,9 +59,11 @@ POISSON = "poisson"
 BATCH_PLUS_POISSON = "batch_plus_poisson"
 INJECTION_MODES = (BATCH, POISSON, BATCH_PLUS_POISSON)
 
-# Most points a reporting grid (``horizon_ms / grid_ms + 1``) may have: 80 MB
-# per gridded curve. The bundled scenarios use 601; the long-run checks of the
-# simulator use up to 2.7M at the default 10 ms step.
+# Most points a reporting grid (``horizon_ms / grid_ms + 1``) may have. A run's
+# summaries share one float64 grid, 80 MB at this bound; the curves each
+# replication keeps on it are bounded by ``MAX_RUN_CURVE_POINTS``. The bundled
+# scenarios use 601; the long-run checks of the simulator use up to 2.7M at
+# the default 10 ms step.
 MAX_GRID_POINTS = 10_000_000
 
 # Largest injection ``batch_size``. A batch records one event per offer, even
@@ -84,10 +86,19 @@ MAX_EXPECTED_EVENTS = 10_000_000
 # replications about 3.8e6.
 MAX_EXPECTED_RUN_EVENTS = 100_000_000
 
+# Most curve points a run may hold: ``replications`` times the grid's points.
+# Every replication's summary keeps, per grid point, each dimension's count in
+# the record's integer dtype (2 or 4 bytes) and the utilization as a float64:
+# 14 bytes for the three int16 dimensions of the bundled NC3 scenarios, so
+# 5e7 points hold 0.7 GB there. The bundled scenarios reach at most 210,000
+# (``oracle_transient_c4``), and ``table2_nc3_lam20`` with 600 replications
+# 360,600.
+MAX_RUN_CURVE_POINTS = 50_000_000
+
 # Most replications a run may have. A run keeps every replication's record and
-# summary even when it expects no events: about 1.3 KB and 1.2 KB for an empty
-# path on a one-point grid, so 400,000 replications hold about 1 GB. The
-# bundled scenarios use at most 30.
+# summary even when it expects no events: about 1.3 KB and 0.9 KB for an empty
+# path on a one-point grid, so 400,000 replications hold about 0.9 GB. The
+# bundled scenarios use at most 10,000 (``oracle_transient_c4``).
 MAX_REPLICATIONS = 400_000
 
 # Largest pool, in blocks. The occupancy recursion (``kaufman_roberts``, run
@@ -265,6 +276,10 @@ class Scenario:
             raise ScenarioError(
                 f"horizon_ms / grid_ms gives more than {MAX_GRID_POINTS} grid points"
             )
+        if self.replications * (round(steps) + 1) > MAX_RUN_CURVE_POINTS:
+            raise ScenarioError(
+                f"replications times the grid points of horizon_ms / grid_ms exceed "
+                f"{MAX_RUN_CURVE_POINTS} curve points in a run")
         if self.initial_counts is not None:
             if len(self.initial_counts) != len(dims):
                 raise ScenarioError(

@@ -37,6 +37,7 @@ from ranburst.simulator import (
     MAX_EXPECTED_RUN_EVENTS,
     MAX_GRID_POINTS,
     MAX_REPLICATIONS,
+    MAX_RUN_CURVE_POINTS,
     Event,
     TrajectoryRecord,
 )
@@ -486,6 +487,21 @@ def test_a_replications_override_past_the_run_bound_is_a_validation_error(tmp_pa
     assert not any(tmp_path.iterdir())
 
 
+def test_overrides_past_the_curve_point_bound_are_a_validation_error(tmp_path, capsys):
+    # 15,000 x 600,001 curve points; the 9.5e7 expected events pass their bound.
+    path = bundled_scenario_path("table2_nc3_lam20")
+    code = main(["--scenario", str(path), "--out", str(tmp_path),
+                 "--replications", "15000", "--grid-ms", "0.01"])
+    assert code == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "validation"
+    assert f"replications times the grid points of horizon_ms / grid_ms exceed " \
+           f"{MAX_RUN_CURVE_POINTS} curve points" in err["message"]
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("literal", [".nan", ".inf", "1.0e+400", "'1e400'"])
 def test_non_finite_rates_are_validation_errors(tmp_path, capsys, literal):
     raw = demo_dict()
@@ -760,6 +776,18 @@ def _replaced(path, value):
     return lambda raw: _set(raw, path, value)
 
 
+def _run_grid(replications, points):
+    """Set ``replications`` and a grid step that gives ``points`` grid points."""
+    return lambda raw: raw.update(replications=replications, grid_ms=3000 / (points - 1))
+
+
+# Runs whose replications times grid points pass MAX_RUN_CURVE_POINTS, while
+# each bound alone holds; full_dict expects 67 events a replication.
+too_many_curve_points = st.integers(MAX_RUN_CURVE_POINTS // MAX_GRID_POINTS + 1,
+                                    MAX_REPLICATIONS).flatmap(
+    lambda reps: st.builds(_run_grid, st.just(reps),
+                           st.integers(MAX_RUN_CURVE_POINTS // reps + 1, MAX_GRID_POINTS)))
+
 unknown_keys = st.one_of(printable.map(lambda s: "zz" + s), st.integers())
 MALFORMED_EDITS = {
     "missing key": st.sampled_from(REQUIRED).map(_deleted),
@@ -781,6 +809,7 @@ MALFORMED_EDITS = {
             lambda value, path=path: _replaced(path, value))
         for path, values in OUT_OF_RANGE.items()
     },
+    "replications x grid points out of range": too_many_curve_points,
 }
 FUZZ = settings(max_examples=30, derandomize=True, database=None, deadline=None)
 

@@ -1,5 +1,12 @@
+import gc
+import tracemalloc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranburst import (
     InjectionSchedule,
@@ -11,7 +18,10 @@ from ranburst import (
     summarize,
     utilization,
 )
+from ranburst.cli import load_bundled_scenario
 from ranburst.metrics import (
+    ReplicationSummary,
+    _shared_grid,
     burst_period,
     empirical_blocking,
     goose_presence_window,
@@ -272,6 +282,71 @@ def test_aggregate_rejects_mismatched_grids():
         aggregate([a, b])
 
 
+def curve_summary(grid, m_t, rho_t):
+    return ReplicationSummary(
+        replication=0, seed=0, rho_avg=0.0, burst_period_ms=None, burst_duration_ms=None,
+        r_rj=None, r_dw=None, r_dc=None, r_v=None, n_ga=0, counts={}, grid=grid,
+        rho_t=rho_t, m_t=m_t, mean_counts=np.zeros(len(m_t)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(1, 40), dims=st.integers(1, 3), points=st.integers(1, 50),
+       dtype=st.sampled_from([np.int16, np.int32]), top=st.sampled_from([0, 1, 62, 32767]),
+       zero_frac=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_streamed_aggregate_equals_the_stacked_formulas(n, dims, points, dtype, top,
+                                                        zero_frac, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.arange(points) * 10.0
+    m_ts = [rng.integers(0, top, (dims, points), endpoint=True).astype(dtype) for _ in range(n)]
+    for m_t in m_ts:
+        if rng.random() < zero_frac:
+            m_t[:] = 0
+    rho_ts = [rng.random(points) * rng.choice([1.0, 1e-9, 1e9]) for _ in range(n)]
+    agg = aggregate([curve_summary(grid, m, r) for m, r in zip(m_ts, rho_ts)])
+    m_stack = np.stack(m_ts)
+    var = m_stack.var(axis=0, ddof=1) if n > 1 else np.full((dims, points), np.nan)
+    assert np.array_equal(agg.mean_m_t, m_stack.mean(axis=0))
+    assert np.array_equal(agg.var_m_t, var, equal_nan=True)
+    assert np.array_equal(agg.mean_rho_t, np.stack(rho_ts).mean(axis=0))
+    assert np.isnan(agg.var_m_t).all() == (n == 1)
+
+
+@pytest.fixture(scope="module")
+def pooled_summaries():
+    """600 ``table2_nc3_lam20`` summaries, the size of a pooled benchmark run."""
+    scenario = replace(load_bundled_scenario("table2_nc3_lam20"), replications=600)
+    return [summarize(r, grid_ms=scenario.grid_ms)
+            for r in run_experiment(scenario, workers=2)]
+
+
+def test_aggregate_holds_no_stack_of_the_curves(pooled_summaries):
+    # A stack of 600 float64 curves on the 601-point grid alone takes 11.5 MB.
+    tracemalloc.start()
+    try:
+        aggregate(pooled_summaries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_a_summary_holds_its_counts_as_integers(pooled_summaries):
+    s = pooled_summaries[0]
+    assert s.m_t.shape == (3, 601) and s.m_t.dtype == np.int16
+    assert s.m_t.nbytes + s.rho_t.nbytes <= 8_500
+
+
+def test_a_second_grid_evicts_the_first():
+    first = _shared_grid(1000.0, 10.0)
+    assert _shared_grid(1000.0, 10.0) is first
+    freed = weakref.ref(first)
+    del first
+    _shared_grid(2000.0, 10.0)
+    gc.collect()
+    assert freed() is None
+    assert _shared_grid.cache_info().currsize == 1
+
+
 def test_summary_ratio_times_nga_recovers_counts():
     sc = burst_scenario(reps=3)
     for rec in run_experiment(sc):
@@ -386,6 +461,8 @@ def test_path_metrics_equal_the_event_loops_exactly(name):
     s = summarize(traj, grid_ms=10.0)
     assert np.array_equal(s.mean_counts, expected)
     assert np.array_equal(s.m_t, loop_session_curves(traj, s.grid))
+    assert s.m_t.dtype == traj.states.dtype
+    assert np.array_equal(s.m_t, session_curves(traj, s.grid))
     demands = np.asarray(traj.demands, dtype=float)
     assert s.rho_avg == float(expected @ demands) / traj.capacity
     rho_t, rho_avg = utilization(traj, s.grid)

@@ -20,7 +20,13 @@ from ranburst import analytic, simulator, traffic
 from ranburst.analytic import build_generator, mean_counts, reachable_states, steady_state
 from ranburst.cli import bundled_scenario_path, load_bundled_scenario
 from ranburst.metrics import empirical_blocking
-from ranburst.simulator import MAX_BATCH_SIZE, MAX_CAPACITY_BLOCKS, MAX_GRID_POINTS, pool_size
+from ranburst.simulator import (
+    MAX_BATCH_SIZE,
+    MAX_CAPACITY_BLOCKS,
+    MAX_GRID_POINTS,
+    MAX_RUN_CURVE_POINTS,
+    pool_size,
+)
 from ranburst.traffic import (
     ARRIVAL_DOWNGRADED,
     ARRIVAL_REJECTED,
@@ -757,6 +763,21 @@ def test_reporting_grid_is_bounded(grid_ms):
 
 def test_largest_reporting_grid_is_accepted():
     burst_scenario(grid_ms=6000.0 / (MAX_GRID_POINTS - 1)).validate()
+
+
+def test_the_curve_points_of_a_run_are_bounded():
+    # 5,000 grid points: the bound admits MAX_RUN_CURVE_POINTS / 5,000
+    # replications, and the event bound admits these too.
+    grid_ms = 6000.0 / 4999
+    burst_scenario(grid_ms=grid_ms, replications=MAX_RUN_CURVE_POINTS // 5000).validate()
+    with pytest.raises(ScenarioError, match="replications times the grid points"):
+        burst_scenario(grid_ms=grid_ms, replications=MAX_RUN_CURVE_POINTS // 5000 + 1).validate()
+    # 15,000 replications on a 0.01 ms grid expect 9.5e7 events, within their
+    # bound, but hold 9.0e9 curve points: about 117 GiB.
+    sc = load_bundled_scenario("table2_nc3_lam20")
+    with pytest.raises(ScenarioError, match="replications times the grid points"):
+        replace(sc, replications=15000, grid_ms=0.01).validate()
+    replace(sc, replications=600).validate()
 
 
 def test_batch_size_is_bounded():
