@@ -21,7 +21,8 @@ arrivals are resolved with the array rule
 (:func:`ranburst.traffic.arrival_outcomes`). ``transitions`` stays the
 per-state specification and is not called here; it is still imported under
 its name, which the benchmark's tracer (``perfbench/tracer.py``) wraps to
-count per-state calls.
+count per-state calls. scipy is imported inside the functions that use it,
+so that a simulation never loads it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 from .errors import NumericalError, StateSpaceLimitError
 from .traffic import (  # noqa: F401  (``transitions``: see the module docstring)
     _KIND_CODE,
+    ARRIVAL_REJECTED,
     DEPARTURE,
     Dimension,
     TrafficClass,
@@ -77,6 +79,7 @@ DROP_SHARE = 0.25
 # pool whose g never passes the threshold, such as every bundled scenario's.
 _G_RESCALE_ABOVE = 2.0**900
 _G_RESCALE = 2.0**-900
+_REJECTED = _KIND_CODE[ARRIVAL_REJECTED]
 
 
 @dataclass(frozen=True)
@@ -163,11 +166,11 @@ class ChainTable:
     ``i`` at ``n_i μ_i``. Arc ``a`` leaves row ``source[a]`` for
     ``target[a]`` at ``rate[a]``: the target's box key as compiled
     (:func:`_compile`, which builds every table), its state number in a
-    space's table (:func:`_table_for`). ``rejected[a]`` is the dimension
-    whose arrival it rejects (a self-loop), or -1. ``kind[a]`` indexes
-    :data:`~ranburst.traffic.EVENT_KINDS`, ``dim[a]`` is the arriving or
-    departing dimension, and ``downgraded[a]`` and ``discarded[a]`` count
-    sessions as :class:`~ranburst.traffic.Transition` does. ``kind`` is
+    space's table (:func:`_table_for`). ``kind[a]`` indexes
+    :data:`~ranburst.traffic.EVENT_KINDS`; an ``arrival_rejected`` arc is a
+    self-loop. ``dim[a]`` is the arriving or departing dimension, and
+    ``downgraded[a]`` and ``discarded[a]`` count sessions as
+    :class:`~ranburst.traffic.Transition` does. ``kind`` is
     int8; ``dim``, ``downgraded`` and ``discarded`` are int16 or int32
     (:func:`_int_dtype` of the capacity and the number of dimensions).
     """
@@ -179,7 +182,6 @@ class ChainTable:
     source: np.ndarray
     target: np.ndarray
     rate: np.ndarray
-    rejected: np.ndarray
     kind: np.ndarray
     dim: np.ndarray
     downgraded: np.ndarray
@@ -352,7 +354,6 @@ def _compile(policy: str, box: _StateBox, rows: np.ndarray, arrivals: list[int])
     # departure per dimension, of which the occupied ones are kept.
     arrived = np.empty((m, a, n), dtype=np.int64)
     rate = np.empty((m, w))
-    rejected = np.full((m, w), -1, dtype=np.intp)
     kind = np.full((m, w), _KIND_CODE[DEPARTURE], dtype=np.int8)
     dim = np.empty((m, w), dtype=small)
     dim[:] = [*arrivals, *range(n)]
@@ -361,7 +362,6 @@ def _compile(policy: str, box: _StateBox, rows: np.ndarray, arrivals: list[int])
         out = arrival_outcomes(policy, rows, i, box.dims, box.capacity)
         arrived[:, s], kind[:, s] = out.target, out.kind
         downgraded[:, s], discarded[:, s] = out.downgraded, out.discarded
-        rejected[out.rejected, s] = i
         rate[:, s] = box.dims[i].arrival_rate
     # A negative count wraps past every radix as uint64.
     outside = arrived.view(np.uint64) >= box.radix.view(np.uint64)
@@ -381,8 +381,8 @@ def _compile(policy: str, box: _StateBox, rows: np.ndarray, arrivals: list[int])
     return ChainTable(
         policy=policy, dims=tuple(box.dims), capacity=box.capacity, counts=rows,
         source=np.flatnonzero(present) // w, target=target[present], rate=rate[present],
-        rejected=rejected[present], kind=kind[present], dim=dim[present],
-        downgraded=downgraded[present], discarded=discarded[present])
+        kind=kind[present], dim=dim[present], downgraded=downgraded[present],
+        discarded=discarded[present])
 
 
 def _table_for(space: StateSpace, policy: str, dims, capacity: int) -> ChainTable:
@@ -476,7 +476,7 @@ def reachable_states(
             frontier = block[lo:lo + FRONTIER_CHUNK]
             table = _compile(policy, box, frontier, box.arriving)
             keys = np.unique(np.concatenate((
-                table.target[table.rejected < 0],
+                table.target[table.kind != _REJECTED],
                 box.keys(_admission_rays(dims, capacity, frontier, limit)))))
             new = np.fromiter((k not in seen for k in keys.tolist()), dtype=bool,
                               count=len(keys))
@@ -517,7 +517,7 @@ def build_generator(
     if table is not space.table:
         space = replace(space, table=table)
     n = len(space)
-    keep = table.rejected < 0
+    keep = table.kind != _REJECTED
     source, target, rate = table.source[keep], table.target[keep], table.rate[keep]
     # Each state's outflow, its arcs added one by one in their order, as a
     # per-state loop would add them.
@@ -600,47 +600,10 @@ def steady_state(q: sp.spmatrix, tol: float = 1e-10) -> np.ndarray:
     return pi / pi.sum()
 
 
-# The Poisson weights of uniformization, computed as ``scipy.stats.poisson``
-# computes them (bit for bit) from ``scipy.special`` alone: importing
-# ``scipy.stats`` takes about a second, several times the rest of ranburst.
-# scipy is imported inside the functions that use it, so that a simulation
-# never loads it.
-
-
-def poisson_isf(eps: float, mean: float) -> int:
-    """``poisson.isf(eps, mean)``, about the least ``k`` with ``P(N > k) <= eps``.
-
-    Inverts the cdf at ``1 - eps`` and steps back one count when the cdf
-    there already reaches it, as scipy does. A search on the tail
-    ``pdtrc(k, mean) <= eps`` would differ on some inputs: there ``1 - eps``
-    rounds, and scipy's answer has a tail a little above ``eps``.
-    """
-    from scipy.special import pdtr, pdtrik
-
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    q = 1.0 - eps
-    k = math.ceil(pdtrik(q, mean))
-    return k - 1 if k > 0 and pdtr(k - 1, mean) >= q else k
-
-
-def poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
-    """``poisson.pmf(k, mean)`` for integer ``k >= 0``, by scipy's formula.
-
-    Its exponent ``k log(mean) - log(k!) - mean`` is a difference of terms
-    near ``mean log(mean)``, so each value has a relative error of about
-    ``mean log(mean)`` units in the last place: at mean 1e5 the weights up
-    to ``poisson_isf(1e-9, mean)`` lose 6e-11 more than the tail, and at
-    mean 1e6 they sum above 1. :func:`transient` uses
-    :func:`poisson_weights`.
-    """
-    from scipy.special import gammaln, xlogy
-
-    return np.clip(np.exp(xlogy(k, mean) - gammaln(k + 1) - mean), 0.0, 1.0)
-
-
 # Coefficients of the Stirling series of log(n!) (Loader 2000).
 _STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+# log(n!) for n = 0..16, each correctly rounded: the terms below the series.
+_LOG_FACTORIAL = np.array([math.log(math.factorial(n)) for n in range(17)])
 
 
 def _stirling_error(n: np.ndarray) -> np.ndarray:
@@ -650,13 +613,11 @@ def _stirling_error(n: np.ndarray) -> np.ndarray:
     to rounding; below, ``log(n!)`` is small and the difference loses
     nothing that matters.
     """
-    from scipy.special import gammaln
-
     s0, s1, s2, s3, s4 = _STIRLING
     nn = n * n
     series = (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / n
     small = np.minimum(n, 16)
-    direct = (gammaln(small + 1) - (small + 0.5) * np.log(small) + small
+    direct = (_LOG_FACTORIAL[small.astype(np.intp)] - (small + 0.5) * np.log(small) + small
               - 0.5 * math.log(2 * math.pi))
     return np.where(n > 15, series, direct)
 
@@ -692,6 +653,25 @@ def poisson_weights(k: np.ndarray, mean: float) -> np.ndarray:
     x = np.maximum(k, 1.0)
     w = np.exp(-_stirling_error(x) - _deviance(x, mean)) / np.sqrt(2 * math.pi * x)
     return np.where(k == 0, math.exp(-mean), w)
+
+
+def poisson_cut(eps: float, mean: float) -> int:
+    """A count that a Poisson variable of mean ``mean > 0`` passes with
+    probability at most ``eps``: the least ``k >= mean`` with
+    ``deviance(k + 1, mean) >= log(1 / eps)``.
+
+    For ``x >= mean`` the Chernoff bound ``P(N >= x) <= exp(-deviance(x,
+    mean))`` holds, so ``P(N > k) <= eps`` at any mean, with the deviance
+    of :func:`poisson_weights` and no inverse cdf. The bound is loose by a
+    factor of about 16 there. Every candidate is below ``mean + sqrt(2 mean
+    L) + L``, ``L = log(1 / eps)``, where the Bernstein form of the bound,
+    ``deviance(mean + a) >= a^2 / (2 (mean + a / 3))``, already passes ``L``.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    level = -math.log(eps)
+    ks = np.arange(math.ceil(mean), math.ceil(mean + math.sqrt(2 * mean * level) + level) + 1)
+    return int(ks[np.argmax(_deviance(ks + 1.0, mean) >= level)])
 
 
 # scipy.sparse._sparsetools, bound by the first band product; csr_matvec is
@@ -731,7 +711,8 @@ def transient(
     is at most ``eps * sum(pi0)`` (``pi0`` may be sub-stochastic), Poisson
     tail plus twice the dropped mass plus cut:
 
-    * the Poisson tail beyond ``k_max = poisson_isf(eps, lam t) + 1`` is
+    * the Poisson tail beyond ``k_max = poisson_cut(eps, lam t)``, at most
+      ``eps`` by its Chernoff bound and near ``eps / 16`` in fact, is
       dropped; the weights up to it are :func:`poisson_weights`, whose
       missing mass is the tail to rounding;
     * after each step, the entries of the iterate at or below ``theta``
@@ -801,7 +782,7 @@ def transient(
     shift = q.indices - np.repeat(np.arange(n), np.diff(q.indptr))
     up, down = int(shift.max(initial=0)), -int(shift.min(initial=0))
     mean = lam * t
-    k_max = poisson_isf(eps, mean) + 1
+    k_max = poisson_cut(eps, mean)
 
     weights = poisson_weights(np.arange(k_max + 1), mean)
     # tail[k]: Poisson mass from step k on; reach[k] = J_k = sum of tail[m]
@@ -877,6 +858,6 @@ def blocking_from_generator(
     blocking = {}
     for d in space.dims:
         if d.arrival_rate > 0:
-            mass = pi[table.source[table.rejected == d.index]]
+            mass = pi[table.source[(table.kind == _REJECTED) & (table.dim == d.index)]]
             blocking[d.index] = float(np.cumsum(mass)[-1]) if len(mass) else 0.0
     return blocking

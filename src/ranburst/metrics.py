@@ -53,9 +53,9 @@ def _shared_grid(horizon_ms: float, grid_ms: float) -> np.ndarray:
 
 
 def _path(traj: TrajectoryRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Event times and the ``(n+1) x n_dims`` counts after each of them; row 0
-    holds the initial counts."""
-    states = np.empty((traj.n_events + 1, traj.n_dims), dtype=float)
+    """Event times and the ``(n+1) x n_dims`` counts after each of them, in
+    the record's integer dtype; row 0 holds the initial counts."""
+    states = np.empty((traj.n_events + 1, traj.n_dims), dtype=traj.states.dtype)
     states[0] = traj.initial_counts
     states[1:] = traj.states[traj.state]
     return traj.t_ms, states
@@ -298,7 +298,7 @@ def summarize(traj: TrajectoryRecord, grid_ms: float = 10.0) -> ReplicationSumma
         counts=r["counts"],
         grid=grid,
         rho_t=rho_t,
-        m_t=curves.astype(traj.states.dtype),
+        m_t=curves,
         mean_counts=mean_counts,
     )
 

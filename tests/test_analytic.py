@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -33,8 +36,7 @@ from ranburst.analytic import (
     blocking_from_generator,
     mean_counts,
     occupancy_marginal,
-    poisson_isf,
-    poisson_pmf,
+    poisson_cut,
     poisson_weights,
 )
 from ranburst.cli import load_bundled_scenario
@@ -632,23 +634,21 @@ def per_state_table(policy, dims, capacity, states):
     """The per-state walk the chain compiler replaced: ``transitions`` for
     each state of ``states`` in order, every arc recorded in list order."""
     index = {s: i for i, s in enumerate(states)}
-    columns = ([], [], [], [], [], [], [], [])
+    columns = ([], [], [], [], [], [], [])
     for i, state in enumerate(states):
         for tr in transitions(policy, state, dims, capacity):
             rejected = tr.kind == ARRIVAL_REJECTED
             arc = (i, i if rejected else index[tr.target], tr.rate,
-                   tr.dim if rejected else -1, traffic._KIND_CODE[tr.kind], tr.dim,
-                   tr.downgraded, tr.discarded)
+                   traffic._KIND_CODE[tr.kind], tr.dim, tr.downgraded, tr.discarded)
             for column, value in zip(columns, arc):
                 column.append(value)
-    source, target, rate, rejected, kind, dim, downgraded, discarded = columns
+    source, target, rate, kind, dim, downgraded, discarded = columns
     small = analytic._int_dtype(max(capacity, len(dims)))
     return {
         "counts": np.array(states, dtype=np.int64).reshape(len(states), len(dims)),
         "source": np.array(source, dtype=np.intp),
         "target": np.array(target, dtype=np.intp),
         "rate": np.array(rate, dtype=float),
-        "rejected": np.array(rejected, dtype=np.intp),
         "kind": np.array(kind, dtype=np.int8),
         "dim": np.array(dim, dtype=small),
         "downgraded": np.array(downgraded, dtype=small),
@@ -703,7 +703,7 @@ def test_the_simulator_compiles_the_analytic_burst_chain(policy):
     assert np.array_equal(targets, keys[table.target])
     assert np.array_equal(rates, table.rate)
     offers = np.searchsorted(table.source, np.arange(len(keys)))
-    assert np.array_equal(admits, table.rejected[offers] < 0)
+    assert np.array_equal(admits, table.kind[offers] != traffic._KIND_CODE[ARRIVAL_REJECTED])
     departing = table.kind == traffic._KIND_CODE[traffic.DEPARTURE]
     assert np.array_equal(totals, np.bincount(table.source[departing],
                                               weights=table.rate[departing],
@@ -945,7 +945,7 @@ def full_poisson_sum(q, pi0, t, eps=1e-9):
     lam = float(-q.diagonal().min()) * 1.02
     pt = (sp.eye(q.shape[0], format="csr") + q.tocsr() / lam).T.tocsr()
     mean = lam * t
-    k_max = poisson_isf(eps, mean) + 1
+    k_max = poisson_cut(eps, mean)
     weights = poisson_weights(np.arange(k_max + 1), mean)
     out = weights[0] * pi0
     v = pi0
@@ -1020,11 +1020,14 @@ def test_dropping_only_at_the_band_ends_takes_no_more_steps(burst_chain, monkeyp
 
 def test_iterates_that_stop_moving_exactly_cut_without_a_budget(monkeypatch):
     # On the NC2 burst chain at t = 100 s (Poisson mean 103,020) scipy's
-    # formula for the weights (poisson_pmf) loses more than eps, which left
-    # the cut no budget. transient's weights keep their mass and leave it
-    # 3e-11, too little to cut on: the iterates still have to reach a fixed
-    # point of the floating-point mat-vec, after which every remaining term
-    # of the sum is the same array.
+    # formula for the weights, summed to scipy's own truncation point, loses
+    # more than eps: weights and a truncation taken from scipy would leave
+    # the cut no budget, and the iterates would have to reach a fixed point
+    # of the floating-point mat-vec, after which every remaining term of the
+    # sum is the same array. transient's weights keep their mass and its
+    # truncation (poisson_cut) leaves the cut about 0.94 eps.
+    from scipy.stats import poisson
+
     policy, dims, capacity = table2_burst_dims("table2_nc2_lam20")
     space = reachable_states(policy, dims, capacity)
     space, q = build_generator(policy, dims, capacity, space=space)
@@ -1032,7 +1035,7 @@ def test_iterates_that_stop_moving_exactly_cut_without_a_budget(monkeypatch):
     pi0[space.index[(0, 0)]] = 1.0
     t, eps = 100.0, 1e-9
     mean = float(-q.diagonal().min()) * 1.02 * t
-    weights = poisson_pmf(np.arange(poisson_isf(eps, mean) + 2), mean)
+    weights = poisson.pmf(np.arange(poisson.isf(eps, mean) + 2), mean)
     assert 1.0 - weights.sum() > eps
     calls = count_matvecs(monkeypatch)
     got = transient(q, pi0, t, eps=eps)
@@ -1131,7 +1134,7 @@ def drift_and_dust_chain(mean, eps, n_dust=200, m_a=0.01, fast=1000.0):
     at ``fast`` sets the uniformization rate.
     """
     lam = 1.02 * fast
-    k_max = poisson_isf(eps, mean) + 1
+    k_max = poisson_cut(eps, mean)
     budget = eps - (1.0 - poisson_weights(np.arange(k_max + 1), mean).sum())
     n = n_dust + 4
     theta = analytic.DROP_SHARE * budget / (k_max * n)
@@ -1267,35 +1270,13 @@ POISSON_MEANS = np.concatenate((
 POISSON_EPS = np.concatenate((10.0 ** -np.arange(6, 13), np.geomspace(1e-12, 1e-6, 9)))
 
 
-# Inputs where the inverted cdf lands one count high and the truncation
-# point steps back.
-POISSON_STEP_BACK = [
-    (4004.8492958261695, 2.261701682972786e-12),
-    (4406.999488677046, 2.9570673583478443e-12),
-    (1856.6164356873753, 3.5927995537612314e-12),
-    (332.5210634037652, 1.0450349300185113e-12),
-]
-
-
-def test_poisson_truncation_and_weights_equal_scipy_stats_exactly():
-    from scipy.stats import poisson
-
-    for mean, eps in POISSON_STEP_BACK:
-        assert poisson_isf(eps, mean) == poisson.isf(eps, mean), (mean, eps)
-    for mean in POISSON_MEANS:
-        for eps in POISSON_EPS:
-            assert poisson_isf(eps, mean) == poisson.isf(eps, mean), (mean, eps)
-        ks = np.arange(poisson_isf(1e-12, mean) + 2)  # the longest sum asked for
-        assert np.array_equal(poisson_pmf(ks, mean), poisson.pmf(ks, mean)), mean
-
-
 @pytest.mark.parametrize("mean", np.geomspace(1e2, 1e7, 11))
 def test_poisson_weights_keep_their_mass(mean):
     from scipy.special import pdtr, pdtrc
 
     # Over mean +- 40 standard deviations the weights plus the mass outside
-    # sum to 1 to rounding. scipy's formula (poisson_pmf) misses by 6e-14
-    # at mean 1e2, 6e-11 at 1e5 and 2e-9 at 3e6.
+    # sum to 1 to rounding. scipy.stats.poisson.pmf misses by 6e-14 at mean
+    # 1e2, 6e-11 at 1e5 and 2e-9 at 3e6.
     sd = math.sqrt(mean)
     lo, hi = max(0, int(mean - 40 * sd)), int(mean + 40 * sd)
     below = pdtr(lo - 1, mean) if lo else 0.0
@@ -1304,20 +1285,82 @@ def test_poisson_weights_keep_their_mass(mean):
     # What they leave past transient's truncation point is the tail.
     # scipy's pdtrc drifts above mean 1e6 (1.7% low at 1e7, against an
     # exact sum), so it is the reference up to there only.
-    k_max = poisson_isf(1e-9, mean) + 1
+    k_max = poisson_cut(1e-9, mean)
     tail = 1.0 - below - weights[:k_max - lo + 1].sum()
     if mean <= 1e6:
         assert tail == pytest.approx(pdtrc(k_max, mean), rel=1e-5)
 
 
 def test_poisson_weights_equal_scipy_where_its_formula_is_accurate():
+    from scipy.stats import poisson
+
     for mean in POISSON_MEANS[POISSON_MEANS <= 100.0]:
-        ks = np.arange(poisson_isf(1e-12, mean) + 2)
-        assert np.allclose(poisson_weights(ks, mean), poisson_pmf(ks, mean),
+        ks = np.arange(poisson_cut(1e-12, mean) + 2)
+        assert np.allclose(poisson_weights(ks, mean), poisson.pmf(ks, mean),
                            rtol=1e-12, atol=0.0), mean
+
+
+def exact_poisson_tail(k, mean):
+    """``P(N > k)`` for a Poisson ``N`` of mean ``mean``, summed term by term
+    in 30-digit arithmetic until a term adds less than 1e-20 of the sum."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        m = mpmath.mpf(mean)
+        term = mpmath.exp((k + 1) * mpmath.log(m) - m - mpmath.loggamma(k + 2))
+        total, j = mpmath.mpf(0), k + 1
+        while term > total * mpmath.mpf(10) ** -20:
+            total += term
+            j += 1
+            term = term * m / j
+        return float(total)
+
+
+@pytest.mark.parametrize("mean", np.geomspace(1e2, 1e7, 11))
+def test_poisson_cut_leaves_a_tail_within_a_tenth_of_eps(mean):
+    # The Chernoff bound the cut is taken from is loose by a factor of
+    # about 16: the exact tail past it is near eps / 16 at every mean. The
+    # inverse cdf's point (scipy.stats.poisson.isf, one count past it) left
+    # 0.98 to 0.998 eps from mean 1e5 to 1e7.
+    eps = 1e-9
+    k = poisson_cut(eps, mean)
+    assert k >= mean
+    assert exact_poisson_tail(k, mean) <= eps / 10
+
+
+def test_poisson_cut_bounds_the_tail_at_every_eps():
+    from scipy.special import pdtrc
+
+    # scipy's tail is accurate at these means (up to 5,000).
+    for mean in POISSON_MEANS:
+        for eps in POISSON_EPS:
+            k = poisson_cut(eps, mean)
+            assert k >= mean and pdtrc(k, mean) <= eps, (mean, eps)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-9, float("nan")])
 def test_poisson_truncation_rejects_eps_outside_the_unit_interval(eps):
     with pytest.raises(ValueError, match="eps"):
-        poisson_isf(eps, 3.0)
+        poisson_cut(eps, 3.0)
+
+
+def test_the_exact_pipeline_leaves_scipy_special_unloaded():
+    # The analytic layer takes its Poisson terms from its own formulas;
+    # importing scipy.special costs more than the first transient call.
+    code = (
+        "import sys; import numpy as np\n"
+        "from ranburst.analytic import (blocking_from_generator, build_generator,\n"
+        "    reachable_states, steady_state, transient)\n"
+        "from ranburst.cli import load_bundled_scenario\n"
+        "policy, dims, capacity = load_bundled_scenario('table2_nc3_lam20').chain(burst=True)\n"
+        "space = reachable_states(policy, dims, capacity)\n"
+        "space, q = build_generator(policy, dims, capacity, space=space)\n"
+        "pi = steady_state(q)\n"
+        "blocking_from_generator(policy, space, pi)\n"
+        "transient(q, pi, 1.0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"

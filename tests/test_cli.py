@@ -663,6 +663,29 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_simulate_run_leaves_scipy_unloaded(tmp_path, workers):
+    # A stationary video start comes from the occupancy recursion, which
+    # needs numpy only. Importing scipy.sparse.linalg after a run raised its
+    # peak memory by a third.
+    code = (
+        "import os, sys; os.cpu_count = lambda: 2\n"
+        "from dataclasses import replace\n"
+        "from ranburst.cli import load_bundled_scenario, run\n"
+        "scenario = load_bundled_scenario('table2_nc3_lam20')\n"
+        "assert scenario.warmup == 'stationary_video_start'\n"
+        "run(replace(scenario, replications=4), mode='simulate', out_dir=sys.argv[1],\n"
+        "    workers=int(sys.argv[2]))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out"), str(workers)],
+        capture_output=True, text=True, check=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_importing_ranburst_leaves_numpy_random_unloaded():
     # The simulator binds numpy's C draws on first use, not at import.
     code = "import ranburst, ranburst.cli, sys; print('numpy.random' in sys.modules)"
