@@ -35,6 +35,10 @@ _REJECTED = EVENT_KINDS.index(ARRIVAL_REJECTED)
 GOOSE_DIM = 0
 VIDEO_DIM = 1
 
+# Path segments summed at once by ``_time_average``: 384 KB of float64 terms
+# for three dimensions.
+_SUM_ROWS = 16_384
+
 
 def make_grid(horizon_ms: float, grid_ms: float) -> np.ndarray:
     n = int(round(horizon_ms / grid_ms))
@@ -90,13 +94,23 @@ def _time_average(times: np.ndarray, states: np.ndarray, end: float) -> np.ndarr
     ``counts * dt`` terms of the segments are added in path order, one after
     another, so the result does not depend on how numpy would pair them up.
     A zero-length segment adds an exact 0.0, which leaves the sum as it is,
-    so the segments are not filtered first.
+    so the segments are not filtered first. The terms are summed
+    ``_SUM_ROWS`` segments at a time, without a float64 array of them all:
+    the first term of each chunk takes the running total (0.0 before the
+    first, which leaves a term as it is), and the chunk's ``cumsum`` goes on
+    from there. Those are the additions one ``cumsum`` over the path makes,
+    in the same order.
     """
     m = int(np.searchsorted(times, end, side="left"))
     if m < len(times):
         m += 1  # the event at or after ``end`` closes the last segment
     dt = np.diff(np.concatenate(([0.0], np.minimum(times[:m], end), [end])))
-    acc = np.cumsum(states[:m + 1] * dt[:, None], axis=0)[-1]
+    states = states[:m + 1]
+    acc = np.zeros(states.shape[1])
+    for lo in range(0, m + 1, _SUM_ROWS):
+        terms = states[lo:lo + _SUM_ROWS] * dt[lo:lo + _SUM_ROWS, None]
+        terms[0] += acc
+        acc = np.cumsum(terms, axis=0)[-1]
     return acc / end if end > 0 else acc
 
 

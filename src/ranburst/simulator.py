@@ -17,16 +17,22 @@ the benchmark's tracer (``perfbench/tracer.py``) wraps to count calls.
 The walk draws a holding time, exponential at the state's total rate, and
 a uniform mark in ``[0, total)`` that picks an arc by its rate. It draws
 them from one ``numpy.random.default_rng(seed)`` per walk, made by the walk
-and never shared across threads, through numpy's own C functions behind
-``Generator.exponential(scale)`` and ``Generator.random()``
-(``random_exponential`` and ``random_standard_uniform``, exported by the
-shared library of ``numpy.random._generator``). :func:`_draws` binds them
-with ``ctypes`` once per process, on first use, and the walk calls them on
-the generator's ``bitgen_t`` pointer. The stream is the generator's own, so
-a walk takes the same values, in the same order, that the two methods
-would give; only the method call's overhead is gone. The walk samples the
+and never shared across threads, through numpy's own C functions
+``random_standard_exponential`` and ``random_standard_uniform``, exported
+by the shared library of ``numpy.random._generator``. :func:`_draws` binds
+them with ``ctypes`` once per process, on first use, and the walk calls
+them on the generator's ``bitgen_t`` pointer. ``Generator.exponential(scale)``
+returns ``scale * random_standard_exponential``, and the walk takes the
+same product, so a walk takes the same values, in the same order, that
+``Generator.exponential(scale)`` and ``Generator.random()`` would give;
+only the method call's overhead is gone. The walk samples the
 continuous-time chain: a dimension departs at ``n_i μ_i``, so every draw is
 an event.
+
+A walk appends its events to lists that it shares with the other walks of
+its group (:func:`_replicate`); the records of a group are built at once,
+when its walks hold ``GROUP_EVENTS`` events or the walks run out
+(:meth:`_Chain.records`).
 """
 
 from __future__ import annotations
@@ -68,15 +74,15 @@ MAX_GRID_POINTS = 10_000_000
 
 # Largest injection ``batch_size``. A batch records one event per offer, even
 # once every offer is rejected: a replication with 1,000,000 offers holds
-# 17 MB of record columns and peaks near 170 MB while it runs. The bundled
+# 17 MB of record columns and peaks near 85 MB while it runs. The bundled
 # scenarios use at most 52.
 MAX_BATCH_SIZE = 1_000_000
 
 # Most events a replication may expect: the horizon times a bound on the
 # walk's total rate, sum_d (arrival_rate + C * service_rate) plus the offer
-# rate, since a session holds at least one block and so n_i <= C. A walk
-# peaks near 106 bytes per event, so 1e7 events near 1 GB; the bundled
-# scenarios reach at most 6.25e5 (``oracle_nc1_small``).
+# rate, since a session holds at least one block and so n_i <= C. A walk and
+# its record peak near 80 bytes per event, so 1e7 events near 0.8 GB; the
+# bundled scenarios reach at most 6.25e5 (``oracle_nc1_small``).
 MAX_EXPECTED_EVENTS = 10_000_000
 
 # Most events a whole run may expect: ``replications`` times the bound above.
@@ -85,6 +91,13 @@ MAX_EXPECTED_EVENTS = 10_000_000
 # 6.25e5 (``oracle_nc1_small``), and ``table2_nc3_lam20`` with 600
 # replications about 3.8e6.
 MAX_EXPECTED_RUN_EVENTS = 100_000_000
+
+# Events a group of replications holds before its records are built. A group
+# shares one pass of record building, whose fixed numpy cost is then paid per
+# group rather than per replication; the bound keeps the group's buffers (a
+# few MB) and the wait before ``on_record`` sees its records small. A
+# replication with more events than this is a group of its own.
+GROUP_EVENTS = 16_384
 
 # Most curve points a run may hold: ``replications`` times the grid's points.
 # Every replication's summary keeps, per grid point, each dimension's count in
@@ -385,9 +398,13 @@ def mix_seed(base_seed: int, replication: int) -> int:
 
 @cache
 def _draws() -> tuple:
-    """``(exponential, uniform)``: numpy's ``random_exponential(bitgen,
-    scale)`` and ``random_standard_uniform(bitgen)``, the C functions that
-    ``Generator.exponential(scale)`` and ``Generator.random()`` call.
+    """``(exponential, uniform)``: numpy's
+    ``random_standard_exponential(bitgen)`` and
+    ``random_standard_uniform(bitgen)``. ``Generator.random()`` calls the
+    second; ``Generator.exponential(scale)`` calls ``random_exponential``,
+    which returns ``scale * random_standard_exponential(bitgen)``, so
+    ``scale * exponential(bitgen)`` is its draw. The one-argument call
+    converts no float argument, which makes it the cheaper of the two.
 
     They are bound from the shared library of ``numpy.random._generator``,
     as numpy's own cffi example loads it, once per process and on first
@@ -400,8 +417,8 @@ def _draws() -> tuple:
     from numpy.random import _generator
 
     lib = ctypes.PyDLL(_generator.__file__)
-    exponential = lib.random_exponential
-    exponential.argtypes = (ctypes.c_void_p, ctypes.c_double)
+    exponential = lib.random_standard_exponential
+    exponential.argtypes = (ctypes.c_void_p,)
     exponential.restype = ctypes.c_double
     uniform = lib.random_standard_uniform
     uniform.argtypes = (ctypes.c_void_p,)
@@ -425,7 +442,7 @@ def _initial_state(scenario: Scenario, chain: _Chain, uniform, bitgen) -> tuple[
 def run_replication(scenario: Scenario, seed: int) -> TrajectoryRecord:
     """Simulate one replication; bit-for-bit reproducible from (scenario, seed)."""
     scenario.validate()
-    return _walk(scenario, seed, _Chain(scenario))
+    return _replicate((scenario, 0, [seed], None))[0]
 
 
 class _Block(NamedTuple):
@@ -461,8 +478,8 @@ class _Chain:
     the blocks in the order they were compiled; arc ``id`` is row ``id`` of
     the compiled columns ``target`` (a state key), ``kind``, ``dim``,
     ``downgraded`` and ``discarded``. A path is kept as a list of arc ids,
-    which the walk's one event site appends to, and :meth:`record` turns it
-    into record columns.
+    which the walk's one event site appends to, and :meth:`records` turns
+    the paths of a group of walks into record columns.
 
     ``by_state`` maps the key of each visited state to what the walk
     follows, built by :meth:`visit` from one slice of its block's arcs:
@@ -553,46 +570,85 @@ class _Chain:
         self.by_state[key] = state
         return state
 
-    def record(self, scenario: Scenario, seed: int, initial: tuple[int, ...],
-               times: list[float], path: list[int], end: float,
-               stopped: bool) -> TrajectoryRecord:
-        """The record of a path of arc ids entered at ``times``: each event
-        column is gathered in one fancy-index, and the states are numbered
-        in order of first entry."""
+    def records(self, scenario: Scenario, walks: list[tuple], times: list[float],
+                path: list[int]) -> list[TrajectoryRecord]:
+        """The records of a group of walks, whose events were appended in
+        turn to ``times`` and ``path`` (arc ids). Walk ``i`` is ``walks[i]``,
+        ``(replication, seed, initial, stop, end, stopped)``, where ``stop``
+        is the length of ``path`` once the walk ended. ``times`` and ``path``
+        are emptied once read, which frees their Python objects before the
+        states are numbered.
+
+        Each event column is gathered for the whole group in one
+        fancy-index. One ``np.unique`` over ``(walk, target key)`` lists the
+        distinct states of each path; sorted by their first indices they are
+        numbered walk by walk, each walk's in order of first entry, and one
+        ``decode`` gives their counts. Each record's columns are slices of
+        these, and its ``state`` numbers its own states from 0 in the dtype
+        its number of states allows.
+        """
         if len(self._parts) > 1:
             self._parts = [tuple(np.concatenate(c) for c in zip(*self._parts))]
         arcs = np.array(path, dtype=np.intp)
+        t_ms = np.array(times, dtype=np.float64)
+        path.clear()
+        times.clear()
         target, kind, dim, downgraded, discarded = (c[arcs] for c in self._parts[0])
-        _, first, inverse = np.unique(target, return_index=True, return_inverse=True)
+        stops = [0, *(w[3] for w in walks)]
+        # Each event's key is its target's key plus its walk's number times
+        # the box size; past int64 the keys are exact Python ints, as a wide
+        # box's own keys are.
+        size = self.box.size
+        wide = len(walks) * size > np.iinfo(np.int64).max
+        key = np.repeat(np.arange(len(walks)).astype(object if wide else np.int64) * size,
+                        np.diff(stops))
+        key += target
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
+        state = rank[inverse]
+        entered = first[order]  # each distinct state's first event, walk by walk
+        states = self.box.decode(target[entered]).astype(self.small)
+        rows = np.searchsorted(entered, stops).tolist()  # each walk's first state row
         inj = scenario.injection
-        return TrajectoryRecord(
+        fields = dict(
             policy=self.policy,
             capacity=self.capacity,
             dim_labels=tuple(d.label for d in self.dims),
             demands=tuple(d.demand_blocks for d in self.dims),
-            initial_counts=initial,
-            t_ms=np.array(times, dtype=np.float64),
-            kind=kind,
-            dim=dim,
-            downgraded=downgraded,
-            discarded=discarded,
-            state=rank[inverse].astype(_int_dtype(len(order))),
-            states=self.box.decode(target[first[order]]).astype(self.small),
-            end_ms=end,
             horizon_ms=scenario.horizon_ms,
             t_inject_ms=inj.t_inject_ms if inj is not None else None,
-            seed=seed,
-            stopped_early=stopped,
         )
+        records = []
+        for (r, seed, initial, _, end, stopped), a, b, lo, hi in zip(
+                walks, stops, stops[1:], rows, rows[1:]):
+            records.append(TrajectoryRecord(
+                initial_counts=initial,
+                t_ms=t_ms[a:b],
+                kind=kind[a:b],
+                dim=dim[a:b],
+                downgraded=downgraded[a:b],
+                discarded=discarded[a:b],
+                state=(state[a:b] - lo).astype(_int_dtype(hi - lo)),
+                states=states[lo:hi],
+                end_ms=end,
+                seed=seed,
+                replication=r,
+                stopped_early=stopped,
+                **fields,
+            ))
+        return records
 
 
-def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
+def _walk(scenario: Scenario, seed: int, chain: _Chain, times: list[float],
+          path: list[int]) -> tuple[tuple[int, ...], float, bool]:
     """One replication walked over ``chain``, which may be shared by
     replications of the same scenario; every draw comes from
     ``default_rng(seed)``, taken through :func:`_draws` on its bit generator.
+    Each event's time is appended to ``times`` and its arc id to ``path``;
+    the walk returns its initial counts, its end time and whether it
+    stopped early.
 
     The rates are constant up to ``t_break``, the next schedule instant: the
     injection, then the horizon. One branch moves the walk there when a draw
@@ -619,8 +675,6 @@ def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
 
     key = int(chain.box.keys(initial))
     arrivals, departures, departure_total, offer, n0 = lookup(key) or visit(key)
-    times: list[float] = []
-    path: list[int] = []  # arc id of each event
     t = 0.0
     t_break = horizon if inj is None else inj.t_inject_ms
     pending = 0  # batch offers still to make at ``t``
@@ -633,7 +687,7 @@ def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
             a = offer
         else:
             total = arr_total + offer_rate + departure_total
-            dt = exponential(bitgen, 1.0 / total) if total and t < t_break else math.inf
+            dt = 1.0 / total * exponential(bitgen) if total and t < t_break else math.inf
             if t + dt >= t_break:
                 if t_break >= horizon:
                     break
@@ -673,8 +727,7 @@ def _walk(scenario: Scenario, seed: int, chain: _Chain) -> TrajectoryRecord:
             stopped = True
             break
 
-    return chain.record(scenario, seed, initial, times, path,
-                        t if stopped else horizon, stopped)
+    return initial, t if stopped else horizon, stopped
 
 
 def pool_size(workers: int | None, replications: int) -> int:
@@ -697,11 +750,13 @@ def run_experiment(
     lives for this call only: it compiles a block of states the first time
     a walk enters it, and each pool worker compiles its own.
 
-    ``on_record``, if given, is called on each record as soon as its
-    replication ends, in the process that simulated it: a pool worker, or
-    this process when the run is serial. In a pool it must pickle, and
-    what it changes on a record does not come back. An exception it raises
-    ends the run and propagates from here once the pool has shut down.
+    ``on_record``, if given, is called on each record, in replication order,
+    once the walks of its group have ended and the group's records are built
+    (a group closes at ``GROUP_EVENTS`` events), in the process that
+    simulated it: a pool worker, or this process when the run is serial. In
+    a pool it must pickle, and what it changes on a record does not come
+    back. An exception it raises ends the run and propagates from here once
+    the pool has shut down.
     """
     scenario.validate()
     seeds = [mix_seed(scenario.base_seed, r) for r in range(scenario.replications)]
@@ -721,15 +776,23 @@ def run_experiment(
 
 def _replicate(args) -> list[TrajectoryRecord]:
     """Replications ``first, first + 1, ...`` of one scenario for a list of
-    seeds, sharing one compiled chain; ``on_record`` runs on each record as
-    it is made."""
+    seeds, sharing one compiled chain. The walks run in groups, each closed
+    once its walks hold ``GROUP_EVENTS`` events or the seeds run out; the
+    group's records are then built in one pass (:meth:`_Chain.records`) and
+    ``on_record`` runs on each."""
     scenario, first, seeds, on_record = args
     chain = _Chain(scenario)
+    last = first + len(seeds) - 1
     records = []
+    walks, times, path = [], [], []
     for r, seed in enumerate(seeds, first):
-        record = _walk(scenario, seed, chain)
-        record.replication = r
-        if on_record is not None:
-            on_record(record)
-        records.append(record)
+        initial, end, stopped = _walk(scenario, seed, chain, times, path)
+        walks.append((r, seed, initial, len(path), end, stopped))
+        if len(path) < GROUP_EVENTS and r < last:
+            continue
+        for record in chain.records(scenario, walks, times, path):
+            if on_record is not None:
+                on_record(record)
+            records.append(record)
+        walks = []
     return records

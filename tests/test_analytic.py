@@ -709,8 +709,8 @@ def test_the_simulator_compiles_the_analytic_burst_chain(policy):
                                               weights=table.rate[departing],
                                               minlength=len(keys)))
     assert np.array_equal(n0, table.counts[:, 0])
-    record = chain.record(scenario, 0, (0,) * len(dims), [0.0] * len(ids), ids,
-                          scenario.horizon_ms, False)
+    walk = (0, 0, (0,) * len(dims), len(ids), scenario.horizon_ms, False)
+    record, = chain.records(scenario, [walk], [0.0] * len(ids), ids)
     for name in ("kind", "dim", "downgraded", "discarded"):
         assert np.array_equal(getattr(record, name), getattr(table, name)), name
     assert np.array_equal(record.states[record.state], table.counts[table.target])

@@ -18,6 +18,7 @@ from ranburst import (
     summarize,
     utilization,
 )
+from ranburst import metrics
 from ranburst.cli import load_bundled_scenario
 from ranburst.metrics import (
     ReplicationSummary,
@@ -468,6 +469,51 @@ def test_path_metrics_equal_the_event_loops_exactly(name):
     rho_t, rho_avg = utilization(traj, s.grid)
     assert rho_avg == s.rho_avg
     assert np.array_equal(rho_t, s.rho_t)
+
+
+def whole_cumsum_time_average(times, states, end):
+    """The time average as one ``cumsum`` over the whole path's terms."""
+    m = int(np.searchsorted(times, end, side="left"))
+    if m < len(times):
+        m += 1
+    dt = np.diff(np.concatenate(([0.0], np.minimum(times[:m], end), [end])))
+    acc = np.cumsum(states[:m + 1] * dt[:, None], axis=0)[-1]
+    return acc / end if end > 0 else acc
+
+
+def long_path(n, seed=5):
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, 1000.0, n))
+    return times, rng.integers(0, 40, (n + 1, 3)).astype(np.int16)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, metrics._SUM_ROWS])
+def test_the_chunked_time_average_is_the_whole_cumsum_bit_for_bit(monkeypatch, rows):
+    # The first term of each chunk takes the running total, so the sum makes
+    # the same additions in the same order as one cumsum over the path. The
+    # ends cut the path before, on and after chunk boundaries, and past it.
+    monkeypatch.setattr(metrics, "_SUM_ROWS", rows)
+    times, states = long_path(2 * metrics._SUM_ROWS + 37 if rows > 7 else 301)
+    ends = [0.0, times[0] / 2, *times[[rows - 2, rows - 1, rows, 2 * rows + 3, -1]], 1200.0]
+    for end in ends:
+        got = metrics._time_average(times, states, float(end))
+        want = whole_cumsum_time_average(times, states, float(end))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), end
+
+
+def test_the_time_average_holds_no_whole_array_of_its_terms():
+    # The terms of a million-event path over three dimensions take 24 MB as
+    # one float64 array, and its cumsum as much again; the chunked sum keeps
+    # the path's time steps (two float64 arrays of its length at most) and a
+    # chunk's terms.
+    times, states = long_path(1_000_000)
+    tracemalloc.start()
+    try:
+        metrics._time_average(times, states, 1000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < states[1:].size * 8
 
 
 @pytest.mark.parametrize("policy", ["NC1", "NC2", "NC3"])

@@ -133,6 +133,42 @@ def test_pool_records_equal_serial_records_column_by_column():
     assert sum(r.n_events for r in serial) > 7 * 100
 
 
+def test_records_built_per_group_equal_records_built_one_at_a_time(monkeypatch):
+    # A run builds the records of a group of replications in one pass; each
+    # must equal its replication's record built alone (a group of one). On a
+    # 200 ms horizon at 5 events/s about a third of the replications have no
+    # event, a priority cap of 1 stops about two fifths early, and a bound of
+    # 6 events closes several groups, serially and in each pool worker.
+    sc = two_class_scenario(
+        horizon_ms=200.0, replications=40, early_stop_at_goose_cap=True,
+        classes=(TrafficClass(1, 2.0, 1.0, 1, 1), TrafficClass(2, 3.0, 1.0, 2, 5)))
+    monkeypatch.setattr(simulator, "GROUP_EVENTS", 6)
+    groups = []
+    records = simulator._Chain.records
+
+    def recording(chain, scenario, walks, times, path):
+        groups.append([stop for _, _, _, stop, _, _ in walks])
+        return records(chain, scenario, walks, times, path)
+
+    monkeypatch.setattr(simulator._Chain, "records", recording)
+    alone = []
+    for r in range(sc.replications):
+        rec = run_replication(sc, mix_seed(sc.base_seed, r))
+        rec.replication = r
+        alone.append(rec)
+    assert len(groups) == sc.replications
+    groups.clear()
+    serial = run_experiment(sc)
+    assert 1 < len(groups) < sc.replications
+    assert any(stops[-1] >= 6 and len(stops) > 1 for stops in groups)
+    assert any(0 in np.diff([0, *stops]) for stops in groups)  # a walk without events
+    assert any(r.stopped_early for r in serial) and not all(r.stopped_early for r in serial)
+    for grouped in (serial, run_experiment(sc, workers=2)):
+        assert len(grouped) == len(alone)
+        for x, y in zip(grouped, alone):
+            assert_same_columns(x, y)
+
+
 def test_record_survives_a_pickle_round_trip():
     rec = run_replication(burst_scenario(), 77)
     assert_same_columns(rec, pickle.loads(pickle.dumps(rec)))
@@ -214,7 +250,8 @@ def test_schedule_cases_keep_their_pinned_draws(case):
 
 @pytest.mark.parametrize("seed", [0, 7, 2024, 20260810, 2**64 - 1])
 def test_bound_draws_are_the_generators_own(seed):
-    # The walk draws through numpy's C functions bound with ctypes. Over
+    # The walk draws through numpy's C functions bound with ctypes, and takes
+    # an exponential holding time as the scale times a standard draw. Over
     # 25,000 interleaved pairs per seed, at scales from 1e-12 to 1e12, they
     # must give Generator.exponential(scale) and Generator.random() bit for
     # bit, and leave the generator where the methods leave it.
@@ -222,7 +259,7 @@ def test_bound_draws_are_the_generators_own(seed):
     scales = [1e-12, 1e12, *(10.0 ** np.random.default_rng(seed).uniform(-12, 12, 24_998))]
     bound, methods = np.random.default_rng(seed), np.random.default_rng(seed)
     bitgen = bound.bit_generator.ctypes.bit_generator
-    got = np.array([(exponential(bitgen, s), uniform(bitgen)) for s in scales])
+    got = np.array([(s * exponential(bitgen), uniform(bitgen)) for s in scales])
     want = np.array([(methods.exponential(s), methods.random()) for s in scales])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert bound.bit_generator.state == methods.bit_generator.state
@@ -363,6 +400,13 @@ def test_walking_the_burst_chain_resolves_no_state_one_at_a_time(monkeypatch):
     assert sum(rec.n_events for rec in records) > 0
 
 
+def walk_one(sc, seed, chain):
+    """The record of one walk over ``chain``, a group of one."""
+    times, path = [], []
+    initial, end, stopped = simulator._walk(sc, seed, chain, times, path)
+    return chain.records(sc, [(0, seed, initial, len(path), end, stopped)], times, path)[0]
+
+
 def test_a_large_pool_compiles_only_the_blocks_its_walk_enters():
     # 18.2M feasible states in 6,701 blocks; a short walk with a small
     # burst enters a handful of them.
@@ -375,7 +419,7 @@ def test_a_large_pool_compiles_only_the_blocks_its_walk_enters():
     dims = sc.dimensions()
     assert analytic._count_feasible(dims, 600) > 5_000_000
     chain = simulator._Chain(sc)
-    rec = simulator._walk(sc, 3, chain)
+    rec = walk_one(sc, 3, chain)
     assert rec.n_events > 10
     assert replay_problems(sc, rec) == []
     assert len(chain.blocks) <= 8
@@ -390,7 +434,7 @@ def test_a_state_box_past_int64_keeps_exact_keys():
     sc = two_class_scenario(horizon_ms=1000.0, classes=classes,
                             radio=RadioConfig(3_600_000, 360, 3_600_000, 10_000))
     chain = simulator._Chain(sc)
-    rec = simulator._walk(sc, 9, chain)
+    rec = walk_one(sc, 9, chain)
     assert chain.box.weights.dtype == object and len(chain.blocks) == 1
     assert rec.n_events > 10
     assert replay_problems(sc, rec) == []
