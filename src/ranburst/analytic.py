@@ -324,7 +324,9 @@ def _admission_rays(
         if d.arrival_rate <= 0:
             continue
         base = rows[:, d.index] == 0
-        length = np.minimum(d.max_sessions, free[base] // d.demand_blocks)
+        # The cap read below C // demand, as the box reads it, fits int64.
+        length = np.minimum(min(d.max_sessions, capacity // d.demand_blocks),
+                            free[base] // d.demand_blocks)
         if length.sum() > limit:
             raise StateSpaceLimitError(int(length.sum()), limit)
         ray = np.repeat(rows[base], length, axis=0)

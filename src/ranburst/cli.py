@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
 from importlib import resources
@@ -57,11 +57,11 @@ EXIT_NUMERICAL = 3
 EXIT_STATE_SPACE = 4
 EXIT_OUTPUT = 5  # an output directory or file cannot be written
 
-_SCENARIO_KEYS = {
-    "label", "description", "figure", "policy", "radio", "classes",
-    "injection", "horizon_ms", "warmup", "replications", "base_seed",
-    "time_scale", "early_stop_at_goose_cap", "grid_ms", "initial_counts",
-}
+MODES = ("simulate", "analytic", "both")
+
+# The top-level and injection keys are the dataclasses' field names; the
+# radio and class keys are not (``beta``, ``num_prbs``, ``*_khz``).
+_SCENARIO_KEYS = {f.name for f in fields(Scenario)}
 _RADIO_KEYS = {
     "channel_bandwidth_khz", "beta", "num_prbs", "block_khz", "guard_overhead_khz",
 }
@@ -69,7 +69,7 @@ _CLASS_KEYS = {
     "id", "arrival_rate", "service_rate", "demand_khz", "max_sessions",
     "priority", "adaptive", "downgraded_demand_khz", "downgraded_service_rate",
 }
-_INJECTION_KEYS = {"mode", "t_inject_ms", "batch_size", "poisson_rate"}
+_INJECTION_KEYS = {f.name for f in fields(InjectionSchedule)}
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
@@ -261,41 +261,12 @@ def load_bundled_scenario(name: str) -> Scenario:
 
 
 def scenario_hash(scenario: Scenario) -> str:
-    """Stable short hash of every semantically relevant scenario field."""
+    """Stable short hash of every scenario field but the three that only
+    name it (``label``, ``description``, ``figure``); a nested dataclass
+    enters as the tuple of its fields."""
     payload = {
-        "policy": scenario.policy,
-        "radio": (
-            scenario.radio.channel_bandwidth_khz,
-            scenario.radio.block_khz,
-            scenario.radio.usable_capacity_khz,
-            scenario.radio.capacity_blocks,
-        ),
-        "classes": [
-            (
-                c.id, c.arrival_rate, c.service_rate, c.demand_blocks,
-                c.max_sessions, c.priority, c.adaptive,
-                c.downgraded_demand_blocks, c.downgraded_service_rate,
-            )
-            for c in scenario.classes
-        ],
-        "injection": (
-            None
-            if scenario.injection is None
-            else (
-                scenario.injection.mode,
-                scenario.injection.t_inject_ms,
-                scenario.injection.batch_size,
-                scenario.injection.poisson_rate,
-            )
-        ),
-        "horizon_ms": scenario.horizon_ms,
-        "warmup": scenario.warmup,
-        "replications": scenario.replications,
-        "base_seed": scenario.base_seed,
-        "time_scale": scenario.time_scale,
-        "early_stop_at_goose_cap": scenario.early_stop_at_goose_cap,
-        "grid_ms": scenario.grid_ms,
-        "initial_counts": scenario.initial_counts,
+        f.name: value for f, value in zip(fields(scenario), astuple(scenario))
+        if f.name not in ("label", "description", "figure")
     }
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     return digest[:12]
@@ -470,7 +441,7 @@ def run(
     workers: int | None = None,
 ) -> OutputBundle:
     """Execute a scenario and write the output bundle."""
-    if mode not in ("simulate", "analytic", "both"):
+    if mode not in MODES:
         raise ScenarioError(f"unknown mode {mode!r}")
     scenario.validate()
     out = Path(out_dir)
@@ -551,8 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and steady-state reports.",
     )
     parser.add_argument("--scenario", required=True, help="scenario YAML path")
-    parser.add_argument("--mode", choices=["simulate", "analytic", "both"],
-                        default="simulate")
+    parser.add_argument("--mode", choices=MODES, default="simulate")
     parser.add_argument("--replications", type=int, default=None,
                         help="override the scenario's replication count")
     parser.add_argument("--seed", type=int, default=None,

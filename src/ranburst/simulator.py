@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import FRONTIER_CHUNK, _compile, _int_dtype, _StateBox, cap_binds, kaufman_roberts
+from .analytic import FRONTIER_CHUNK, _compile, _int_dtype, _StateBox, kaufman_roberts
 from .errors import ScenarioError
 from .numerology import RadioConfig
 from .traffic import (  # noqa: F401  (``arrival_outcome``: see the module docstring)
@@ -246,19 +246,17 @@ class Scenario:
             raise ScenarioError("replications must be >= 1")
         if self.warmup not in WARMUPS:
             raise ScenarioError(f"unknown warmup {self.warmup!r}")
-        if self.warmup == STATIONARY_VIDEO_START:
+        # A pinned start ignores the warmup, so it needs no start rule.
+        if self.warmup == STATIONARY_VIDEO_START and self.initial_counts is None:
             if len(self.classes) < 2:
                 raise ScenarioError("stationary_video_start needs a second (video) class")
+            # The start law is the video class's birth-death law up to its
+            # full-rate ceiling; NC3 leaves it when the blocks left there
+            # fit a downgraded session, which it then admits.
             video, capacity = self.classes[1], self.radio.capacity_blocks
-            if cap_binds(video, capacity):
-                raise ScenarioError(
-                    f"stationary_video_start: video session cap {video.max_sessions} binds "
-                    f"below capacity; the occupancy recursion cannot honor it")
-            # The recursion's law has no downgraded sessions, but NC3 admits,
-            # at the downgraded rate, a video arrival that finds no room at
-            # full rate when the ``C % demand`` blocks left over fit it.
-            if (self.policy == "NC3"
-                    and capacity % video.demand_blocks >= video.downgraded_demand_blocks):
+            ceiling = min(video.max_sessions, capacity // video.demand_blocks)
+            if (self.policy == "NC3" and capacity - ceiling * video.demand_blocks
+                    >= video.downgraded_demand_blocks):
                 raise ScenarioError(
                     f"stationary_video_start: at capacity {capacity}, NC3 admits downgraded "
                     f"a video arrival with no room at full rate; the occupancy recursion "
@@ -509,7 +507,10 @@ class _Chain:
 
     @cached_property
     def start_law(self) -> np.ndarray:
-        """Occupancy law of the video class alone (``stationary_video_start``)."""
+        """Stationary law of the blocks the video class holds alone
+        (``stationary_video_start``): the occupancy recursion over the
+        ``min(C, max_sessions * demand)`` blocks its sessions can fill,
+        which no session cap then binds."""
         video = self.scenario.classes[1]
         solo = TrafficClass(
             id=video.id,
@@ -518,7 +519,8 @@ class _Chain:
             demand_blocks=video.demand_blocks,
             max_sessions=video.max_sessions,
         )
-        return kaufman_roberts([solo], self.capacity).q
+        return kaufman_roberts(
+            [solo], min(self.capacity, video.max_sessions * video.demand_blocks)).q
 
     @cached_property
     def start_cdf(self) -> np.ndarray:

@@ -340,7 +340,10 @@ def arrival_outcomes(
     """
     counts = np.asarray(counts, dtype=np.int64)
     demand = np.array([d.demand_blocks for d in dims], dtype=np.int64)
-    cap = np.array([d.max_sessions for d in dims], dtype=np.int64)
+    # A count never passes C // demand, so the caps are read below it, as
+    # the state box reads them; any larger cap gives the same arcs.
+    cap = np.array([min(d.max_sessions, capacity // d.demand_blocks) for d in dims],
+                   dtype=np.int64)
     occ = counts @ demand
     rejected = (counts[:, dim] >= cap[dim]) | (occ + demand[dim] > capacity)
     target = counts.copy()

@@ -938,15 +938,17 @@ def test_transient_rejects_an_eps_outside_the_unit_interval(eps):
 # ---------------------------------------------------------------------------
 
 
-def full_poisson_sum(q, pi0, t, eps=1e-9):
+def full_poisson_sum(q, pi0, t, eps=1e-9, weights=None):
     """``transient`` as it was before the stationarity cut: every term of the
-    Poisson sum up to the truncation point."""
+    Poisson sum up to the truncation point, with ``poisson_weights`` unless
+    ``weights`` are given."""
     pi0 = np.asarray(pi0, dtype=float)
     lam = float(-q.diagonal().min()) * 1.02
     pt = (sp.eye(q.shape[0], format="csr") + q.tocsr() / lam).T.tocsr()
     mean = lam * t
     k_max = poisson_cut(eps, mean)
-    weights = poisson_weights(np.arange(k_max + 1), mean)
+    if weights is None:
+        weights = poisson_weights(np.arange(k_max + 1), mean)
     out = weights[0] * pi0
     v = pi0
     for k in range(1, k_max + 1):
@@ -1021,11 +1023,11 @@ def test_dropping_only_at_the_band_ends_takes_no_more_steps(burst_chain, monkeyp
 def test_iterates_that_stop_moving_exactly_cut_without_a_budget(monkeypatch):
     # On the NC2 burst chain at t = 100 s (Poisson mean 103,020) scipy's
     # formula for the weights, summed to scipy's own truncation point, loses
-    # more than eps: weights and a truncation taken from scipy would leave
-    # the cut no budget, and the iterates would have to reach a fixed point
-    # of the floating-point mat-vec, after which every remaining term of the
-    # sum is the same array. transient's weights keep their mass and its
-    # truncation (poisson_cut) leaves the cut about 0.94 eps.
+    # more than eps. With those weights the cut has no budget, and the sum
+    # must run on until the iterates reach a fixed point of the
+    # floating-point mat-vec, after which every remaining term of the sum is
+    # the same array. transient's own weights and truncation (poisson_cut)
+    # keep their mass and leave the cut about 0.94 eps.
     from scipy.stats import poisson
 
     policy, dims, capacity = table2_burst_dims("table2_nc2_lam20")
@@ -1034,13 +1036,21 @@ def test_iterates_that_stop_moving_exactly_cut_without_a_budget(monkeypatch):
     pi0 = np.zeros(len(space))
     pi0[space.index[(0, 0)]] = 1.0
     t, eps = 100.0, 1e-9
-    mean = float(-q.diagonal().min()) * 1.02 * t
-    weights = poisson.pmf(np.arange(poisson.isf(eps, mean) + 2), mean)
-    assert 1.0 - weights.sum() > eps
+    taken = []
+
+    def scipy_weights(k, mean):
+        taken.append(np.where(k <= poisson.isf(eps, mean) + 1, poisson.pmf(k, mean), 0.0))
+        return taken[-1]
+
+    monkeypatch.setattr(analytic, "poisson_weights", scipy_weights)
     calls = count_matvecs(monkeypatch)
     got = transient(q, pi0, t, eps=eps)
+    monkeypatch.undo()
+    (weights,) = taken
+    assert 1.0 - weights.sum() > eps  # so transient's budget was 0
     assert 0 < len(calls) < 1000  # the full sum takes about 1.05e5 steps
-    assert np.abs(got - full_poisson_sum(q, pi0, t, eps)).sum() <= 1e-12
+    want = full_poisson_sum(q, pi0, t, eps, weights=weights)
+    assert np.abs(got - want).sum() <= 1e-12
 
 
 def nearly_decomposable_generator():

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +20,7 @@ from ranburst.cli import (
     EXIT_OK,
     EXIT_OUTPUT,
     EXIT_VALIDATION,
+    MODES,
     _write_csv,
     bundled_scenario_path,
     load_bundled_scenario,
@@ -181,11 +182,44 @@ def test_unreadable_file_and_bad_yaml(tmp_path):
         load_scenario(bad)
 
 
+def bumped(value):
+    """Another value of the same kind: a scalar moved, a dataclass with every
+    field moved."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    return replace(value, **{f.name: bumped(getattr(value, f.name)) for f in fields(value)})
+
+
 def test_scenario_hash_sensitive_to_parameters():
     a = load_bundled_scenario("table2_nc3_lam20")
     b = load_bundled_scenario("table2_nc3_lam40")
     assert scenario_hash(a) != scenario_hash(b)
     assert scenario_hash(a) == scenario_hash(load_bundled_scenario("table2_nc3_lam20"))
+    # Every field moves the hash but the three that only name the scenario,
+    # and so does every field of a nested dataclass.
+    changed = {
+        "classes": a.classes[:1],
+        "injection": None,
+        "initial_counts": (0, 0, 0),
+    }
+    for f in fields(a):
+        value = changed[f.name] if f.name in changed else bumped(getattr(a, f.name))
+        moved = scenario_hash(replace(a, **{f.name: value})) != scenario_hash(a)
+        assert moved == (f.name not in ("label", "description", "figure")), f.name
+    nested = [("radio", f.name) for f in fields(a.radio)]
+    nested += [("injection", f.name) for f in fields(a.injection)]
+    for name, field in nested:
+        value = replace(getattr(a, name), **{field: bumped(getattr(getattr(a, name), field))})
+        assert scenario_hash(replace(a, **{name: value})) != scenario_hash(a), (name, field)
+    for f in fields(a.classes[1]):
+        video = a.classes[1]
+        value = 1.0 if getattr(video, f.name) is None else bumped(getattr(video, f.name))
+        classes = (a.classes[0], replace(video, **{f.name: value}))
+        assert scenario_hash(replace(a, classes=classes)) != scenario_hash(a), f.name
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +419,65 @@ def test_a_heavily_loaded_stationary_start_runs(tmp_path, capsys):
     row = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1].split(",")
     rho_avg = float(row[2])
     assert 0.9 < rho_avg <= 1.0  # 36,000 erlangs keep the 2,000 blocks nearly full
+
+
+@pytest.mark.parametrize("policy, cap, capacity, code", [
+    ("nc1", 20, 62, EXIT_OK),
+    ("nc1", 20, 63, EXIT_OK),
+    ("nc2", 20, 62, EXIT_OK),
+    ("nc2", 20, 63, EXIT_OK),
+    ("nc3", 31, 63, EXIT_VALIDATION),
+    ("nc3", 20, 62, EXIT_VALIDATION),
+])
+def test_a_capped_video_class_takes_the_stationary_start(tmp_path, capsys, policy, cap,
+                                                          capacity, code):
+    # Under NC1 and NC2 the start law is the video class's own whatever its
+    # cap; NC3 leaves it when the blocks left at the full-rate ceiling (1 at
+    # 63 blocks, 22 under a cap of 20) fit a downgraded session.
+    raw = yaml.safe_load(bundled_scenario_path(f"table2_{policy}_lam20").read_text())
+    raw["classes"][1]["max_sessions"] = cap
+    if capacity == 63:
+        raw["radio"].update(beta=1, num_prbs=63)  # 63 PRBs of 360 kHz
+    path = tmp_path / "capped.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    got = main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--replications", "2"])
+    err = capsys.readouterr().err
+    assert got == code, err
+    if code == EXIT_OK:
+        assert load_scenario(path).radio.capacity_blocks == capacity
+    else:
+        assert f"at capacity {capacity}, NC3 admits" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("name", ["demo_nc3_small", "oracle_nc1_small", "table2_nc2_lam20"])
+@pytest.mark.parametrize("cls", [0, 1])
+def test_a_session_cap_past_int64_acts_as_the_pool_bound(tmp_path, capsys, name, cls):
+    # A count never passes C // demand, so a larger cap, even one past int64,
+    # gives the records and CSV bodies of that bound; only the hash moves.
+    raw = yaml.safe_load(bundled_scenario_path(name).read_text())
+    raw["horizon_ms"] = min(raw["horizon_ms"], 500_000)  # oracle_nc1_small's is 2.5e7
+    sc = scenario_from_dict(raw)
+    bound = sc.radio.capacity_blocks // sc.classes[cls].demand_blocks
+    bodies, records = {}, {}
+    for cap in (2**64, bound):
+        raw["classes"][cls]["max_sessions"] = cap
+        path = tmp_path / f"cap{cap}.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        for mode in MODES:
+            out = tmp_path / f"cap{cap}-{mode}"
+            code = main(["--scenario", str(path), "--out", str(out), "--mode", mode,
+                         "--replications", "2"])
+            assert code == EXIT_OK, capsys.readouterr().err
+            bodies[cap, mode] = {
+                p.name: [line.rsplit(",", 1)[0] for line in p.read_text().splitlines()]
+                for p in sorted(out.glob("*.csv"))
+            }
+        records[cap] = run_experiment(replace(load_scenario(path), replications=2))
+    for mode in MODES:
+        assert bodies[2**64, mode] == bodies[bound, mode], mode
+    for big, capped in zip(records[2**64], records[bound]):
+        assert big.initial_counts == capped.initial_counts
+        assert big.events == capped.events
 
 
 def test_main_validation_failure(tmp_path, capsys):

@@ -738,11 +738,27 @@ def test_scenario_validation_errors():
         two_class_scenario(initial_counts=(11, 0)).validate()
     with pytest.raises(ScenarioError, match="time_scale"):
         burst_scenario(time_scale=0.0).validate()
-    # The start law is the occupancy recursion, which no binding cap fits.
-    capped = (goose_class(), video_class(max_sessions=20))
-    with pytest.raises(ScenarioError, match="stationary_video_start: video session cap 20"):
-        burst_scenario("NC2", classes=capped).validate()
-    burst_scenario("NC2", classes=capped, warmup="empty_start").validate()
+    # The start law is the video class's own law up to its cap, so a cap
+    # that binds below capacity // demand still validates.
+    burst_scenario("NC2", classes=(goose_class(), video_class(max_sessions=20))).validate()
+
+
+def start_residual(sc):
+    """``max |pi0 Q|`` of the simulator's start law placed on the states of
+    the scenario's pre-burst chain with video sessions only, and the mass
+    placed there."""
+    policy, dims, capacity = sc.chain()
+    space, q = build_generator(policy, dims, capacity,
+                               space=reachable_states(policy, dims, capacity))
+    law, demand = simulator._Chain(sc).start_law, sc.classes[1].demand_blocks
+    pi0 = np.zeros(len(space))
+    for n in range((len(law) - 1) // demand + 1):
+        pi0[space.index[(0, n) + (0,) * (len(dims) - 2)]] = law[n * demand]
+    return np.abs(pi0 @ q).max(), pi0.sum()
+
+
+def radio_of(capacity):
+    return RadioConfig(25000, 360, 360 * capacity, capacity)
 
 
 @pytest.mark.parametrize("capacity, honored", [(62, True), (63, False)])
@@ -750,18 +766,9 @@ def test_nc3_stationary_start_needs_a_capacity_the_recursion_honors(capacity, ho
     # 31 full-rate video sessions leave 63 % 2 = 1 block, which NC3 fills
     # with a downgraded admission, so the recursion's law placed on the
     # states without downgraded sessions is stationary at 62 blocks only.
-    radio = RadioConfig(25000, 360, 360 * capacity, capacity)
-    sc = burst_scenario(radio=radio)
-    policy, dims, _ = sc.chain()
-    space, q = build_generator(policy, dims, capacity,
-                               space=reachable_states(policy, dims, capacity))
-    video = sc.classes[1]
-    law = kaufman_roberts([TrafficClass(video.id, dims[1].arrival_rate, dims[1].service_rate,
-                                        video.demand_blocks, video.max_sessions)], capacity).q
-    pi0 = np.zeros(len(space))
-    for n in range(capacity // 2 + 1):
-        pi0[space.index[(0, n, 0)]] = law[2 * n]
-    residual = np.abs(pi0 @ q).max()
+    sc = burst_scenario(radio=radio_of(capacity))
+    residual, mass = start_residual(sc)
+    assert mass == pytest.approx(1.0)
     if honored:
         assert residual < 1e-12
         sc.validate()
@@ -770,6 +777,37 @@ def test_nc3_stationary_start_needs_a_capacity_the_recursion_honors(capacity, ho
         with pytest.raises(ScenarioError, match="at capacity 63, NC3 admits"):
             sc.validate()
         replace(sc, warmup="empty_start").validate()
+
+
+@pytest.mark.parametrize("policy, capacity, honored", [
+    ("NC1", 62, True), ("NC1", 63, True), ("NC2", 62, True), ("NC2", 63, True),
+    ("NC3", 62, False),
+])
+def test_the_start_law_honors_a_binding_video_cap(policy, capacity, honored):
+    # With 20 video sessions at most, the recursion runs over the 40 blocks
+    # they can fill: the birth-death law of the video class alone, whatever
+    # C. NC3 admits downgraded a video arrival that finds 20 sessions there,
+    # since the 22 blocks left fit it, so its law is not that one.
+    classes = tuple(table2_classes(policy))
+    classes = (classes[0], replace(classes[1], max_sessions=20))
+    sc = burst_scenario(policy, radio=radio_of(capacity), classes=classes)
+    residual, mass = start_residual(sc)
+    assert mass == pytest.approx(1.0)
+    if honored:
+        assert residual <= 1e-12
+        sc.validate()
+    else:
+        assert residual > 1.0
+        with pytest.raises(ScenarioError, match=f"at capacity {capacity}, NC3 admits"):
+            sc.validate()
+
+
+def test_a_pinned_start_needs_no_start_rule():
+    # initial_counts overrides the warmup, so the NC3 rule that rejects the
+    # stationary start at 63 blocks does not apply.
+    sc = burst_scenario(radio=radio_of(63), initial_counts=(0, 5, 1), replications=2)
+    sc.validate()
+    assert [r.initial_counts for r in run_experiment(sc)] == [(0, 5, 1)] * 2
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
