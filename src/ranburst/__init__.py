@@ -19,7 +19,7 @@ from .analytic import (
     transient,
 )
 from .errors import NumericalError, ScenarioError, StateSpaceLimitError
-from .metrics import ReplicationSummary, aggregate, ratios, summarize, utilization
+from .metrics import ReplicationSummary, aggregate, summarize
 from .numerology import (
     Numerology,
     RadioConfig,
@@ -76,7 +76,6 @@ __all__ = [
     "lookup_numerology",
     "mix_seed",
     "occupied",
-    "ratios",
     "reachable_states",
     "run_experiment",
     "run_replication",
@@ -86,5 +85,4 @@ __all__ = [
     "transient",
     "transitions",
     "usable_capacity",
-    "utilization",
 ]

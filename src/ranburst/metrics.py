@@ -65,22 +65,6 @@ def _path(traj: TrajectoryRecord) -> tuple[np.ndarray, np.ndarray]:
     return traj.t_ms, states
 
 
-def _window(traj: TrajectoryRecord) -> int:
-    """Number of events before the first one past the observation end."""
-    late = np.flatnonzero(traj.t_ms > traj.end_ms)
-    return int(late[0]) if len(late) else traj.n_events
-
-
-def _goose(traj: TrajectoryRecord) -> tuple[int, np.ndarray]:
-    """``(m, goose)``: the events in the window (:func:`_window`), and the
-    priority count before the first event and after each of those ``m``."""
-    m = _window(traj)
-    goose = np.concatenate((
-        [traj.initial_counts[GOOSE_DIM]], traj.states[traj.state[:m], GOOSE_DIM],
-    ))
-    return m, goose
-
-
 def _curves(times: np.ndarray, states: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Right-continuous counts on ``grid``: the state after the last event at
     or before each grid point."""
@@ -88,26 +72,22 @@ def _curves(times: np.ndarray, states: np.ndarray, grid: np.ndarray) -> np.ndarr
 
 
 def _time_average(times: np.ndarray, states: np.ndarray, end: float) -> np.ndarray:
-    """Exact time average of the path over [0, end].
+    """Exact time average of the path over [0, end]; every event lies at or
+    before ``end``.
 
-    Events from the first one at or after ``end`` onward do not count. The
-    ``counts * dt`` terms of the segments are added in path order, one after
-    another, so the result does not depend on how numpy would pair them up.
-    A zero-length segment adds an exact 0.0, which leaves the sum as it is,
-    so the segments are not filtered first. The terms are summed
+    The ``counts * dt`` terms of the segments are added in path order, one
+    after another, so the result does not depend on how numpy would pair
+    them up. A zero-length segment adds an exact 0.0, which leaves the sum
+    as it is, so the segments are not filtered first. The terms are summed
     ``_SUM_ROWS`` segments at a time, without a float64 array of them all:
     the first term of each chunk takes the running total (0.0 before the
     first, which leaves a term as it is), and the chunk's ``cumsum`` goes on
     from there. Those are the additions one ``cumsum`` over the path makes,
     in the same order.
     """
-    m = int(np.searchsorted(times, end, side="left"))
-    if m < len(times):
-        m += 1  # the event at or after ``end`` closes the last segment
-    dt = np.diff(np.concatenate(([0.0], np.minimum(times[:m], end), [end])))
-    states = states[:m + 1]
+    dt = np.diff(np.concatenate(([0.0], times, [end])))
     acc = np.zeros(states.shape[1])
-    for lo in range(0, m + 1, _SUM_ROWS):
+    for lo in range(0, len(states), _SUM_ROWS):
         terms = states[lo:lo + _SUM_ROWS] * dt[lo:lo + _SUM_ROWS, None]
         terms[0] += acc
         acc = np.cumsum(terms, axis=0)[-1]
@@ -124,72 +104,29 @@ def time_average_counts(traj: TrajectoryRecord) -> np.ndarray:
     return _time_average(*_path(traj), traj.end_ms)
 
 
-def _rho(traj: TrajectoryRecord, mean_counts: np.ndarray, curves: np.ndarray):
-    demands = np.asarray(traj.demands, dtype=float)
-    rho_avg = float(mean_counts @ demands) / traj.capacity
-    rho_t = (demands @ curves) / traj.capacity
-    return rho_t, rho_avg
-
-
-def utilization(
-    traj: TrajectoryRecord, grid: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Block utilization on a grid plus its exact time average.
-
-    Utilization is occupied blocks over capacity; the average integrates the
-    piecewise-constant path over the observed window.
-    """
-    if grid is None:
-        grid = make_grid(traj.horizon_ms, 10.0)
-    times, states = _path(traj)
-    return _rho(traj, _time_average(times, states, traj.end_ms),
-                _curves(times, states, grid))
-
-
-def goose_presence_window(traj: TrajectoryRecord) -> tuple[float, float] | None:
-    """(first time the priority count becomes positive, last time it is).
-
-    Returns None when no priority session was ever present. The upper end is
-    the observation end when sessions are still present there.
-    """
-    return _presence_window(traj, *_goose(traj))
-
-
-def _presence_window(traj: TrajectoryRecord, m: int, goose: np.ndarray):
-    present = goose > 0  # present[i]: a priority session is present after the first i events
-    if not present.any():
-        return None
-    i = int(np.argmax(present))
-    first = float(traj.t_ms[i - 1]) if i else 0.0
-    if present[-1]:
-        return first, traj.end_ms
-    left = np.flatnonzero(present[:-1] & ~present[1:])  # events after which none is
-    return first, float(traj.t_ms[left[-1]])
-
-
-def burst_period(traj: TrajectoryRecord) -> tuple[float | None, float | None]:
-    """(burst period, burst duration) in ms; None when never observed.
-
-    The burst period runs from the injection instant to the last time a
-    priority session is present; the burst duration from the first priority
-    entry to that same instant.
-    """
-    return _burst_period(traj, goose_presence_window(traj))
-
-
-def _burst_period(traj: TrajectoryRecord, window: tuple[float, float] | None):
-    if window is None:
-        return None, None
-    first, last = window
-    duration = last - first
-    if traj.t_inject_ms is None:
-        return None, duration
-    return last - traj.t_inject_ms, duration
-
-
 @dataclass
 class ReplicationSummary:
-    """Scalar metrics plus gridded curves for one replication.
+    """Scalar metrics plus gridded curves for one replication, over its
+    observed window ``[0, end_ms]``.
+
+    - ``rho_avg`` is the exact time average of the utilization, occupied
+      blocks over capacity, integrated over the piecewise-constant path;
+      ``rho_t`` samples it on ``grid``.
+    - ``burst_duration_ms`` runs from the first time a priority session is
+      present to the last; ``burst_period_ms`` from the injection instant to
+      that same last time. When sessions are still present at the
+      observation end, the last time is censored there. Both are None when
+      no priority session is ever present, and the period also when there is
+      no injection.
+    - ``n_ga`` counts the video arrivals over the window, and ``r_rj``,
+      ``r_dw`` and ``r_dc`` divide the video rejections, downgrades and
+      discards by it; ``r_dw`` counts both cascade downgrades of ongoing
+      sessions and downgraded admissions. All are None when ``n_ga`` is 0.
+    - ``r_v`` is the rejection ratio of the priority-free part of the run:
+      video rejections with no priority session present just before them,
+      over video arrivals in that same condition; None when there are none.
+      The whole-window rejection ratio is ``r_rj``.
+    - ``counts`` holds the integer tallies behind the ratios.
 
     ``m_t`` holds session counts, so it keeps the record's integer dtype
     (``TrajectoryRecord.states.dtype``, int16 on the bundled scenarios);
@@ -213,37 +150,43 @@ class ReplicationSummary:
     mean_counts: np.ndarray  # exact time average of each dimension's count
 
 
-def ratios(traj: TrajectoryRecord) -> dict:
-    """Loss/downgrade bookkeeping over the observed window.
+def _burst_period(traj: TrajectoryRecord, goose: np.ndarray):
+    """``(burst_period_ms, burst_duration_ms)`` of the priority count
+    ``goose`` before the first event and after each one."""
+    present = goose > 0  # present[i]: a priority session is present after the first i events
+    if not present.any():
+        return None, None
+    i = int(np.argmax(present))
+    first = float(traj.t_ms[i - 1]) if i else 0.0
+    if present[-1]:
+        last = traj.end_ms
+    else:
+        left = np.flatnonzero(present[:-1] & ~present[1:])  # events after which none is
+        last = float(traj.t_ms[left[-1]])
+    if traj.t_inject_ms is None:
+        return None, last - first
+    return last - traj.t_inject_ms, last - first
 
-    ``r_rj``, ``r_dw``, ``r_dc`` divide by the number of video arrivals over
-    the whole window; ``r_dw`` counts both cascade downgrades of ongoing
-    sessions and downgraded admissions. ``r_v`` is the rejection ratio of
-    the priority-free part of the run: video rejections that happen with no
-    priority session present, over video arrivals in that same condition
-    (whole-window rejections over all arrivals are ``r_rj``).
-    """
-    return _ratios(traj, *_goose(traj))
 
-
-def _ratios(traj: TrajectoryRecord, m: int, goose_count: np.ndarray) -> dict:
-    kind = traj.kind[:m]
-    arrival = _IS_ARRIVAL[kind]
-    rejected = kind == _REJECTED
-    video = arrival & (traj.dim[:m] == VIDEO_DIM)
-    goose = arrival & (traj.dim[:m] == GOOSE_DIM)
-    goose_free = goose_count[:m] == 0  # no priority session just before each event
+def _ratios(traj: TrajectoryRecord, goose_count: np.ndarray) -> dict:
+    """``n_ga``, the ``r_*`` ratios and ``counts`` of the path whose priority
+    count before the first event and after each one is ``goose_count``."""
+    arrival = _IS_ARRIVAL[traj.kind]
+    rejected = traj.kind == _REJECTED
+    video = arrival & (traj.dim == VIDEO_DIM)
+    goose = arrival & (traj.dim == GOOSE_DIM)
+    goose_free = goose_count[:-1] == 0  # no priority session just before each event
     video_arrivals = int(np.count_nonzero(video))
     video_rejected = int(np.count_nonzero(video & rejected))
     pre = 0
     if traj.t_inject_ms is not None:
-        pre = int(np.count_nonzero(video & (traj.t_ms[:m] < traj.t_inject_ms)))
+        pre = int(np.count_nonzero(video & (traj.t_ms < traj.t_inject_ms)))
     gf_arrivals = int(np.count_nonzero(video & goose_free))
     gf_rejected = int(np.count_nonzero(video & goose_free & rejected))
     goose_arrivals = int(np.count_nonzero(goose))
     goose_rejected = int(np.count_nonzero(goose & rejected))
-    downgraded = int(traj.downgraded[:m].sum())
-    discarded = int(traj.discarded[:m].sum())
+    downgraded = int(traj.downgraded.sum())
+    discarded = int(traj.discarded.sum())
 
     n_ga = video_arrivals
     counts = {
@@ -273,10 +216,9 @@ def _ratios(traj: TrajectoryRecord, m: int, goose_count: np.ndarray) -> dict:
 
 def empirical_blocking(traj: TrajectoryRecord) -> dict[int, tuple[int, int]]:
     """Per-dimension (arrivals, outright rejections) over the window."""
-    m = _window(traj)
-    arrival = _IS_ARRIVAL[traj.kind[:m]]
-    dim = traj.dim[:m][arrival]
-    rejected = traj.kind[:m][arrival] == _REJECTED
+    arrival = _IS_ARRIVAL[traj.kind]
+    dim = traj.dim[arrival]
+    rejected = traj.kind[arrival] == _REJECTED
     dims, first = np.unique(dim, return_index=True)
     return {
         int(d): (int(np.count_nonzero(dim == d)), int(np.count_nonzero(rejected[dim == d])))
@@ -285,23 +227,22 @@ def empirical_blocking(traj: TrajectoryRecord) -> dict[int, tuple[int, int]]:
 
 
 def summarize(traj: TrajectoryRecord, grid_ms: float = 10.0) -> ReplicationSummary:
-    """One replication's metrics. The path's states, its window and its
-    priority-count column are taken once and shared by every metric, and
-    the grid is made once per (horizon, step) and shared, read-only, by
-    every summary on it."""
+    """One replication's metrics (see :class:`ReplicationSummary`). The
+    path's states and its priority-count column are taken once and shared by
+    every metric, and the grid is made once per (horizon, step) and shared,
+    read-only, by every summary on it."""
     grid = _shared_grid(traj.horizon_ms, grid_ms)
     times, states = _path(traj)
     mean_counts = _time_average(times, states, traj.end_ms)
     curves = _curves(times, states, grid)
-    rho_t, rho_avg = _rho(traj, mean_counts, curves)
-    m = _window(traj)
-    goose = states[:m + 1, GOOSE_DIM]
-    period, duration = _burst_period(traj, _presence_window(traj, m, goose))
-    r = _ratios(traj, m, goose)
+    demands = np.asarray(traj.demands, dtype=float)
+    goose = states[:, GOOSE_DIM]
+    period, duration = _burst_period(traj, goose)
+    r = _ratios(traj, goose)
     return ReplicationSummary(
         replication=traj.replication,
         seed=traj.seed,
-        rho_avg=rho_avg,
+        rho_avg=float(mean_counts @ demands) / traj.capacity,
         burst_period_ms=period,
         burst_duration_ms=duration,
         r_rj=r["r_rj"],
@@ -311,7 +252,7 @@ def summarize(traj: TrajectoryRecord, grid_ms: float = 10.0) -> ReplicationSumma
         n_ga=r["n_ga"],
         counts=r["counts"],
         grid=grid,
-        rho_t=rho_t,
+        rho_t=(demands @ curves) / traj.capacity,
         m_t=curves,
         mean_counts=mean_counts,
     )

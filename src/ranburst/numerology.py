@@ -8,6 +8,7 @@ are exact integer arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 SUB6 = "sub6"
@@ -50,8 +51,11 @@ def guard_band_khz(channel_bandwidth_khz: float, scs_khz: int, num_prbs: int) ->
     """Minimum guard band on each side of the carrier, in kHz.
 
     Half of whatever the allocated PRBs (12 sub-carriers each) leave unused
-    in the channel. Raises ValueError when the allocation does not fit.
+    in the channel. Raises ValueError when the bandwidth is not finite or
+    the allocation does not fit.
     """
+    if not math.isfinite(channel_bandwidth_khz):
+        raise ValueError(f"channel bandwidth must be finite, got {channel_bandwidth_khz} kHz")
     occupied = num_prbs * scs_khz * 12
     if occupied > channel_bandwidth_khz:
         raise ValueError(

@@ -323,6 +323,10 @@ class TrajectoryRecord:
     ``kind`` are int16 when their values allow (see :func:`_int_dtype`) and
     int32 otherwise. ``events`` rebuilds the same path as a list of
     :class:`Event` on every access.
+
+    Every event lies at or before ``end_ms``, so the path is the whole
+    observed window and no reader cuts it: a walk ends at the horizon, or
+    right after its stopping event with ``end_ms`` at that event's time.
     """
 
     policy: str
@@ -346,13 +350,17 @@ class TrajectoryRecord:
 
     @classmethod
     def from_events(cls, events: list[Event], **fields) -> TrajectoryRecord:
-        """A record of ``events``; ``fields`` are the remaining attributes."""
+        """A record of ``events``; ``fields`` are the remaining attributes.
+        Raises ValueError when an event lies past ``end_ms``."""
+        t_ms = np.array([e.t_ms for e in events], dtype=np.float64)
+        if (t_ms > fields["end_ms"]).any():
+            raise ValueError(f"an event lies past the observation end {fields['end_ms']} ms")
         n_dims = len(fields["initial_counts"])
         small = _int_dtype(max(fields["capacity"], n_dims))
         rows: dict[tuple[int, ...], int] = {}
         state = [rows.setdefault(tuple(e.counts), len(rows)) for e in events]
         return cls(
-            t_ms=np.array([e.t_ms for e in events], dtype=np.float64),
+            t_ms=t_ms,
             kind=np.array([_KIND_CODE[e.kind] for e in events], dtype=np.int8),
             dim=np.array([e.dim for e in events], dtype=small),
             downgraded=np.array([e.downgraded for e in events], dtype=small),
@@ -381,11 +389,6 @@ class TrajectoryRecord:
                 self.downgraded.tolist(), self.discarded.tolist(), self.state.tolist(),
             )
         ]
-
-    def final_counts(self) -> tuple[int, ...]:
-        if not self.n_events:
-            return self.initial_counts
-        return tuple(self.states[self.state[-1]].tolist())
 
 
 def mix_seed(base_seed: int, replication: int) -> int:

@@ -609,6 +609,21 @@ def test_non_finite_rates_are_validation_errors(tmp_path, capsys, literal):
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("literal", [".nan", ".inf", "-.inf", "1e400"])
+def test_non_finite_bandwidths_are_validation_errors(tmp_path, capsys, literal):
+    raw = demo_dict()
+    raw["radio"]["channel_bandwidth_khz"] = "BANDWIDTH"
+    text = yaml.safe_dump(raw).replace("BANDWIDTH", literal)
+    with pytest.raises(ScenarioError, match="bandwidth"):
+        scenario_from_dict(yaml.safe_load(text))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    code = main(["--scenario", str(bad), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    assert not (tmp_path / "out").exists()
+
+
 def _set(raw, path, value):
     target = raw
     for key in path[:-1]:
@@ -732,6 +747,15 @@ def test_batch_size_above_the_bound_is_a_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(raw))
     assert main(["--scenario", str(bad), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+
+
+def test_every_public_name_resolves():
+    # A name deleted from the package but left in __all__ fails here: the
+    # star import raises AttributeError on it.
+    import ranburst
+
+    exec("from ranburst import *", {})
+    assert [name for name in ranburst.__all__ if not hasattr(ranburst, name)] == []
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

@@ -12,20 +12,16 @@ from ranburst import (
     InjectionSchedule,
     Scenario,
     aggregate,
-    ratios,
     run_experiment,
     run_replication,
     summarize,
-    utilization,
 )
 from ranburst import metrics
 from ranburst.cli import load_bundled_scenario
 from ranburst.metrics import (
     ReplicationSummary,
     _shared_grid,
-    burst_period,
     empirical_blocking,
-    goose_presence_window,
     make_grid,
     session_curves,
     time_average_counts,
@@ -79,23 +75,21 @@ def burst_scenario(policy="NC3", lam2=1 / 20, seed=20260810, reps=1):
 
 
 def test_constant_path_utilization():
-    traj = synthetic([], initial=(10, 5, 3))
-    rho_t, rho_avg = utilization(traj, make_grid(1000.0, 100.0))
-    assert rho_avg == pytest.approx(23 / 62)
-    assert np.allclose(rho_t, 23 / 62)
+    s = summarize(synthetic([], initial=(10, 5, 3)), grid_ms=100.0)
+    assert s.rho_avg == pytest.approx(23 / 62)
+    assert np.allclose(s.rho_t, 23 / 62)
 
 
 def test_empty_trajectory_utilization_is_zero():
-    traj = synthetic([], initial=(0, 0, 0))
-    rho_t, rho_avg = utilization(traj)
-    assert rho_avg == 0.0
-    assert np.allclose(rho_t, 0.0)
+    s = summarize(synthetic([], initial=(0, 0, 0)))
+    assert s.rho_avg == 0.0
+    assert np.allclose(s.rho_t, 0.0)
 
 
 def test_rho_avg_matches_independent_event_integral():
     sc = burst_scenario()
     rec = run_replication(sc, 909)
-    _, rho_avg = utilization(rec)
+    rho_avg = summarize(rec).rho_avg
     # independent route: integrate occupied blocks step by step
     occ = sum(c * d for c, d in zip(rec.initial_counts, rec.demands))
     t_prev, acc = 0.0, 0.0
@@ -129,21 +123,21 @@ def test_burst_period_simple_example():
         Event(2000.0, ARRIVAL_ACCEPTED, 0, 0, 0, (1, 0, 0)),
         Event(2500.0, DEPARTURE, 0, 0, 0, (0, 0, 0)),
     ]
-    traj = synthetic(events, t_inject=2000.0, end=6000.0, horizon=6000.0)
-    period, duration = burst_period(traj)
+    s = summarize(synthetic(events, t_inject=2000.0, end=6000.0, horizon=6000.0))
+    period, duration = s.burst_period_ms, s.burst_duration_ms
     assert period == pytest.approx(500.0)
     assert duration == pytest.approx(500.0)
 
 
 def test_burst_period_absent_without_admissions():
-    traj = synthetic([], t_inject=2000.0)
-    assert burst_period(traj) == (None, None)
+    s = summarize(synthetic([], t_inject=2000.0))
+    assert (s.burst_period_ms, s.burst_duration_ms) == (None, None)
 
 
 def test_burst_period_censored_at_horizon():
     events = [Event(2100.0, ARRIVAL_ACCEPTED, 0, 0, 0, (1, 0, 0))]
-    traj = synthetic(events, t_inject=2000.0, end=6000.0, horizon=6000.0)
-    period, duration = burst_period(traj)
+    s = summarize(synthetic(events, t_inject=2000.0, end=6000.0, horizon=6000.0))
+    period, duration = s.burst_period_ms, s.burst_duration_ms
     assert period == pytest.approx(4000.0)
     assert duration == pytest.approx(3900.0)
 
@@ -162,18 +156,17 @@ def test_ratio_arithmetic_simple():
     for _ in range(5):
         events.append(Event(t, ARRIVAL_REJECTED, 1, 0, 0, (0, 1, 0)))
         t += 1.0
-    traj = synthetic(events, end=100.0, horizon=100.0)
-    r = ratios(traj)
-    assert r["n_ga"] == 50
-    assert r["r_rj"] == pytest.approx(0.1)
-    assert r["r_dw"] == 0.0
-    assert r["r_dc"] == 0.0
+    s = summarize(synthetic(events, end=100.0, horizon=100.0))
+    assert s.n_ga == 50
+    assert s.r_rj == pytest.approx(0.1)
+    assert s.r_dw == 0.0
+    assert s.r_dc == 0.0
 
 
 def test_ratios_absent_without_arrivals():
-    r = ratios(synthetic([]))
-    assert r["n_ga"] == 0
-    assert r["r_rj"] is None and r["r_v"] is None
+    s = summarize(synthetic([]))
+    assert s.n_ga == 0
+    assert s.r_rj is None and s.r_v is None
 
 
 def test_r_v_counts_only_priority_free_window():
@@ -185,12 +178,11 @@ def test_r_v_counts_only_priority_free_window():
         Event(50.0, DEPARTURE, 0, 0, 0, (0, 1, 0)),
         Event(60.0, ARRIVAL_ACCEPTED, 1, 0, 0, (0, 2, 0)),   # priority-free
     ]
-    traj = synthetic(events, end=100.0, horizon=100.0)
-    r = ratios(traj)
-    assert r["counts"]["goose_free_arrivals"] == 2
-    assert r["counts"]["goose_free_rejected"] == 1
-    assert r["r_v"] == pytest.approx(0.5)
-    assert r["r_rj"] == pytest.approx(2 / 4)
+    s = summarize(synthetic(events, end=100.0, horizon=100.0))
+    assert s.counts["goose_free_arrivals"] == 2
+    assert s.counts["goose_free_rejected"] == 1
+    assert s.r_v == pytest.approx(0.5)
+    assert s.r_rj == pytest.approx(2 / 4)
 
 
 def test_downgrade_bookkeeping_feeds_r_dw_and_r_dc():
@@ -199,25 +191,23 @@ def test_downgrade_bookkeeping_feeds_r_dw_and_r_dc():
         Event(20.0, ARRIVAL_DOWNGRADED, 1, 1, 0, (0, 1, 1)),
         Event(30.0, DOWNGRADE_CASCADE, 0, 1, 1, (1, 0, 1)),
     ]
-    traj = synthetic(events, end=100.0, horizon=100.0)
-    r = ratios(traj)
-    assert r["n_ga"] == 2
-    assert r["r_dw"] == pytest.approx(2 / 2)  # one admit, one cascade conversion
-    assert r["r_dc"] == pytest.approx(1 / 2)
+    s = summarize(synthetic(events, end=100.0, horizon=100.0))
+    assert s.n_ga == 2
+    assert s.r_dw == pytest.approx(2 / 2)  # one admit, one cascade conversion
+    assert s.r_dc == pytest.approx(1 / 2)
 
 
 @pytest.mark.parametrize("policy", ["NC1", "NC2"])
 def test_non_adaptive_policies_never_downgrade(policy):
     sc = burst_scenario(policy=policy, reps=5)
     for rec in run_experiment(sc):
-        r = ratios(rec)
-        assert r["r_dw"] == 0.0
+        assert summarize(rec).r_dw == 0.0
 
 
 def test_count_conservation_on_real_run():
     sc = burst_scenario(reps=5)
     for rec in run_experiment(sc):
-        c = ratios(rec)["counts"]
+        c = summarize(rec).counts
         accepted = sum(
             1 for e in rec.events if e.dim == 1 and e.kind == ARRIVAL_ACCEPTED
         )
@@ -244,7 +234,7 @@ def test_nc3_discards_fewer_video_sessions_than_nc2():
     samples = []
     for policy, seed in (("NC2", 1), ("NC3", 2)):
         records = run_experiment(burst_scenario(policy, seed=seed, reps=200), workers=2)
-        samples.append(np.array([ratios(rec)["r_dc"] for rec in records]))
+        samples.append(np.array([summarize(rec).r_dc for rec in records]))
     nc2, nc3 = samples
     se = np.sqrt((nc2.var(ddof=1) + nc3.var(ddof=1)) / 200)
     assert nc2.mean() - nc3.mean() > 4 * se, (nc2.mean(), nc3.mean(), se)
@@ -394,10 +384,10 @@ def loop_time_average_counts(traj):
 
 
 def random_path(rng, n, end=1000.0, horizon=1000.0, ties=0.0):
-    times = np.sort(rng.uniform(0.0, horizon * 1.2, n))
-    if ties:  # snap a share of the times onto a few instants
+    times = np.sort(rng.uniform(0.0, end, n))
+    if ties:  # snap a share of the times onto a few instants in the window
         snap = rng.random(n) < ties
-        times[snap] = np.round(times[snap] / 250.0) * 250.0
+        times[snap] = np.minimum(np.round(times[snap] / 250.0) * 250.0, end)
         times.sort()
     events = [
         Event(float(t), ARRIVAL_ACCEPTED, 0, 0, 0, tuple(int(c) for c in rng.integers(0, 40, 3)))
@@ -415,12 +405,11 @@ def batch_path(t_inject=2000.0, n=30):
 
 
 def stopped_path():
-    # stopped early at 2000 ms; the events after it lie past the window
+    # stopped early at 2000 ms, inside a batch: its last events lie at the end
     events = [
         Event(100.0, ARRIVAL_ACCEPTED, 0, 0, 0, (1, 0, 0)),
         Event(2000.0, ARRIVAL_ACCEPTED, 0, 0, 0, (2, 0, 0)),
         Event(2000.0, ARRIVAL_ACCEPTED, 0, 0, 0, (3, 0, 0)),
-        Event(2500.0, ARRIVAL_ACCEPTED, 0, 0, 0, (4, 0, 0)),
     ]
     return synthetic(events, end=2000.0, horizon=6000.0)
 
@@ -466,18 +455,13 @@ def test_path_metrics_equal_the_event_loops_exactly(name):
     assert np.array_equal(s.m_t, session_curves(traj, s.grid))
     demands = np.asarray(traj.demands, dtype=float)
     assert s.rho_avg == float(expected @ demands) / traj.capacity
-    rho_t, rho_avg = utilization(traj, s.grid)
-    assert rho_avg == s.rho_avg
-    assert np.array_equal(rho_t, s.rho_t)
+    assert np.array_equal(s.rho_t, demands @ loop_session_curves(traj, s.grid) / traj.capacity)
 
 
 def whole_cumsum_time_average(times, states, end):
     """The time average as one ``cumsum`` over the whole path's terms."""
-    m = int(np.searchsorted(times, end, side="left"))
-    if m < len(times):
-        m += 1
-    dt = np.diff(np.concatenate(([0.0], np.minimum(times[:m], end), [end])))
-    acc = np.cumsum(states[:m + 1] * dt[:, None], axis=0)[-1]
+    dt = np.diff(np.concatenate(([0.0], times, [end])))
+    acc = np.cumsum(states * dt[:, None], axis=0)[-1]
     return acc / end if end > 0 else acc
 
 
@@ -491,14 +475,16 @@ def long_path(n, seed=5):
 def test_the_chunked_time_average_is_the_whole_cumsum_bit_for_bit(monkeypatch, rows):
     # The first term of each chunk takes the running total, so the sum makes
     # the same additions in the same order as one cumsum over the path. The
-    # ends cut the path before, on and after chunk boundaries, and past it.
+    # paths hold k events, with k before, on and after chunk boundaries; each
+    # ends at its last event or past it.
     monkeypatch.setattr(metrics, "_SUM_ROWS", rows)
     times, states = long_path(2 * metrics._SUM_ROWS + 37 if rows > 7 else 301)
-    ends = [0.0, times[0] / 2, *times[[rows - 2, rows - 1, rows, 2 * rows + 3, -1]], 1200.0]
-    for end in ends:
-        got = metrics._time_average(times, states, float(end))
-        want = whole_cumsum_time_average(times, states, float(end))
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), end
+    cuts = [k for k in (0, 1, rows - 2, rows - 1, rows, 2 * rows + 3, len(times)) if k >= 0]
+    for k in cuts:
+        for end in (times[k - 1] if k else 0.0, 1200.0):
+            got = metrics._time_average(times[:k], states[:k + 1], float(end))
+            want = whole_cumsum_time_average(times[:k], states[:k + 1], float(end))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (k, end)
 
 
 def test_the_time_average_holds_no_whole_array_of_its_terms():
@@ -624,10 +610,12 @@ def loop_empirical_blocking(traj):
 
 def random_event_path(seed):
     """Any kind, dimension and bookkeeping; the priority count often 0; a
-    share of the events past the observation end."""
+    share of the events at 600 ms, the injection and, at times, the
+    observation end."""
     rng = np.random.default_rng(seed)
     n = [0, 1, 5, 60, 400][seed % 5]
-    times = np.sort(rng.uniform(0.0, 1200.0, n))
+    end = [1000.0, 1200.0, 600.0][seed % 3]
+    times = np.sort(rng.uniform(0.0, end, n))
     times[rng.random(n) < 0.2] = 600.0  # ties, and events at t_inject
     times.sort()
     kinds = [ARRIVAL_ACCEPTED, ARRIVAL_REJECTED, ARRIVAL_DOWNGRADED, DEPARTURE,
@@ -640,14 +628,11 @@ def random_event_path(seed):
         for t in times
     ]
     initial = (int(rng.integers(2)), 4, 1)
-    return synthetic(events, initial=initial, end=[1000.0, 1200.0, 600.0][seed % 3],
-                     horizon=1200.0, t_inject=600.0 if seed % 4 else None)
+    return synthetic(events, initial=initial, end=end, horizon=1200.0,
+                     t_inject=600.0 if seed % 4 else None)
 
 
 def assert_readers_equal_the_loops(traj):
-    assert goose_presence_window(traj) == loop_goose_presence_window(traj)
-    assert burst_period(traj) == loop_burst_period(traj)
-    assert ratios(traj) == loop_ratios(traj)
     expected = loop_empirical_blocking(traj)
     got = empirical_blocking(traj)
     assert got == expected and list(got) == list(expected)

@@ -28,6 +28,7 @@ from ranburst.simulator import (
     pool_size,
 )
 from ranburst.traffic import (
+    ARRIVAL_ACCEPTED,
     ARRIVAL_DOWNGRADED,
     ARRIVAL_REJECTED,
     DEPARTURE,
@@ -181,7 +182,7 @@ def test_records_of_both_constructors_hold_the_same_columns():
         "policy", "capacity", "dim_labels", "demands", "initial_counts", "end_ms",
         "horizon_ms", "t_inject_ms", "seed", "stopped_early")}
     assert_same_columns(rec, simulator.TrajectoryRecord.from_events(rec.events, **fields))
-    assert rec.final_counts() == rec.events[-1].counts
+    assert tuple(rec.states[rec.state[-1]].tolist()) == rec.events[-1].counts
     assert rec.events is not rec.events  # rebuilt on access, never cached
 
 
@@ -246,6 +247,35 @@ def record_digest(records) -> str:
 def test_schedule_cases_keep_their_pinned_draws(case):
     sc = replace(SCHEDULE_CASES[case](), replications=3)
     assert record_digest(run_experiment(sc)) == SCHEDULE_DIGESTS[case]
+
+
+BUNDLED_NAMES = sorted(
+    p.stem for p in bundled_scenario_path("demo_nc3_small").parent.glob("*.yaml"))
+
+
+@pytest.mark.parametrize("case", BUNDLED_NAMES + ["early-stop-in-batch", "early-stop-on-stream"])
+def test_every_event_lies_at_or_before_the_observation_end(case):
+    # The metrics read a record's whole path as its observed window. A walk
+    # ends at the horizon, or right after its stopping event, at that event.
+    sc = SCHEDULE_CASES[case]() if case in SCHEDULE_CASES else load_bundled_scenario(case)
+    records = run_experiment(replace(sc, replications=4))
+    for rec in records:
+        assert rec.n_events == 0 or rec.t_ms[-1] <= rec.end_ms
+        if rec.stopped_early:
+            assert rec.t_ms[-1] == rec.end_ms < rec.horizon_ms
+        else:
+            assert rec.end_ms == rec.horizon_ms
+    if case.startswith("early-stop"):
+        assert any(rec.stopped_early for rec in records)
+
+
+def test_a_hand_built_record_holds_no_event_past_its_end():
+    fields = dict(policy="NC1", capacity=10, dim_labels=("a", "b"), demands=(1, 2),
+                  initial_counts=(0, 0), horizon_ms=100.0, t_inject_ms=None, seed=0)
+    events = [simulator.Event(50.0, ARRIVAL_ACCEPTED, 0, 0, 0, (1, 0))]
+    assert simulator.TrajectoryRecord.from_events(events, end_ms=50.0, **fields).n_events == 1
+    with pytest.raises(ValueError, match="past the observation end"):
+        simulator.TrajectoryRecord.from_events(events, end_ms=49.0, **fields)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024, 20260810, 2**64 - 1])
@@ -438,7 +468,7 @@ def test_a_state_box_past_int64_keeps_exact_keys():
     assert chain.box.weights.dtype == object and len(chain.blocks) == 1
     assert rec.n_events > 10
     assert replay_problems(sc, rec) == []
-    assert rec.final_counts()[:19] == (0,) * 19
+    assert rec.events[-1].counts[:19] == (0,) * 19
 
 
 def test_the_start_law_is_computed_once_per_experiment(monkeypatch):
@@ -597,7 +627,7 @@ def test_early_stop_at_goose_cap():
     rec = run_replication(sc, 17)
     assert rec.stopped_early
     assert rec.end_ms == pytest.approx(1000.0)
-    assert rec.final_counts()[0] == 62
+    assert rec.events[-1].counts[0] == 62
 
 
 def test_stationary_video_start_matches_loss_distribution():
