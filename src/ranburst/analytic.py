@@ -1,13 +1,15 @@
 """Exact and numerical solutions used as oracles and for steady-state reports.
 
 Contains the Kaufman-Roberts occupancy recursion (valid for the non-priority
-pool), the chain search, the chain compiler (:func:`_compile`, which builds
-every :class:`ChainTable`), generator-matrix assembly for all three policies
-from that arc table, a preconditioned Krylov steady-state solve, and
-transient probabilities by uniformization. Uniformization drops negligible
-mass and multiplies only the band of rows its iterate can reach; its l1 error
-is the Poisson tail plus twice the dropped mass plus the stationarity cut,
-within ``eps``, and its cost is the steps taken times the band.
+pool), the chain search, which compiles each state it finds once, the chain
+compiler (:func:`_compile`, which builds every :class:`ChainTable`),
+generator-matrix assembly for all three policies from that arc table, a
+preconditioned Krylov steady-state solve, whose incomplete factor is taken
+of ``Q`` itself and applied transposed, and transient probabilities by
+uniformization. Uniformization drops negligible mass and multiplies only the
+band of rows its iterate can reach; its l1 error is the Poisson tail plus
+twice the dropped mass plus the stationarity cut, within ``eps``, and its
+cost is the steps taken times the band.
 
 This module and the simulator share one state key, a state's number in the
 box of session counts (:class:`_StateBox`), whose rank numbers states here;
@@ -60,11 +62,16 @@ FRONTIER_CHUNK = 1 << 14
 # taken in the states' own order. States are numbered in lexicographic order
 # of their counts, so every arc of a generator stays within a band of rows
 # and the incomplete factor keeps its fill inside that band; a fill-reducing
-# ordering scatters the band and gives a larger, slower factor. Of the drop
-# tolerances 1e-2, 3e-2 and 1e-1, 3e-2 was fastest over the bundled
-# scenarios' chains and random small pools without needing the complete
-# factor; 1e-1 needed it on some random pools. The complete factor, the
-# fallback, keeps a minimum-degree ordering because fill is what costs there.
+# ordering scatters the band and gives a larger, slower factor. The factor is
+# taken of Q with its last column set to ones, the transpose of the bordered
+# system, and applied transposed: SuperLU builds it in less than half the time
+# it takes over the bordered system itself (11-14 against 29-32 ms on the
+# 22,352-state NC3 burst chains, 2-core x86-64 host), with GMRES still at 8-10
+# iterations there. Of the drop tolerances 1e-2, 3e-2 and 1e-1, 3e-2 was
+# fastest over the bundled scenarios' chains and random small pools without
+# needing the complete factor; 1e-1 needed it on some random pools. The
+# complete factor, the fallback, keeps a minimum-degree ordering because fill
+# is what costs there.
 ILU_DROP_TOL = 3e-2
 GMRES_RESTART = 50
 GMRES_MAXITER = 20
@@ -388,10 +395,11 @@ def _compile(policy: str, box: _StateBox, rows: np.ndarray, arrivals: list[int])
 
 
 def _table_for(space: StateSpace, policy: str, dims, capacity: int) -> ChainTable:
-    """The space's own table when it was compiled for these arguments, else
-    every arc out of each state of ``space.counts``: the arrival of each
-    dimension with a positive arrival rate, in dimension order, then the
-    departure of each occupied dimension (:func:`_compile`).
+    """The space's own table when it was compiled for these arguments, such
+    as the one :func:`reachable_states` leaves, else every arc out of each
+    state of ``space.counts``: the arrival of each dimension with a positive
+    arrival rate, in dimension order, then the departure of each occupied
+    dimension (:func:`_compile`).
 
     A target is numbered by the rank of its key among the space's keys; a
     target outside the space raises ``KeyError``.
@@ -459,38 +467,73 @@ def reachable_states(
     Needed when some dimension has no arrival stream (its states would be
     transient or unreachable and make the balance system singular). The
     search is breadth first: it compiles every arc of a whole frontier of
-    states at once (:func:`_compile`) and keeps the targets it has not seen.
-    Each step also adds the states that repeated direct admissions reach
+    states at once (:func:`_compile`) and keeps the targets it has not seen,
+    found by one sort of the frontier's target keys and one set probe per
+    distinct key, so a step's cost follows its own keys. Each step also adds
+    the states that repeated direct admissions reach
     (:func:`_admission_rays`), so a long line of states costs one step.
     States are numbered in lexicographic order of their counts, whatever
     order the search found them in, which keeps the generator banded for
-    :func:`steady_state`; the returned space's ``table`` is then compiled
-    over them (:func:`_table_for`). It raises :class:`StateSpaceLimitError`
-    once it has found more than ``limit`` states.
+    :func:`steady_state`; the returned space's ``table`` is the frontiers'
+    own tables put in that order (:func:`_in_key_order`), so each state is
+    compiled once. It raises :class:`StateSpaceLimitError` once it has found
+    more than ``limit`` states.
     """
     dims = list(dims)
     box = _StateBox(dims, capacity)
     first = np.zeros((1, len(dims)), dtype=np.int64)
     seen = set(box.keys(first).tolist())
     found = [first]  # blocks of states in the order they were found
+    tables = []  # the compiled frontiers, in the same order
     for block in found:  # grows while it is walked
         for lo in range(0, len(block), FRONTIER_CHUNK):
             frontier = block[lo:lo + FRONTIER_CHUNK]
             table = _compile(policy, box, frontier, box.arriving)
-            keys = np.unique(np.concatenate((
+            tables.append(table)
+            keys = np.sort(np.concatenate((
                 table.target[table.kind != _REJECTED],
                 box.keys(_admission_rays(dims, capacity, frontier, limit)))))
-            new = np.fromiter((k not in seen for k in keys.tolist()), dtype=bool,
-                              count=len(keys))
+            distinct = np.ones(len(keys), dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+            keys = keys[distinct]
+            new = ~np.fromiter(map(seen.__contains__, keys.tolist()), dtype=bool,
+                               count=len(keys))
             total = len(seen) + int(np.count_nonzero(new))
             if total > limit:
                 raise StateSpaceLimitError(total, limit)
             seen.update(keys[new].tolist())
             found.append(box.decode(keys[new]))
-    counts = np.concatenate(found)
-    counts = counts[np.argsort(box.keys(counts))]
-    space = StateSpace(counts=counts, dims=tuple(dims), capacity=capacity)
-    return replace(space, table=_table_for(space, policy, dims, capacity))
+    del seen, found  # before the tables are put in order, which is the peak
+    table = _in_key_order(box, tables)
+    return StateSpace(counts=table.counts, dims=tuple(dims), capacity=capacity, table=table)
+
+
+def _in_key_order(box: _StateBox, tables: list[ChainTable]) -> ChainTable:
+    """One table over the rows of ``tables``, put in key order: the table
+    :func:`_table_for` would compile over the sorted rows.
+
+    The rows of ``tables`` are distinct states whose arc targets are all
+    among them. Each row's arcs keep their order and move as one range to
+    the row's place in key order; each target is then numbered by the rank
+    of its key.
+    """
+    counts = np.concatenate([t.counts for t in tables])
+    keys = box.keys(counts)
+    order = np.argsort(keys)
+    counts, keys = counts[order], keys[order]
+    # Arc a of the result is arc gather[a] of the tables' arcs end to end.
+    width = np.concatenate([np.bincount(t.source, minlength=len(t.counts)) for t in tables])
+    found_start = np.cumsum(width) - width
+    width = width[order]
+    start = np.cumsum(width) - width
+    gather = np.repeat(found_start[order] - start, width) + np.arange(width.sum())
+    columns = {name: np.concatenate([getattr(t, name) for t in tables])[gather]
+               for name in ("target", "rate", "kind", "dim", "downgraded", "discarded")}
+    # In key order the target keys run close to sorted, which makes their
+    # binary searches cheap.
+    columns["target"] = np.searchsorted(keys, columns["target"])
+    return replace(tables[0], counts=counts, source=np.repeat(np.arange(len(counts)), width),
+                   **columns)
 
 
 def build_generator(
@@ -543,15 +586,19 @@ def steady_state(q: sp.spmatrix, tol: float = 1e-10) -> np.ndarray:
     normalization constraint. The normalization row keeps every unknown on
     the scale of a probability; pinning one state's mass to 1 instead would
     scale the others by its inverse, which leaves the range of a double when
-    that state's mass does. Restarted GMRES solves the system, preconditioned
+    that state's mass does. That system is the transpose of ``Q`` with its
+    last column set to ones, which is built in CSC straight from ``Q``'s
+    columns; both factors are taken of it and solved transposed
+    (``solve(x, "T")``). Restarted GMRES solves the system, preconditioned
     by an incomplete LU factor in the states' own order: :func:`reachable_states`
     and :func:`enumerate_states` number states in lexicographic order of their
     counts, which keeps every arc, and so the factor's fill, within a band of
     rows. A solution is accepted when it is finite, its residual
     ``max |pi Q|`` is at most ``tol`` and no state has mass below ``-tol``; if
     the incomplete factor gives none, the solve is repeated once with the
-    complete factor, taken in minimum-degree order of ``A^T + A`` to keep its
-    fill small. Any numbering gives the same answer; one that scatters the
+    complete factor, taken in minimum-degree order of ``A^T + A`` (symmetric
+    in structure, so the same for either orientation) to keep its fill
+    small. Any numbering gives the same answer; one that scatters the
     band only makes the incomplete factor costlier or sends the solve to the
     complete one.
     """
@@ -561,13 +608,20 @@ def steady_state(q: sp.spmatrix, tol: float = 1e-10) -> np.ndarray:
     n = q.shape[0]
     if n == 1:
         return np.ones(1)
-    qt = q.T.tocsr()
-    a = sp.vstack([qt[:-1], sp.csr_matrix(np.ones((1, n)))], format="csc")
+    # at: Q with its last column set to ones, in CSC; the system is at^T.
+    qc = q.tocsc()
+    end = qc.indptr[n - 1]
+    at = sp.csc_matrix(
+        (np.concatenate((qc.data[:end], np.ones(n))),
+         np.concatenate((qc.indices[:end], np.arange(n, dtype=qc.indices.dtype))),
+         np.append(qc.indptr[:n], end + n)),
+        shape=(n, n))
+    a = at.T
     b = np.zeros(n)
     b[n - 1] = 1.0
 
     def solve(factor) -> tuple[np.ndarray, float]:
-        pre = spla.LinearOperator(a.shape, factor.solve)
+        pre = spla.LinearOperator(a.shape, lambda x: factor.solve(x, "T"))
         pi, _ = spla.gmres(a, b, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
                            maxiter=GMRES_MAXITER, M=pre)
         return pi, float(np.abs(pi @ q).max())
@@ -576,14 +630,14 @@ def steady_state(q: sp.spmatrix, tol: float = 1e-10) -> np.ndarray:
         return bool(np.isfinite(pi).all()) and residual <= tol and pi.min() >= -tol
 
     try:
-        ilu = spla.spilu(a, drop_tol=ILU_DROP_TOL, permc_spec="NATURAL")
+        ilu = spla.spilu(at, drop_tol=ILU_DROP_TOL, permc_spec="NATURAL")
     except RuntimeError:  # a singular incomplete factor: try the complete one
         pi = None
     else:
         pi, residual = solve(ilu)
     if pi is None or not accepted(pi, residual):
         try:
-            lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(at, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU reports a singular factor this way
             raise NumericalError(f"steady-state factorization failed: {exc}") from exc
         pi, residual = solve(lu)

@@ -10,7 +10,8 @@ class ScenarioError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A linear solve or iteration did not reach the requested tolerance."""
+    """A linear solve or iteration did not reach the requested tolerance,
+    or the simulator's bound draws are not numpy's own."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import FRONTIER_CHUNK, _compile, _int_dtype, _StateBox, kaufman_roberts
-from .errors import ScenarioError
+from .errors import NumericalError, ScenarioError
 from .numerology import RadioConfig
 from .traffic import (  # noqa: F401  (``arrival_outcome``: see the module docstring)
     _KIND_CODE,
@@ -414,16 +414,33 @@ def _draws() -> tuple:
     to gain from releasing it, and a call that releases it costs more. The
     calls skip the generator's lock, which is why a walk's generator is
     never shared across threads.
+
+    A numpy whose library lacks either symbol, or whose bound pair's first
+    draws on a fixed seed are not ``Generator.standard_exponential()`` and
+    ``Generator.random()``, raises :class:`NumericalError` naming numpy's
+    version: its walks would not take numpy's own draws.
     """
     from numpy.random import _generator
 
     lib = ctypes.PyDLL(_generator.__file__)
-    exponential = lib.random_standard_exponential
-    exponential.argtypes = (ctypes.c_void_p,)
-    exponential.restype = ctypes.c_double
-    uniform = lib.random_standard_uniform
-    uniform.argtypes = (ctypes.c_void_p,)
-    uniform.restype = ctypes.c_double
+    try:
+        exponential = lib.random_standard_exponential
+        uniform = lib.random_standard_uniform
+    except AttributeError as exc:
+        raise NumericalError(
+            f"numpy {np.__version__} does not export the draws the simulator binds: {exc}"
+        ) from exc
+    for draw in (exponential, uniform):
+        draw.argtypes = (ctypes.c_void_p,)
+        draw.restype = ctypes.c_double
+    bound, reference = np.random.default_rng(0), np.random.default_rng(0)
+    bitgen = bound.bit_generator.ctypes.bit_generator
+    drawn = (exponential(bitgen), uniform(bitgen))
+    expected = (reference.standard_exponential(), reference.random())
+    if drawn != expected:
+        raise NumericalError(
+            f"numpy {np.__version__}: the bound draws {drawn} are not the "
+            f"generator's own {expected}")
     return exponential, uniform
 
 

@@ -39,7 +39,7 @@ from ranburst.analytic import (
     poisson_cut,
     poisson_weights,
 )
-from ranburst.cli import load_bundled_scenario
+from ranburst.cli import bundled_scenario_path, load_bundled_scenario
 from ranburst.traffic import ARRIVAL_REJECTED, occupied
 
 from conftest import table2_classes
@@ -359,7 +359,7 @@ def test_steady_state_on_table2_nc3_burst_chain():
 class _ConstantFactor:
     """A preconditioner that maps every vector to the same one."""
 
-    def solve(self, x):
+    def solve(self, x, trans="N"):
         return np.ones_like(x)
 
 
@@ -673,6 +673,35 @@ def test_compiled_burst_chain_equals_the_per_state_walk(name):
     states = per_state_reachable(policy, dims, capacity)
     assert space.states == states
     assert_same_table(space.table, per_state_table(policy, dims, capacity, states))
+
+
+def test_the_chain_search_compiles_each_state_once(monkeypatch):
+    compiled = []
+
+    def counting(policy, box, rows, arrivals):
+        compiled.append(len(rows))
+        return real_compile(policy, box, rows, arrivals)
+
+    real_compile = analytic._compile
+    monkeypatch.setattr(analytic, "_compile", counting)
+    space = reachable_states(*table2_burst_dims())
+    assert len(space) == 22_352 and sum(compiled) == len(space)
+
+
+BUNDLED = sorted(p.stem for p in bundled_scenario_path("demo_nc3_small").parent.glob("*.yaml"))
+SEARCHED_CHAINS = [(name, False) for name in BUNDLED] + [(name, True) for name in TABLE2]
+TABLE_COLUMNS = ("counts", "source", "target", "rate", "kind", "dim", "downgraded", "discarded")
+
+
+@pytest.mark.parametrize("scenario, burst", SEARCHED_CHAINS,
+                         ids=[f"{n}-{'burst' if b else 'chain'}" for n, b in SEARCHED_CHAINS])
+def test_the_search_table_is_the_table_compiled_in_key_order(scenario, burst):
+    policy, dims, capacity = load_bundled_scenario(scenario).chain(burst=burst)
+    space = reachable_states(policy, dims, capacity)
+    assert space.table.counts is space.counts
+    expected = analytic._table_for(replace(space, table=None), policy, dims, capacity)
+    assert expected is not space.table
+    assert_same_table(space.table, {c: getattr(expected, c) for c in TABLE_COLUMNS})
 
 
 @pytest.mark.parametrize("policy", ["NC1", "NC2", "NC3"])

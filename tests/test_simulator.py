@@ -1,12 +1,16 @@
+import ctypes
 import hashlib
+import json
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ranburst import (
     InjectionSchedule,
+    NumericalError,
     RadioConfig,
     Scenario,
     ScenarioError,
@@ -18,7 +22,7 @@ from ranburst import (
 )
 from ranburst import analytic, simulator, traffic
 from ranburst.analytic import build_generator, mean_counts, reachable_states, steady_state
-from ranburst.cli import bundled_scenario_path, load_bundled_scenario
+from ranburst.cli import bundled_scenario_path, load_bundled_scenario, main
 from ranburst.metrics import empirical_blocking
 from ranburst.simulator import (
     MAX_BATCH_SIZE,
@@ -293,6 +297,46 @@ def test_bound_draws_are_the_generators_own(seed):
     want = np.array([(methods.exponential(s), methods.random()) for s in scales])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert bound.bit_generator.state == methods.bit_generator.state
+
+
+real_pydll = ctypes.PyDLL
+
+
+def _missing_draw(path):
+    lib = real_pydll(path)
+    return SimpleNamespace(random_standard_exponential=lib.random_standard_exponential)
+
+
+def _swapped_draws(path):
+    lib = real_pydll(path)
+    return SimpleNamespace(random_standard_exponential=lib.random_standard_uniform,
+                           random_standard_uniform=lib.random_standard_exponential)
+
+
+@pytest.fixture
+def rebind_draws():
+    simulator._draws.cache_clear()
+    yield
+    simulator._draws.cache_clear()
+
+
+@pytest.mark.parametrize("library, message", [
+    (_missing_draw, "does not export"), (_swapped_draws, "are not the generator's own"),
+], ids=["missing", "swapped"])
+def test_draws_that_are_not_numpys_own_stop_the_run(monkeypatch, capsys, tmp_path,
+                                                    rebind_draws, library, message):
+    # A numpy without the symbols, or whose bound pair does not draw what
+    # its Generator draws, is a numerical failure that names the version:
+    # the CLI exits 3 with its JSON record and no traceback.
+    monkeypatch.setattr(simulator.ctypes, "PyDLL", library)
+    with pytest.raises(NumericalError, match=f"numpy {np.__version__}.*{message}"):
+        simulator._draws()
+    code = main(["--scenario", str(bundled_scenario_path("oracle_transient_c4")),
+                 "--replications", "2", "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "numerical_failure"
+    assert "Traceback" not in err and message in err
 
 
 @pytest.mark.parametrize("name", ["table2_nc1_lam10", "table2_nc2_lam20", "table2_nc3_lam40"])
