@@ -6,10 +6,14 @@ compiler (:func:`_compile`, which builds every :class:`ChainTable`),
 generator-matrix assembly for all three policies from that arc table, a
 preconditioned Krylov steady-state solve, whose incomplete factor is taken
 of ``Q`` itself and applied transposed, and transient probabilities by
-uniformization. Uniformization drops negligible mass and multiplies only the
-band of rows its iterate can reach; its l1 error is the Poisson tail plus
-twice the dropped mass plus the stationarity cut, within ``eps``, and its
-cost is the steps taken times the band.
+uniformization. Uniformization drops negligible mass, multiplies only the
+band of rows its iterate can reach and stops once its iterates provably
+stop moving; it forms no Poisson weight below the left truncation point
+(Fox and Glynn), so a sum that stops before it, as at any long horizon,
+puts the whole Poisson mass on its last iterate. Its l1 error, the Poisson
+mass it leaves out plus twice the dropped mass plus the stationarity cut,
+is within ``eps``, and its cost is the steps taken times the band, whatever
+the horizon.
 
 This module and the simulator share one state key, a state's number in the
 box of session counts (:class:`_StateBox`), whose rank numbers states here;
@@ -79,6 +83,18 @@ GMRES_RTOL = 1e-14
 # Uniformization: the share of the error budget that dropping negligible
 # mass may spend (see :func:`transient`); the rest is left to the cut.
 DROP_SHARE = 0.25
+# The share of eps that the Poisson mass below the left point may hold.
+LEFT_SHARE = 2.0**-20
+# The stationarity check is skipped for CHECK_SKIP steps after one whose
+# bound misses the remaining budget by more than a factor of CHECK_MISS.
+CHECK_MISS = 64.0
+CHECK_SKIP = 3
+# Poisson counts are exact doubles up to 2**53; no truncation point passes it
+# for a mean up to 2**52.
+MAX_POISSON_MEAN = 2.0**52
+# Counts tested at once by a search for a truncation point (:func:`_least`):
+# every bracket of a mean up to about 1.5e4 takes one evaluation.
+SEARCH_POINTS = 1024
 # Occupancy recursion: once an unnormalised g(c) passes 2**900, every entry
 # so far is multiplied by 2**-900. A power-of-two scale is exact (an entry
 # pushed below the normal range loses bits, but it is then below 2**-1000 of
@@ -721,13 +737,70 @@ def poisson_cut(eps: float, mean: float) -> int:
     of :func:`poisson_weights` and no inverse cdf. The bound is loose by a
     factor of about 16 there. Every candidate is below ``mean + sqrt(2 mean
     L) + L``, ``L = log(1 / eps)``, where the Bernstein form of the bound,
-    ``deviance(mean + a) >= a^2 / (2 (mean + a / 3))``, already passes ``L``.
+    ``deviance(mean + a) >= a^2 / (2 (mean + a / 3))``, already passes ``L``;
+    the search over that bracket (:func:`_least`) takes bounded memory. A
+    mean that is not positive or passes ``MAX_POISSON_MEAN``, where counts
+    stop being exact doubles (infinity and NaN among them), raises
+    ``ValueError``.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    level = -math.log(eps)
-    ks = np.arange(math.ceil(mean), math.ceil(mean + math.sqrt(2 * mean * level) + level) + 1)
-    return int(ks[np.argmax(_deviance(ks + 1.0, mean) >= level)])
+    level = _poisson_level(eps, mean, "eps")
+    lo, hi = math.ceil(mean), math.ceil(mean + math.sqrt(2 * mean * level) + level)
+    return _least(lambda ks: _deviance(ks + 1.0, mean) >= level, lo, hi)
+
+
+def poisson_left(delta: float, mean: float) -> int:
+    """The greatest count ``L`` below which a Poisson variable of mean
+    ``mean > 0`` lies with probability at most ``delta``, by the Chernoff
+    bound ``P(N <= x) <= exp(-deviance(x, mean))`` for ``x <= mean``.
+
+    ``L`` is 0 when even ``P(N = 0) = exp(-mean)`` passes ``delta``, that is
+    when ``mean < log(1 / delta)``; else it is the least ``x >= 1`` with
+    ``deviance(x, mean) < log(1 / delta)``, so that ``L - 1`` is the greatest
+    count whose bound passes and ``L`` is the first whose bound fails. It is
+    above ``mean - sqrt(2 mean log(1 / delta))``, where ``deviance(mean -
+    a) >= a^2 / (2 mean)`` already passes, and at most ``mean``.
+    """
+    level = _poisson_level(delta, mean, "delta")
+    if mean < level:
+        return 0
+    lo = max(1, math.floor(mean - math.sqrt(2 * mean * level)))
+    return _least(lambda ks: _deviance(ks, mean) < level, lo, math.floor(mean))
+
+
+def _poisson_level(p: float, mean: float, name: str) -> float:
+    """``log(1 / p)`` for a truncation point's probability ``p``, once ``p``
+    and ``mean`` are checked."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {p}")
+    if not 0.0 < mean <= MAX_POISSON_MEAN:
+        raise ValueError(
+            f"the Poisson mean must be positive and at most 2**52, got {mean}")
+    return -math.log(p)
+
+
+def _least(test, lo: int, hi: int) -> int:
+    """The least count ``k`` in ``[lo, hi]`` at which ``test`` holds, for a
+    test that fails below some count and holds from there on (``hi`` if it
+    holds nowhere). ``test`` takes an array of counts as doubles.
+
+    Each round tests at most ``SEARCH_POINTS`` evenly spaced counts and keeps
+    the gap after the last that fails, up to the first that holds, so memory
+    stays bounded at any width and a bracket of ``SEARCH_POINTS`` counts or
+    fewer takes one evaluation.
+    """
+    while True:
+        step = max(1, (hi - lo + SEARCH_POINTS - 2) // (SEARCH_POINTS - 1))
+        ks = np.arange(lo, hi + 1, step)
+        held = test(ks.astype(np.float64))
+        i = int(np.argmax(held))
+        if not held[i]:
+            if ks[-1] == hi:
+                return hi
+            lo = int(ks[-1]) + 1
+        elif step == 1 or i == 0:
+            return int(ks[i])
+        else:
+            lo, hi = int(ks[i - 1]) + 1, int(ks[i])
 
 
 # scipy.sparse._sparsetools, bound by the first band product; csr_matvec is
@@ -762,55 +835,78 @@ def transient(
     """State distribution at time ``t`` by uniformization.
 
     Sums the Poisson-weighted powers ``v_k = pi0 P^k`` of the uniformized
-    jump matrix ``P = I + Q / lam``, dropping negligible mass as it goes
-    (fast adaptive uniformization). The l1 error against ``pi0 exp(Q t)``
-    is at most ``eps * sum(pi0)`` (``pi0`` may be sub-stochastic), Poisson
-    tail plus twice the dropped mass plus cut:
+    jump matrix ``P = I + Q / lam``, dropping negligible mass as it goes and
+    stopping once the iterates provably stop moving (fast adaptive
+    uniformization, Mateescu et al., IET Syst. Biol. 2010), with the left
+    truncation point of Fox and Glynn (CACM 1988). The l1 error against
+    ``pi0 exp(Q t)`` is at most ``eps |pi0|``, ``|pi0| = sum(pi0)`` (``pi0``
+    may be sub-stochastic). With ``N`` Poisson of mean ``lam t``, ``k_max =
+    poisson_cut(eps, lam t)`` and the left point ``L = poisson_left(delta,
+    lam t)``, ``delta = LEFT_SHARE eps``, so that ``P(N < L) <= delta``:
 
-    * the Poisson tail beyond ``k_max = poisson_cut(eps, lam t)``, at most
-      ``eps`` by its Chernoff bound and near ``eps / 16`` in fact, is
-      dropped; the weights up to it are :func:`poisson_weights`, whose
-      missing mass is the tail to rounding;
+    * ``d_k = |v_{k-1} P - v_{k-1}|_1`` is measured on the computed
+      iterates at step ``k``, before the step's drop. The exact
+      continuation ``v_{k-1} P^j`` never moves by more than ``d_k`` a step,
+      so putting the Poisson mass of the terms from ``k`` on on ``v_{k-1}
+      P`` moves the sum by at most ``d_k J_k``, ``J_k`` their mass times
+      the expected number of remaining steps;
     * after each step, the entries of the iterate at or below ``theta``
       before its first and after its last entry above ``theta`` are set to
       0 and their mass added to ``dropped``; entries between those two are
       kept. The drop is there to narrow the band, and dropping less keeps
       the bound. ``P`` is non-negative with rows summing to at most 1, so a
-      drop of ``delta`` moves every later iterate by at most ``delta`` in
-      l1: the iterates summed before the cut, and the exact continuation
-      summed in its place, each lie within ``dropped`` of the exact ones.
-      ``theta = drop_budget / (k_max n)``, where ``drop_budget`` is
-      ``DROP_SHARE`` of what the tail leaves of ``eps``, so no run can drop
-      more than that share. A step that leaves no entry above ``theta``
-      (only a ``q`` whose rows sum below 0, which loses mass, can) drops
-      the whole iterate and ends the sum, whose later terms are all 0;
-    * the sum stops at the first step ``k`` whose iterates provably stop
-      moving. ``d_k = |v_{k-1} P - v_{k-1}|_1`` is measured on the computed
-      iterates, before the step's drop; the exact continuation
-      ``v_{k-1} P^j`` then never moves by more than ``d_k`` a step, so
-      putting all the remaining Poisson mass on ``v_{k-1} P`` moves the sum
-      by at most ``d_k J_k``, where ``J_k`` is the remaining mass times the
-      expected number of remaining steps. The stop is taken once
-      ``d_k J_k + 2 dropped`` fits in what the tail leaves of ``eps``, or
-      once ``d_k`` is exactly 0: from there every later iterate is the
-      same array, so the stop changes only the order of the additions.
+      drop moves every later iterate by at most its mass in l1: the
+      iterates summed before a stop, and the exact continuation summed in
+      their place, each lie within ``dropped`` of the exact ones. ``theta``
+      is ``DROP_SHARE`` of the budget in force over ``k_max n``, so no run
+      drops more than ``DROP_SHARE eps |pi0|``. A step that leaves no entry
+      above ``theta`` (only a ``q`` whose rows sum below 0, which loses
+      mass, can) drops the whole iterate and ends the sum, whose later
+      terms are all 0;
+    * up to step ``L`` no Poisson weight is formed and nothing is
+      accumulated, so a call's cost follows the steps it takes, not ``lam
+      t``. A stop at step ``k <= L`` puts the whole Poisson mass on the
+      step's iterate. The weights of the terms before ``k`` sum to at most
+      ``delta`` and each such term is off by at most ``2 |pi0|``, and ``J_k
+      = E[(N - k)^+] <= lam t - k + k delta``, so the error is at most
+      ``2 delta |pi0| + d_k J_k + 2 dropped``; the stop is taken once that
+      fits in ``eps |pi0|``;
+    * a sum that reaches ``L`` forms the weights of ``[L, k_max]``
+      (:func:`poisson_weights`) and sums them as a truncated sum. Their
+      missing mass, ``neglected``, is what lies below ``L`` and past
+      ``k_max`` (near ``eps / 16``), and the budget becomes ``(eps -
+      neglected) |pi0|``. A stop at step ``k`` puts the window's mass from
+      ``k`` on on the step's iterate and is taken once ``d_k J_k + 2
+      dropped`` fits in the budget. A sum that runs to ``k_max`` is off by
+      ``neglected |pi0| + dropped``, within ``eps |pi0|`` since the tail
+      past ``poisson_cut`` stays below ``(1 - DROP_SHARE) eps - delta``
+      (at most 0.35 ``eps`` at means up to 5,000, ``eps`` up to 0.5);
+    * either stop is also taken once ``d_k`` is exactly 0: from there every
+      later iterate is the same array, so the stop changes only the order
+      of the additions. The check's difference and norm are skipped for
+      ``CHECK_SKIP`` steps after a check whose ``d_k J_k`` passes what the
+      budget leaves after ``2 dropped`` by a factor of ``CHECK_MISS``; a
+      skipped check can only delay a stop, so the bound holds.
 
     Each step multiplies only the band of rows the iterate can reach. When
     every nonzero of ``v`` lies in ``[lo, hi)``, every nonzero of ``v P``
     lies in ``[lo - down, hi + up)``, where ``up`` and ``down`` are the
     largest upward and downward index shifts (target - source) of an arc of
-    ``q``. A step is one call of the CSR kernel over that band
-    (:func:`_band_product`) and six passes over it: the difference to the
-    last iterate, its l1 norm (BLAS ``dasum``), the compare with ``theta``
+    ``q``; ``P^T`` and the shifts are read from one ``q.tocsc()``. A step
+    is one call of the CSR kernel over that band (:func:`_band_product`)
+    and at most six passes over it: the difference to the last iterate and
+    its l1 norm (BLAS ``dasum``) when checked, the compare with ``theta``
     (the first and last entry above it are then found by ``memchr`` from
     each end), a multiply and an add of the weighted iterate into the
-    result, and clearing the last iterate. The cost is the steps taken
-    times the band's nonzeros. States numbered so that arcs stay near the
-    diagonal (:func:`reachable_states`, :func:`enumerate_states`) keep the
-    band narrow; a scattered numbering widens it to every row, which gives
-    the same answer at the cost of a full product a step. No stationary
-    distribution is needed, and the number of steps follows the chain's
-    mixing time rather than ``lam t``.
+    result from ``L`` on, and clearing the last iterate. The cost is the
+    steps taken times the band's nonzeros. States numbered so that arcs
+    stay near the diagonal (:func:`reachable_states`,
+    :func:`enumerate_states`) keep the band narrow; a scattered numbering
+    widens it to every row, which gives the same answer at the cost of a
+    full product a step. No stationary distribution is needed, and the
+    number of steps follows the chain's mixing time rather than ``lam t``.
+    A Poisson mean ``lam t`` past ``MAX_POISSON_MEAN`` raises
+    ``ValueError``.
     """
     import scipy.sparse as sp
     from scipy.linalg.blas import dasum
@@ -832,24 +928,40 @@ def transient(
         return pi0.copy()
 
     lam = rate * 1.02  # small margin keeps the jump matrix strictly substochastic
-    q = q.tocsr()
-    # Row vector times P is P^T times a column vector: one CSR mat-vec a step.
-    pt = (sp.eye(n, format="csr") + q / lam).T.tocsr()
-    shift = q.indices - np.repeat(np.arange(n), np.diff(q.indptr))
-    up, down = int(shift.max(initial=0)), -int(shift.min(initial=0))
     mean = lam * t
     k_max = poisson_cut(eps, mean)
+    delta = LEFT_SHARE * eps
+    left = poisson_left(delta, mean)
+    # Row vector times P is P^T times a column vector: one CSR mat-vec a
+    # step. Q's columns are the rows of Q^T, and an arc's shift (target -
+    # source) is its column less its row in Q. The entries are scaled by
+    # 1 / lam, as scipy's q / lam scales them, so P^T is bit for bit the
+    # matrix I + q / lam transposed.
+    qc = q.tocsc()
+    pt = (sp.csr_matrix((qc.data * (1 / lam), qc.indices, qc.indptr), shape=(n, n))
+          + sp.eye(n, format="csr"))
+    shift = np.repeat(np.arange(n), np.diff(qc.indptr)) - qc.indices
+    up, down = int(shift.max(initial=0)), -int(shift.min(initial=0))
+    mass = float(pi0.sum())
 
-    weights = poisson_weights(np.arange(k_max + 1), mean)
-    # tail[k]: Poisson mass from step k on; reach[k] = J_k = sum of tail[m]
-    # for m > k, both as sums of non-negative terms (no cancellation).
-    tail = np.cumsum(weights[::-1])[::-1]
-    reach = np.append(np.cumsum(tail[:0:-1])[::-1], 0.0)
-    neglected = max(0.0, 1.0 - float(weights.sum()))
-    budget = max(0.0, eps - neglected) * float(pi0.sum())
+    def window() -> tuple:
+        """The weights of ``[left, k_max]``; ``tail[i]``, their mass from
+        ``left + i`` on; ``reach[i] = J_(left+i)``, the sum of ``tail[j]`` for
+        ``j > i``, both as sums of non-negative terms (no cancellation); and
+        the budget and ``theta`` they leave."""
+        weights = poisson_weights(np.arange(left, k_max + 1), mean)
+        tail = np.cumsum(weights[::-1])[::-1]
+        reach = np.append(np.cumsum(tail[:0:-1])[::-1], 0.0)
+        budget = max(0.0, eps - (1.0 - float(weights.sum()))) * mass
+        return weights, tail, reach, budget, DROP_SHARE * budget / (k_max * n)
+
+    budget = (eps - 2.0 * delta) * mass
     theta = DROP_SHARE * budget / (k_max * n)
+    if left == 0:
+        weights, tail, reach, budget, theta = window()
+        out = weights[0] * pi0
     dropped = 0.0
-    out = weights[0] * pi0
+    skip = 0  # checks still to skip
     # v holds the iterate, nonzero only in [lo, hi); y, the next iterate's
     # buffer, is all zeros at the start of each step. above marks the
     # entries over theta in the bytes of marks, whose find and rfind
@@ -861,26 +973,40 @@ def transient(
     for k in range(1, k_max + 1):
         r0, r1 = max(lo - down, 0), min(hi + up, n)
         _band_product(pt, v, y, r0, r1)
-        new, diff = y[r0:r1], scratch[r0:r1]
-        np.subtract(new, v[r0:r1], out=diff)
-        if dasum(diff) * reach[k] + 2.0 * dropped <= budget:
-            np.multiply(new, tail[k], out=diff)
-            out[r0:r1] += diff
-            return out
+        new = y[r0:r1]
+        if skip:
+            skip -= 1
+        else:
+            diff = scratch[r0:r1]
+            np.subtract(new, v[r0:r1], out=diff)
+            moved = dasum(diff) * (mean - k + k * delta if k <= left else reach[k - left])
+            if moved + 2.0 * dropped <= budget:
+                if k <= left:  # the whole Poisson mass on this iterate
+                    return y
+                np.multiply(new, tail[k - left], out=diff)
+                out[r0:r1] += diff
+                return out
+            if moved > CHECK_MISS * (budget - 2.0 * dropped):
+                skip = CHECK_SKIP
         np.greater(new, theta, out=above[r0:r1])  # with theta = 0, the nonzeros
         v[lo:hi] = 0.0
         v, y = y, v
         lo, hi = marks.find(1, r0, r1), marks.rfind(1, r0, r1) + 1
         if lo < 0:  # nothing above theta: the whole iterate is dropped
-            return out
+            return out if k > left else np.zeros(n)
         # Drop the runs at or below theta at either end of the band.
         for a, b in ((r0, lo), (hi, r1)):
             if a < b:
                 dropped += dasum(v[a:b])
                 v[a:b] = 0.0
+        if k < left:
+            continue
+        if k == left:
+            weights, tail, reach, budget, theta = window()
+            out = np.zeros(n)
         # Not BLAS daxpy: OpenBLAS hands one of more than 10,000 entries to a
         # worker thread, whose spin after each call slows the next steps.
-        np.multiply(v[lo:hi], weights[k], out=scratch[lo:hi])
+        np.multiply(v[lo:hi], weights[k - left], out=scratch[lo:hi])
         out[lo:hi] += scratch[lo:hi]
     return out
 

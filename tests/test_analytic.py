@@ -37,6 +37,7 @@ from ranburst.analytic import (
     mean_counts,
     occupancy_marginal,
     poisson_cut,
+    poisson_left,
     poisson_weights,
 )
 from ranburst.cli import bundled_scenario_path, load_bundled_scenario
@@ -1035,6 +1036,68 @@ def test_cut_follows_mixing_time_not_the_horizon(burst_chain, monkeypatch):
     assert np.abs(got - pi).sum() <= 2e-9
 
 
+def test_a_long_horizon_costs_only_its_steps(burst_chain, monkeypatch):
+    # At t = 4000 s the Poisson mean is about 4.1e6: weights over every count
+    # up to the cut took 0.84 s and a 355 MB tracemalloc peak for 219
+    # mat-vecs. The sum stops long before the left point, where no weight
+    # is formed.
+    import tracemalloc
+
+    q, pi, pi0 = burst_chain
+    calls = count_matvecs(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = transient(q, pi0, 4000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(calls) < 1000
+    assert peak < 32 * 2**20
+    assert np.abs(got - pi).sum() <= 2e-9
+
+
+TWO_STATE = [[-1.0, 1.0], [2.0, -2.0]]
+
+
+def test_a_horizon_of_a_trillion_seconds_returns_the_stationary_law():
+    # Poisson mean 2.04e12: the cut's search once asked for 14.8 TiB.
+    q = sp.csr_matrix(TWO_STATE)
+    eps = 1e-9
+    got = transient(q, np.array([1.0, 0.0]), 1e12, eps=eps)
+    assert np.abs(got - [2 / 3, 1 / 3]).sum() <= eps
+    assert got.min() >= 0.0
+
+
+@pytest.mark.parametrize("q, t", [
+    (TWO_STATE, 1e20), (TWO_STATE, 1e300), ([[-1e300, 1e300], [1e300, -1e300]], 1e10),
+], ids=["mean-2e20", "mean-2e300", "mean-inf"])
+def test_a_poisson_mean_past_exact_counts_raises(q, t):
+    with pytest.raises(ValueError, match="Poisson mean"):
+        transient(sp.csr_matrix(q), np.array([1.0, 0.0]), t)
+
+
+def test_a_stop_before_the_left_point_and_a_sum_from_zero(monkeypatch):
+    # Poisson mean 408 at t = 200 puts the left point near 240 steps, past
+    # where the two-state chain's iterates stop moving; mean 20.4 at t = 10
+    # is below log(1 / delta), so the left point is 0 and every weight from
+    # 0 to the cut is formed.
+    q = sp.csr_matrix(TWO_STATE)
+    pi0 = np.array([1.0, 0.0])
+    eps = 1e-9
+    delta = analytic.LEFT_SHARE * eps
+    calls = count_matvecs(monkeypatch)
+    steps = {}
+    for t in (200.0, 10.0):
+        before = len(calls)
+        got = transient(q, pi0, t, eps=eps)
+        steps[t] = len(calls) - before
+        assert np.abs(got - pi0 @ expm(q.toarray() * t)).sum() <= eps, t
+        assert got.min() >= 0.0
+    assert 0 < steps[200.0] <= poisson_left(delta, 2.04 * 200.0)
+    assert poisson_left(delta, 2.04 * 10.0) == 0 and 2.04 * 10.0 < -math.log(delta)
+    assert steps[10.0] > 0
+
+
 # Mat-vecs of the eight calls when every entry at or below theta was dropped,
 # not only the runs at the band's ends.
 MATVECS_DROPPING_EVERY_SMALL_ENTRY = (213, 219, 222, 222, 224, 225, 227, 227)
@@ -1050,34 +1113,29 @@ def test_dropping_only_at_the_band_ends_takes_no_more_steps(burst_chain, monkeyp
 
 
 def test_iterates_that_stop_moving_exactly_cut_without_a_budget(monkeypatch):
-    # On the NC2 burst chain at t = 100 s (Poisson mean 103,020) scipy's
-    # formula for the weights, summed to scipy's own truncation point, loses
-    # more than eps. With those weights the cut has no budget, and the sum
-    # must run on until the iterates reach a fixed point of the
-    # floating-point mat-vec, after which every remaining term of the sum is
-    # the same array. transient's own weights and truncation (poisson_cut)
-    # keep their mass and leave the cut about 0.94 eps.
-    from scipy.stats import poisson
-
+    # On the NC2 burst chain at t = 100 s (Poisson mean 103,020), a left
+    # share of 1/2 makes the budget of a stop before the left point, (eps -
+    # 2 delta) |pi0|, exactly 0, and so theta. The sum must then run on until
+    # the iterates reach a fixed point of the floating-point mat-vec, after
+    # which every remaining term of the sum is the same array: the whole
+    # Poisson mass on it is the full sum with its tail past k_max put on its
+    # last term.
     policy, dims, capacity = table2_burst_dims("table2_nc2_lam20")
     space = reachable_states(policy, dims, capacity)
     space, q = build_generator(policy, dims, capacity, space=space)
     pi0 = np.zeros(len(space))
     pi0[space.index[(0, 0)]] = 1.0
     t, eps = 100.0, 1e-9
-    taken = []
-
-    def scipy_weights(k, mean):
-        taken.append(np.where(k <= poisson.isf(eps, mean) + 1, poisson.pmf(k, mean), 0.0))
-        return taken[-1]
-
-    monkeypatch.setattr(analytic, "poisson_weights", scipy_weights)
+    monkeypatch.setattr(analytic, "LEFT_SHARE", 0.5)
     calls = count_matvecs(monkeypatch)
     got = transient(q, pi0, t, eps=eps)
     monkeypatch.undo()
-    (weights,) = taken
-    assert 1.0 - weights.sum() > eps  # so transient's budget was 0
+    assert abs(got.sum() - 1.0) <= 1e-13  # with theta = 0, nothing was dropped
+    mean = 1.02 * float(-q.diagonal().min()) * t
     assert 0 < len(calls) < 1000  # the full sum takes about 1.05e5 steps
+    assert len(calls) <= poisson_left(0.5 * eps, mean)  # it stopped before L
+    weights = poisson_weights(np.arange(poisson_cut(eps, mean) + 1), mean)
+    weights[-1] += 1.0 - weights.sum()
     want = full_poisson_sum(q, pi0, t, eps, weights=weights)
     assert np.abs(got - want).sum() <= 1e-12
 
@@ -1146,15 +1204,24 @@ def erlang_chain(capacity=200, load=20.0):
 
 
 @pytest.mark.parametrize("t", [0.2, 1.0, 20.0])
-def test_dropped_mass_stays_within_eps_of_the_exponential(t):
+def test_dropped_mass_stays_within_eps_of_the_exponential(t, monkeypatch):
     _, q = erlang_chain()
     pi0 = np.zeros(q.shape[0])
     pi0[0] = 1.0
     eps = 1e-4
+    calls = count_matvecs(monkeypatch)
     got = transient(q, pi0, t, eps=eps)
+    monkeypatch.undo()
     full = full_poisson_sum(q, pi0, t, eps)
-    # Mass really was dropped, and no more than the drop's share of eps.
-    assert 1e-12 < full.sum() - got.sum() <= analytic.DROP_SHARE * eps
+    # Mass really was dropped, and no more than the drop's share of eps. A
+    # sum that stops before the left point (only at t = 20 here) puts the
+    # whole Poisson mass on its last iterate, so its mass is 1 less the
+    # dropped mass; one that reaches it keeps the full sum's mass less that.
+    left = poisson_left(analytic.LEFT_SHARE * eps, 1.02 * float(-q.diagonal().min()) * t)
+    before_left = len(calls) <= left
+    assert before_left == (t == 20.0)
+    kept = 1.0 if before_left else full.sum()
+    assert 1e-12 < kept - got.sum() <= analytic.DROP_SHARE * eps
     assert np.abs(got - pi0 @ expm(q.toarray() * t)).sum() <= eps
     assert got.min() >= 0.0
 
@@ -1374,6 +1441,73 @@ def test_poisson_cut_bounds_the_tail_at_every_eps():
         for eps in POISSON_EPS:
             k = poisson_cut(eps, mean)
             assert k >= mean and pdtrc(k, mean) <= eps, (mean, eps)
+
+
+def array_poisson_cut(eps, mean):
+    """``poisson_cut`` as one array search over its whole bracket."""
+    level = -math.log(eps)
+    ks = np.arange(math.ceil(mean), math.ceil(mean + math.sqrt(2 * mean * level) + level) + 1)
+    return int(ks[np.argmax(analytic._deviance(ks + 1.0, mean) >= level)])
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-4])
+def test_poisson_cut_equals_the_search_over_its_whole_bracket(eps):
+    # Brackets wider than SEARCH_POINTS (means above about 1.5e4) are
+    # searched in rounds of bounded size.
+    for mean in np.geomspace(1e-3, 1e7, 201):
+        assert poisson_cut(eps, mean) == array_poisson_cut(eps, mean), mean
+
+
+def test_the_poisson_tail_leaves_room_for_the_drop():
+    from scipy.special import pdtrc
+
+    # A uniformization sum that runs to the cut is off by the mass below the
+    # left point (at most delta) and past the cut, plus the dropped mass (at
+    # most DROP_SHARE of eps): within eps while the tail stays below
+    # (1 - DROP_SHARE) eps - delta. The Chernoff bound alone gives eps.
+    for mean in POISSON_MEANS:
+        for eps in np.concatenate(([0.5, 0.1, 1e-2, 1e-4], POISSON_EPS)):
+            tail = pdtrc(poisson_cut(eps, mean), mean)
+            assert tail <= (1 - analytic.DROP_SHARE - analytic.LEFT_SHARE) * eps, (mean, eps)
+
+
+def exact_poisson_below(k, mean):
+    """``P(N < k)`` for a Poisson ``N`` of mean ``mean``, summed term by term
+    down from ``k - 1`` in 30-digit arithmetic until a term adds less than
+    1e-20 of the sum."""
+    mpmath = pytest.importorskip("mpmath")
+    if k == 0:
+        return 0.0
+    with mpmath.workdps(30):
+        m = mpmath.mpf(mean)
+        term = mpmath.exp((k - 1) * mpmath.log(m) - m - mpmath.loggamma(k))
+        total, j = mpmath.mpf(0), k - 1
+        while j >= 0 and term > total * mpmath.mpf(10) ** -20:
+            total += term
+            term = term * j / m
+            j -= 1
+        return float(total)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-4])
+@pytest.mark.parametrize("mean", np.geomspace(1e-2, 1e8, 11))
+def test_the_left_point_leaves_at_most_delta_below_it(mean, eps):
+    delta = analytic.LEFT_SHARE * eps
+    level = -math.log(delta)
+    left = poisson_left(delta, mean)
+    assert 0 <= left <= mean
+    assert exact_poisson_below(left, mean) <= delta
+    # left + 1 already fails the Chernoff test: the bound of P(N <= left)
+    # passes delta.
+    bound = mean if left == 0 else float(analytic._deviance(float(left), mean))
+    assert bound < level
+
+
+@pytest.mark.parametrize("mean", [float("inf"), float("nan"), -1.0, 0.0, 2.0**53])
+def test_poisson_truncation_rejects_a_mean_past_exact_counts(mean):
+    for point in (poisson_cut, poisson_left):
+        with pytest.raises(ValueError, match="Poisson mean"):
+            point(1e-9, mean)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-9, float("nan")])
