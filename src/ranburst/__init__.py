@@ -23,10 +23,8 @@ from .metrics import ReplicationSummary, aggregate, summarize
 from .numerology import (
     Numerology,
     RadioConfig,
-    SelectionContext,
     guard_band_khz,
     lookup_numerology,
-    select_numerology,
     usable_capacity,
 )
 from .simulator import (
@@ -59,7 +57,6 @@ __all__ = [
     "ReplicationSummary",
     "Scenario",
     "ScenarioError",
-    "SelectionContext",
     "StateSpace",
     "StateSpaceLimitError",
     "TrafficClass",
@@ -79,7 +76,6 @@ __all__ = [
     "reachable_states",
     "run_experiment",
     "run_replication",
-    "select_numerology",
     "steady_state",
     "summarize",
     "transient",

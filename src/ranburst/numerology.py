@@ -1,5 +1,6 @@
 """5G NR numerologies, guard-band arithmetic, and usable-capacity derivation.
 
+A scenario fixes its numerology by ``radio.beta``; nothing here chooses one.
 The pool capacity used by the traffic models is expressed in integer
 allocation blocks (the greatest common divisor of all per-session demands in
 a scenario, 360 kHz in the default configuration) so that admission checks
@@ -10,13 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-SUB6 = "sub6"
-MMWAVE = "mmWave"
-
-# FR-1 carries numerologies 0-2, FR-2 carries 2-4.
-_FR1_BETAS = frozenset({0, 1, 2})
-_FR2_BETAS = frozenset({2, 3, 4})
 
 
 @dataclass(frozen=True)
@@ -90,9 +84,13 @@ def usable_capacity(
     multiplexed numerologies; it defaults to 0 because that overhead is
     negligible at the granularity modelled here.
     """
+    if num_prbs < 0:
+        raise ValueError(f"PRB count must be non-negative, got {num_prbs}")
+    if guard_overhead_khz < 0:
+        raise ValueError(f"guard overhead must be non-negative, got {guard_overhead_khz} kHz")
     guard_band_khz(channel_bandwidth_khz, numerology.scs_khz, num_prbs)
     usable = num_prbs * numerology.prb_khz - guard_overhead_khz
-    if guard_overhead_khz < 0 or usable < 0:
+    if usable < 0:
         raise ValueError(
             f"guard overhead {guard_overhead_khz} kHz exceeds the allocation"
         )
@@ -107,67 +105,3 @@ def usable_capacity(
         usable_capacity_khz=usable,
         capacity_blocks=usable // block_khz,
     )
-
-
-@dataclass(frozen=True)
-class SelectionContext:
-    """Deployment facts driving the numerology choice."""
-
-    latency_critical: bool
-    carrier_band: str  # sub6 | mmWave
-    cell_size: str  # small | large
-    mobility: str  # low | high
-    narrowband_device: bool
-
-    def __post_init__(self):
-        if self.carrier_band not in (SUB6, MMWAVE):
-            raise ValueError(f"carrier_band must be sub6 or mmWave, got {self.carrier_band!r}")
-        if self.cell_size not in ("small", "large"):
-            raise ValueError(f"cell_size must be small or large, got {self.cell_size!r}")
-        if self.mobility not in ("low", "high"):
-            raise ValueError(f"mobility must be low or high, got {self.mobility!r}")
-
-
-def select_numerology(ctx: SelectionContext) -> set[int]:
-    """Recommend numerology indices for a deployment context.
-
-    Deterministic rule list. The carrier band fixes the admissible range
-    (FR-1: 0-2, FR-2: 2-4). Within it, each active criterion restricts
-    further:
-
-    * latency-critical service -> wider SCS for a short TTI ({2,3,4})
-    * small cells on mmWave -> wider SCS against oscillator phase noise ({3,4})
-    * high mobility / Doppler spread -> wider SCS ({2,3,4})
-    * large cells (long delay spread) -> narrower SCS ({0,1})
-    * narrowband devices -> lowest numerology ({0})
-
-    Tie-break: when the intersection is empty, the narrow-SCS preferences
-    (cell size, narrowband hardware) are dropped and the latency / phase
-    noise / Doppler requirements win.
-    """
-    allowed = _FR1_BETAS if ctx.carrier_band == SUB6 else _FR2_BETAS
-
-    wide_pulls: list[frozenset[int]] = []
-    if ctx.latency_critical:
-        wide_pulls.append(frozenset({2, 3, 4}))
-    if ctx.carrier_band == MMWAVE and ctx.cell_size == "small":
-        wide_pulls.append(frozenset({3, 4}))
-    if ctx.mobility == "high":
-        wide_pulls.append(frozenset({2, 3, 4}))
-
-    narrow_pulls: list[frozenset[int]] = []
-    if ctx.cell_size == "large":
-        narrow_pulls.append(frozenset({0, 1}))
-    if ctx.narrowband_device:
-        narrow_pulls.append(frozenset({0}))
-
-    candidate = set(allowed)
-    for pull in wide_pulls + narrow_pulls:
-        candidate &= pull
-    if candidate:
-        return candidate
-
-    candidate = set(allowed)
-    for pull in wide_pulls:
-        candidate &= pull
-    return candidate

@@ -1227,9 +1227,11 @@ def test_dropped_mass_stays_within_eps_of_the_exponential(t, monkeypatch):
 
 
 def drift_and_dust_chain(mean, eps, n_dust=200, m_a=0.01, fast=1000.0):
-    """A chain on which ``transient`` drops about a fifth of its budget and
+    """A chain on which ``transient`` drops about 18% of its budget and
     the cut's bound is nearly exact, with the time ``t`` of Poisson mean
-    ``mean`` and the start.
+    ``mean`` and the start. The budget is ``eps`` less the Poisson tail past
+    ``poisson_cut(eps, mean)``: at mean 202.5 and eps 1e-4 the cut is 266,
+    the tail 0.086 eps and the budget 0.914 eps.
 
     State 1 holds 99% of the mass and never moves. State 0 holds 1% and
     drifts into state 1 so slowly that the drift is nearly constant over
@@ -1255,9 +1257,10 @@ def drift_and_dust_chain(mean, eps, n_dust=200, m_a=0.01, fast=1000.0):
 
 
 def test_stop_rule_charges_the_dropped_mass():
-    # The Poisson tail takes 60% of eps here and the drops take 19% of what
-    # is left. A stop rule without its 2 * dropped term spends the whole
-    # rest on the cut and misses eps by about 5%.
+    # The Poisson tail takes 8.6% of eps here and the drops take 17.8% of
+    # the budget left; transient errs by 0.82 eps. A stop rule without its
+    # 2 * dropped term spends the whole rest on the cut and errs by 1.096e-4,
+    # missing eps by about 10%.
     eps = 1e-4
     q, pi0, t, budget = drift_and_dust_chain(202.5, eps)
     got = transient(q, pi0, t, eps=eps)

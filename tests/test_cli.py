@@ -885,7 +885,7 @@ OUT_OF_RANGE = {
     ("base_seed",): st.integers(max_value=-1),
     ("radio", "beta"): st.integers().filter(lambda b: not 0 <= b <= 4),
     ("radio", "block_khz"): st.integers().filter(lambda b: b <= 0 or 360 % b),
-    ("radio", "num_prbs"): st.just(0),
+    ("radio", "num_prbs"): st.integers(max_value=0),
     ("classes", 0, "arrival_rate"): st.one_of(non_finite, negative,
                                               st.floats(min_value=1e10, allow_infinity=False)),
     ("classes", 1, "service_rate"): st.one_of(non_finite, finite.filter(lambda x: x <= 0)),

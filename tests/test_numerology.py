@@ -1,12 +1,6 @@
 import pytest
 
-from ranburst import (
-    SelectionContext,
-    guard_band_khz,
-    lookup_numerology,
-    select_numerology,
-    usable_capacity,
-)
+from ranburst import guard_band_khz, lookup_numerology, usable_capacity
 
 
 @pytest.mark.parametrize("beta", range(5))
@@ -66,6 +60,8 @@ def test_usable_capacity_table2_values():
 def test_usable_capacity_infeasible_and_block_mismatch():
     with pytest.raises(ValueError):
         usable_capacity(25000, lookup_numerology(2), 35, 360)
+    with pytest.raises(ValueError, match="PRB count must be non-negative, got -5"):
+        usable_capacity(25000, lookup_numerology(2), -5, 360)
     with pytest.raises(ValueError, match="multiple"):
         usable_capacity(25000, lookup_numerology(2), 31, 700)
 
@@ -75,46 +71,10 @@ def test_guard_overhead_reserves_blocks():
                           guard_overhead_khz=720)
     assert cfg.usable_capacity_khz == 22320 - 720
     assert cfg.capacity_blocks == 60
-    with pytest.raises(ValueError, match="overhead"):
+    with pytest.raises(ValueError, match="guard overhead must be non-negative, got -10 kHz"):
         usable_capacity(25000, lookup_numerology(2), 31, 360,
                         guard_overhead_khz=-10)
+    with pytest.raises(ValueError, match="guard overhead 22680 kHz exceeds the allocation"):
+        usable_capacity(25000, lookup_numerology(2), 31, 360,
+                        guard_overhead_khz=22680)
 
-
-def ctx(latency=False, band="sub6", cell="small", mobility="low", narrow=False):
-    return SelectionContext(latency, band, cell, mobility, narrow)
-
-
-def test_selector_latency_critical_mmwave():
-    assert select_numerology(ctx(True, "mmWave", "small", "high")) == {3, 4}
-
-
-def test_selector_narrowband_large_cell():
-    assert select_numerology(ctx(False, "sub6", "large", "low", True)) == {0}
-
-
-def test_selector_unconstrained_sub6():
-    assert select_numerology(ctx()) == {0, 1, 2}
-
-
-def test_selector_tie_break_prefers_wide_scs():
-    # Latency pull and narrowband pull conflict in FR-1; latency wins.
-    assert select_numerology(ctx(True, "sub6", "small", "low", True)) == {2}
-
-
-def test_selector_never_empty():
-    for latency in (False, True):
-        for band in ("sub6", "mmWave"):
-            for cell in ("small", "large"):
-                for mobility in ("low", "high"):
-                    for narrow in (False, True):
-                        got = select_numerology(ctx(latency, band, cell, mobility, narrow))
-                        assert got, (latency, band, cell, mobility, narrow)
-                        fr = {0, 1, 2} if band == "sub6" else {2, 3, 4}
-                        assert got <= fr
-
-
-def test_selection_context_validates_fields():
-    with pytest.raises(ValueError):
-        SelectionContext(False, "midband", "small", "low", False)
-    with pytest.raises(ValueError):
-        SelectionContext(False, "sub6", "medium", "low", False)
