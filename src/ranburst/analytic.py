@@ -92,9 +92,6 @@ CHECK_SKIP = 3
 # Poisson counts are exact doubles up to 2**53; no truncation point passes it
 # for a mean up to 2**52.
 MAX_POISSON_MEAN = 2.0**52
-# Counts tested at once by a search for a truncation point (:func:`_least`):
-# every bracket of a mean up to about 1.5e4 takes one evaluation.
-SEARCH_POINTS = 1024
 # Occupancy recursion: once an unnormalised g(c) passes 2**900, every entry
 # so far is multiplied by 2**-900. A power-of-two scale is exact (an entry
 # pushed below the normal range loses bits, but it is then below 2**-1000 of
@@ -327,9 +324,7 @@ class _StateBox:
         return rows
 
 
-def _admission_rays(
-    dims: list[Dimension], capacity: int, rows: np.ndarray, limit: int
-) -> np.ndarray:
+def _admission_rays(box: _StateBox, rows: np.ndarray, limit: int) -> np.ndarray:
     """States reachable from ``rows`` by repeated direct admissions.
 
     For each dimension ``d`` with arrivals and each row with no session of
@@ -340,21 +335,17 @@ def _admission_rays(
     more than ``limit`` of them raise :class:`StateSpaceLimitError` before
     they are built.
     """
-    demand = np.array([d.demand_blocks for d in dims], dtype=np.int64)
-    free = capacity - rows @ demand
-    rays = [np.empty((0, len(dims)), dtype=np.int64)]
-    for d in dims:
-        if d.arrival_rate <= 0:
-            continue
-        base = rows[:, d.index] == 0
-        # The cap read below C // demand, as the box reads it, fits int64.
-        length = np.minimum(min(d.max_sessions, capacity // d.demand_blocks),
-                            free[base] // d.demand_blocks)
+    free = box.capacity - rows @ box.demand
+    ceiling = box.radix - 1
+    rays = [np.empty((0, len(box.dims)), dtype=np.int64)]
+    for d in box.arriving:
+        base = rows[:, d] == 0
+        length = np.minimum(ceiling[d], free[base] // box.demand[d])
         if length.sum() > limit:
             raise StateSpaceLimitError(int(length.sum()), limit)
         ray = np.repeat(rows[base], length, axis=0)
         starts = np.cumsum(length) - length
-        ray[:, d.index] = np.arange(1, len(ray) + 1) - np.repeat(starts, length)
+        ray[:, d] = np.arange(1, len(ray) + 1) - np.repeat(starts, length)
         rays.append(ray)
     return np.concatenate(rays)
 
@@ -508,7 +499,7 @@ def reachable_states(
             tables.append(table)
             keys = np.sort(np.concatenate((
                 table.target[table.kind != _REJECTED],
-                box.keys(_admission_rays(dims, capacity, frontier, limit)))))
+                box.keys(_admission_rays(box, frontier, limit)))))
             distinct = np.ones(len(keys), dtype=bool)
             np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
             keys = keys[distinct]
@@ -738,14 +729,14 @@ def poisson_cut(eps: float, mean: float) -> int:
     factor of about 16 there. Every candidate is below ``mean + sqrt(2 mean
     L) + L``, ``L = log(1 / eps)``, where the Bernstein form of the bound,
     ``deviance(mean + a) >= a^2 / (2 (mean + a / 3))``, already passes ``L``;
-    the search over that bracket (:func:`_least`) takes bounded memory. A
+    the bracket is bisected (:func:`_least`), in constant memory. A
     mean that is not positive or passes ``MAX_POISSON_MEAN``, where counts
     stop being exact doubles (infinity and NaN among them), raises
     ``ValueError``.
     """
     level = _poisson_level(eps, mean, "eps")
     lo, hi = math.ceil(mean), math.ceil(mean + math.sqrt(2 * mean * level) + level)
-    return _least(lambda ks: _deviance(ks + 1.0, mean) >= level, lo, hi)
+    return _least(lambda k: _deviance(k + 1.0, mean) >= level, lo, hi)
 
 
 def poisson_left(delta: float, mean: float) -> int:
@@ -758,13 +749,13 @@ def poisson_left(delta: float, mean: float) -> int:
     ``deviance(x, mean) < log(1 / delta)``, so that ``L - 1`` is the greatest
     count whose bound passes and ``L`` is the first whose bound fails. It is
     above ``mean - sqrt(2 mean log(1 / delta))``, where ``deviance(mean -
-    a) >= a^2 / (2 mean)`` already passes, and at most ``mean``.
+    a) >= a^2 / (2 mean)`` already passes, and at most ``max(1, mean)``.
     """
     level = _poisson_level(delta, mean, "delta")
     if mean < level:
         return 0
     lo = max(1, math.floor(mean - math.sqrt(2 * mean * level)))
-    return _least(lambda ks: _deviance(ks, mean) < level, lo, math.floor(mean))
+    return _least(lambda k: _deviance(k, mean) < level, lo, math.floor(mean))
 
 
 def _poisson_level(p: float, mean: float, name: str) -> float:
@@ -781,26 +772,12 @@ def _poisson_level(p: float, mean: float, name: str) -> float:
 def _least(test, lo: int, hi: int) -> int:
     """The least count ``k`` in ``[lo, hi]`` at which ``test`` holds, for a
     test that fails below some count and holds from there on (``hi`` if it
-    holds nowhere). ``test`` takes an array of counts as doubles.
+    holds nowhere below it). ``test`` takes a count as a double.
 
-    Each round tests at most ``SEARCH_POINTS`` evenly spaced counts and keeps
-    the gap after the last that fails, up to the first that holds, so memory
-    stays bounded at any width and a bracket of ``SEARCH_POINTS`` counts or
-    fewer takes one evaluation.
+    A bisection: about ``log2(hi - lo)`` evaluations, in constant memory at
+    any width.
     """
-    while True:
-        step = max(1, (hi - lo + SEARCH_POINTS - 2) // (SEARCH_POINTS - 1))
-        ks = np.arange(lo, hi + 1, step)
-        held = test(ks.astype(np.float64))
-        i = int(np.argmax(held))
-        if not held[i]:
-            if ks[-1] == hi:
-                return hi
-            lo = int(ks[-1]) + 1
-        elif step == 1 or i == 0:
-            return int(ks[i])
-        else:
-            lo, hi = int(ks[i - 1]) + 1, int(ks[i])
+    return lo + bisect_left(range(lo, hi), True, key=lambda k: bool(test(float(k))))
 
 
 # scipy.sparse._sparsetools, bound by the first band product; csr_matvec is

@@ -35,12 +35,13 @@ from .analytic import (
 )
 from .errors import NumericalError, ScenarioError, StateSpaceLimitError
 from .metrics import (
+    SCALAR_METRICS,
     ExperimentSummary,
     ReplicationSummary,
     aggregate,
     empirical_blocking,
     summarize,
-    time_average_counts,  # noqa: F401  (kept importable from ranburst.cli)
+    time_average_counts,  # noqa: F401  (the benchmark's tracer, perfbench/tracer.py, wraps it here)
 )
 from .numerology import lookup_numerology, usable_capacity
 from .simulator import (
@@ -311,24 +312,16 @@ def write_summary_csv(
     experiment: ExperimentSummary,
     shash: str,
 ) -> None:
-    header = [
-        "replication", "seed", "rho_avg", "burst_period_ms", "burst_duration_ms",
-        "r_rj", "r_dw", "r_dc", "r_v", "n_ga",
-        "n_ga_pre_inject", "n_ga_post_inject", "scenario_hash",
-    ]
+    header = ["replication", "seed", *SCALAR_METRICS,
+              "n_ga_pre_inject", "n_ga_post_inject", "scenario_hash"]
     rows = []
     for s in summaries:
         rows.append([
-            s.replication, s.seed, s.rho_avg, s.burst_period_ms,
-            s.burst_duration_ms, s.r_rj, s.r_dw, s.r_dc, s.r_v, s.n_ga,
+            s.replication, s.seed, *(getattr(s, name) for name in SCALAR_METRICS),
             s.counts["n_ga_pre_inject"], s.counts["n_ga_post_inject"], shash,
         ])
     for stat, values in (("mean", experiment.mean), ("var", experiment.variance)):
-        rows.append([
-            stat, "", values["rho_avg"], values["burst_period_ms"],
-            values["burst_duration_ms"], values["r_rj"], values["r_dw"],
-            values["r_dc"], values["r_v"], values["n_ga"], "", "", shash,
-        ])
+        rows.append([stat, "", *(values[name] for name in SCALAR_METRICS), "", "", shash])
     _write_csv(path, header, rows)
 
 

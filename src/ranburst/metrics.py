@@ -12,25 +12,11 @@ from functools import lru_cache
 import numpy as np
 
 from .simulator import TrajectoryRecord
-from .traffic import (
-    ARRIVAL_ACCEPTED,
-    ARRIVAL_DOWNGRADED,
-    ARRIVAL_REJECTED,
-    DOWNGRADE_CASCADE,
-    EVENT_KINDS,
-    PREEMPT_DISCARD,
-)
+from .traffic import _KIND_CODE, ARRIVAL_REJECTED, DEPARTURE, EVENT_KINDS
 
-_ARRIVAL_KINDS = (
-    ARRIVAL_ACCEPTED,
-    ARRIVAL_REJECTED,
-    ARRIVAL_DOWNGRADED,
-    PREEMPT_DISCARD,
-    DOWNGRADE_CASCADE,
-)
 # Indexed by a record's kind code: whether the event is an arrival.
-_IS_ARRIVAL = np.array([kind in _ARRIVAL_KINDS for kind in EVENT_KINDS])
-_REJECTED = EVENT_KINDS.index(ARRIVAL_REJECTED)
+_IS_ARRIVAL = np.array([kind != DEPARTURE for kind in EVENT_KINDS])
+_REJECTED = _KIND_CODE[ARRIVAL_REJECTED]
 
 GOOSE_DIM = 0
 VIDEO_DIM = 1

@@ -473,7 +473,6 @@ class _Block(NamedTuple):
     start: list[int]  # (rows + 1) each row's first arc
     target: np.ndarray  # (arcs,) target key of each arc
     rate: np.ndarray  # (arcs,)
-    n0: list[int]  # (rows) count of dimension 0
 
 
 class _Chain:
@@ -501,14 +500,13 @@ class _Chain:
 
     ``by_state`` maps the key of each visited state to what the walk
     follows, built by :meth:`visit` from one slice of its block's arcs:
-    ``(arrivals, departures, departure_total, offer, n0)``. ``arrivals``
+    ``(arrivals, departures, departure_total, offer)``. ``arrivals``
     pairs each arrival rate with its arc, in dimension order;
     ``departures`` pairs each departure rate with its arc, in dimension
     order; ``departure_total`` is the sum of those rates, added in that
-    order; ``offer`` is the injected offer's arc; ``n0`` is the count of
-    dimension 0. An arc, as the walk follows it, is ``(arc id, key of the
-    target state)``; the offer's carries a third entry, 1 if it admits the
-    session.
+    order; ``offer`` is the injected offer's arc. An arc, as the walk
+    follows it, is ``(arc id, key of the target state)``; the offer's
+    carries a third entry, 1 if it admits the session.
     """
 
     def __init__(self, scenario: Scenario):
@@ -560,7 +558,7 @@ class _Chain:
         row = np.full(FRONTIER_CHUNK, -1, dtype=_int_dtype(FRONTIER_CHUNK))
         row[(box.keys(rows) - lo).astype(np.intp)] = np.arange(len(rows))
         start = np.searchsorted(table.source, np.arange(len(rows) + 1)).tolist()
-        block = _Block(self._arcs, row, start, table.target, table.rate, rows[:, 0].tolist())
+        block = _Block(self._arcs, row, start, table.target, table.rate)
         self._arcs += len(table.source)
         self.blocks[b] = block
         return block
@@ -588,7 +586,7 @@ class _Chain:
             departure_total += rates[s]
         # A rejected offer is a self-loop; an admitted one adds a session.
         offer = (first + a, targets[a], int(targets[a] != key))
-        state = (tuple(arrivals), tuple(departures), departure_total, offer, block.n0[r])
+        state = (tuple(arrivals), tuple(departures), departure_total, offer)
         self.by_state[key] = state
         return state
 
@@ -690,13 +688,15 @@ def _walk(scenario: Scenario, seed: int, chain: _Chain, times: list[float],
     offer_rate = 0.0  # the injected offers' rate, while they are live
     inj_cap = inj.batch_size if inj is not None and inj.mode == POISSON else 0
     early_stop = scenario.early_stop_at_goose_cap
-    goose_cap = chain.dims[0].max_sessions
+    # Dimension 0 leads the key, so it holds at least ``max_sessions``
+    # sessions exactly when the key reaches this.
+    stop_key = chain.dims[0].max_sessions * int(chain.box.weights[0])
     horizon = scenario.horizon_ms
     lookup = chain.by_state.get
     visit = chain.visit
 
     key = int(chain.box.keys(initial))
-    arrivals, departures, departure_total, offer, n0 = lookup(key) or visit(key)
+    arrivals, departures, departure_total, offer = lookup(key) or visit(key)
     t = 0.0
     t_break = horizon if inj is None else inj.t_inject_ms
     pending = 0  # batch offers still to make at ``t``
@@ -744,8 +744,8 @@ def _walk(scenario: Scenario, seed: int, chain: _Chain, times: list[float],
         times.append(t)
         path.append(a[0])
         key = a[1]
-        arrivals, departures, departure_total, offer, n0 = lookup(key) or visit(key)
-        if early_stop and n0 >= goose_cap:
+        arrivals, departures, departure_total, offer = lookup(key) or visit(key)
+        if early_stop and key >= stop_key:
             stopped = True
             break
 

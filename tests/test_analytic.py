@@ -721,14 +721,13 @@ def test_the_simulator_compiles_the_analytic_burst_chain(policy):
     assert (np.diff(keys) > 0).all()
     chain = simulator._Chain(scenario)
     assert box.arriving == [0, 1] and chain.arriving == [1]
-    arcs, rates, admits, totals, n0 = [], [], [], [], []
+    arcs, rates, admits, totals = [], [], [], []
     for key in keys.tolist():
-        arrivals, departures, departure_total, offer, count = chain.visit(key)
+        arrivals, departures, departure_total, offer = chain.visit(key)
         arcs += [offer[:2], *(arc for _, arc in arrivals + departures)]
         rates += [dims[0].arrival_rate, *(rate for rate, _ in arrivals + departures)]
         admits.append(offer[2])
         totals.append(departure_total)
-        n0.append(count)
     ids, targets = map(list, zip(*arcs))
     assert np.array_equal(targets, keys[table.target])
     assert np.array_equal(rates, table.rate)
@@ -738,7 +737,6 @@ def test_the_simulator_compiles_the_analytic_burst_chain(policy):
     assert np.array_equal(totals, np.bincount(table.source[departing],
                                               weights=table.rate[departing],
                                               minlength=len(keys)))
-    assert np.array_equal(n0, table.counts[:, 0])
     walk = (0, 0, (0,) * len(dims), len(ids), scenario.horizon_ms, False)
     record, = chain.records(scenario, [walk], [0.0] * len(ids), ids)
     for name in ("kind", "dim", "downgraded", "discarded"):
@@ -1446,19 +1444,45 @@ def test_poisson_cut_bounds_the_tail_at_every_eps():
             assert k >= mean and pdtrc(k, mean) <= eps, (mean, eps)
 
 
+# The most counts an oracle search below tests: every count of the bracket
+# at each mean up to 1e7. At mean 2**52 the brackets hold 3e8 to 6e8 counts.
+ORACLE_COUNTS = 1 << 16
+
+
 def array_poisson_cut(eps, mean):
-    """``poisson_cut`` as one array search over its whole bracket."""
+    """``poisson_cut`` as one array search over its whole bracket. Of a wider
+    bracket it searches the last ``ORACLE_COUNTS`` counts: below them
+    ``deviance(k + 1, mean) <= (k + 1 - mean)**2 / (2 mean)`` stays under
+    the level, so the test fails there."""
     level = -math.log(eps)
-    ks = np.arange(math.ceil(mean), math.ceil(mean + math.sqrt(2 * mean * level) + level) + 1)
+    lo, hi = math.ceil(mean), math.ceil(mean + math.sqrt(2 * mean * level) + level)
+    ks = np.arange(max(lo, hi + 1 - ORACLE_COUNTS), hi + 1)
     return int(ks[np.argmax(analytic._deviance(ks + 1.0, mean) >= level)])
+
+
+def array_poisson_left(delta, mean):
+    """``poisson_left`` as one array search over its whole bracket, or over
+    its first ``ORACLE_COUNTS`` counts when it is wider."""
+    level = -math.log(delta)
+    if mean < level:
+        return 0
+    lo = max(1, math.floor(mean - math.sqrt(2 * mean * level)))
+    ks = np.arange(lo, min(math.floor(mean), lo + ORACLE_COUNTS - 1) + 1)
+    held = analytic._deviance(ks.astype(np.float64), mean) < level
+    assert held.any(), mean
+    return int(ks[np.argmax(held)])
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-4])
 def test_poisson_cut_equals_the_search_over_its_whole_bracket(eps):
-    # Brackets wider than SEARCH_POINTS (means above about 1.5e4) are
-    # searched in rounds of bounded size.
-    for mean in np.geomspace(1e-3, 1e7, 201):
-        assert poisson_cut(eps, mean) == array_poisson_cut(eps, mean), mean
+    # Both truncation points bisect their brackets; the widest, at mean
+    # 2**52, takes about 30 evaluations. The left point is also taken at the
+    # share of eps that uniformization gives it.
+    cases = ((poisson_cut, array_poisson_cut, eps), (poisson_left, array_poisson_left, eps),
+             (poisson_left, array_poisson_left, analytic.LEFT_SHARE * eps))
+    for mean in [*np.geomspace(1e-3, 1e7, 201), 2.0**52]:
+        for point, oracle, p in cases:
+            assert point(p, mean) == oracle(p, mean), (point.__name__, p, mean)
 
 
 def test_the_poisson_tail_leaves_room_for_the_drop():
@@ -1504,6 +1528,14 @@ def test_the_left_point_leaves_at_most_delta_below_it(mean, eps):
     # passes delta.
     bound = mean if left == 0 else float(analytic._deviance(float(left), mean))
     assert bound < level
+
+
+@pytest.mark.parametrize("mean", [0.7, 0.8, 0.99])
+def test_a_left_point_above_a_mean_below_one(mean):
+    # delta 0.5 passes P(N = 0) = exp(-mean) once mean > log 2, and the
+    # bracket [1, floor(mean)] is empty there: the point is 1.
+    assert poisson_left(0.5, mean) == 1
+    assert exact_poisson_below(1, mean) <= 0.5
 
 
 @pytest.mark.parametrize("mean", [float("inf"), float("nan"), -1.0, 0.0, 2.0**53])

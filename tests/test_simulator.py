@@ -674,6 +674,26 @@ def test_early_stop_at_goose_cap():
     assert rec.events[-1].counts[0] == 62
 
 
+@pytest.mark.parametrize("cap, stops", [(6, True), (10, True), (11, False), (2**64, False)])
+def test_early_stop_at_the_edge_of_the_pool(cap, stops):
+    # demo_nc3_small's ten blocks hold at most 10 priority sessions, and a
+    # batch of 12 fills them in every replication. A cap up to 10 stops each
+    # one at the injection; a cap the pool cannot reach stops none.
+    sc = load_bundled_scenario("demo_nc3_small")
+    priority = replace(sc.classes[0], max_sessions=cap)
+    sc = replace(sc, classes=(priority, *sc.classes[1:]), replications=20,
+                 injection=replace(sc.injection, batch_size=12),
+                 early_stop_at_goose_cap=True)
+    records = run_experiment(sc)
+    peak = max(int(rec.states[:, 0].max()) for rec in records)
+    if stops:
+        assert all(rec.stopped_early and rec.end_ms == 1000.0 for rec in records)
+        assert peak == cap
+    else:
+        assert not any(rec.stopped_early for rec in records)
+        assert peak == 10
+
+
 def test_stationary_video_start_matches_loss_distribution():
     sc = burst_scenario(policy="NC1", horizon_ms=2001.0,
                         injection=None, warmup="stationary_video_start")
